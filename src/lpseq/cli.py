@@ -62,7 +62,7 @@ def _threads(args) -> int:
         return max(1, int(env))
     if args.threads is not None:
         return max(1, args.threads)
-    return os.cpu_count() or 1
+    return 1
 
 
 def _cmd_project(args) -> int:
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for simulation cells "
-                             "(default: all cores; LPSEQ_THREADS overrides)")
+                             "(default: 1; LPSEQ_THREADS overrides)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("project", help="project a vector onto an lp ball")

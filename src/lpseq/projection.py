@@ -6,10 +6,10 @@ at the common multiplier ``lam*`` that makes the shrunk vector exactly
 feasible, and ``lam*`` is located by doubling plus safeguarded bisection on
 the strictly decreasing dual sum.  ``p = 1`` uses exact sort-and-threshold
 water filling, ``p = 0`` keeps the largest magnitudes, ``p = inf`` clips.
-For p in (0, 1) the problem is nonconvex; a deterministic multiplier scan
-returns a stationary point together with a weak-duality gap certificate, and
-tiny problems are additionally solved by exhaustive enumeration of the
-stationary equality systems.
+For p in (0, 1) the problem is nonconvex; its global minimizer keeps a prefix of
+the sorted magnitudes, at most the last kept one on the lower root of the fixed
+point, and one solver enumerates every prefix size under both branch patterns
+and reports a weak-duality gap.
 
 General radii are handled by solving on the unit ball after rescaling
 ``y / r`` and mapping the solution back.
@@ -17,7 +17,6 @@ General radii are handled by solving on the unit ball after rescaling
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,8 +32,6 @@ from .shrinkage import (
     DEFAULT_TOL,
     branch_roots,
     branch_vanish_lambda,
-    prox_jump_lambda,
-    prox_power_many,
     psi_many,
 )
 
@@ -45,8 +42,11 @@ SUM_FEAS_TOL = 1e-10
 # width 1e-14*(1 + lam), whichever happens first.
 LAMBDA_GAP_TOL = 1e-10
 
-# Problems of at most this dimension get the exhaustive p < 1 solver.
-EXHAUSTIVE_DIM = 4
+# The p < 1 solver's multiplier grid, and its refinement: QUASI_ROUNDS rounds of
+# splitting each cell that may hold the optimum in QUASI_SPLIT (16**14 ~ 7e16).
+QUASI_GRID = 48
+QUASI_SPLIT = 16
+QUASI_ROUNDS = 14
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,10 @@ class ProjectionResult:
     fixed point in the original (unrescaled) coordinates; it is 0 for
     feasible inputs and, degenerately, for the direct ``p = 0`` and
     ``p = inf`` routines, which have no scalar multiplier.  ``kkt_residual``
-    is the maximum of the stationarity and complementary-slackness residuals
-    (stationarity over nonzero coordinates only when p <= 1).
-    ``duality_gap`` is reported only for p in (0, 1), where the returned
-    point is a stationary candidate rather than a certified global minimum.
+    is the maximum of the stationarity and two-sided complementary-slackness
+    residuals (stationarity over nonzero coordinates only when p <= 1).
+    ``duality_gap`` is reported only for p in (0, 1): the point is a global
+    minimizer of a nonconvex problem, whose weak dual gap is positive in general.
     """
 
     point: np.ndarray
@@ -254,12 +254,7 @@ def _kkt_pieces(y: np.ndarray, x: np.ndarray, lam: float, p: float, radius: floa
             # for p > 1 a zero output coordinate requires a zero input
             stat = max(stat, float(np.max(ay[~nz])))
     powsum = float(np.sum(ax[nz] ** p)) if np.any(nz) else 0.0
-    if p < 1:
-        # stationary candidates may sit strictly inside the ball; only an
-        # infeasible excess counts against the certificate
-        slack = lam * max(powsum - radius**p, 0.0)
-    else:
-        slack = abs(lam * (powsum - radius**p))
+    slack = abs(lam * (powsum - radius**p))
     return max(stat, slack)
 
 
@@ -281,247 +276,152 @@ def _project_l1_unit(t: np.ndarray):
     return np.maximum(t - tau, 0.0), float(tau)
 
 
-def _quasinorm_candidates_scan(p: float, t: np.ndarray, tol: float):
-    """Deterministic multiplier scan for p < 1: prox path + weak dual bounds."""
-    t_max = float(np.max(t))
-    anchor = float(prox_jump_lambda(p, t_max))
-    grid = anchor * np.geomspace(1e-6, 1e6, 64)
+def _clamped_roots(p: float, lam, t, upper, tol: float) -> np.ndarray:
+    """Branch roots of ``x + lam*x**(p-1) = t``, held at the branch point past it.
 
-    def batch(lams):
-        X = prox_power_many(p, np.asarray(lams)[:, None], t[None, :], tol)
-        with np.errstate(invalid="ignore"):
-            powsums = np.sum(np.where(X > 0, X**p, 0.0), axis=1)
-        objs = 0.5 * np.sum((X - t) ** 2, axis=1)
-        duals = objs + (np.asarray(lams) / p) * (powsums - 1.0)
-        return X, powsums, objs, duals
-
-    X, powsums, objs, duals = batch(grid)
-    best_dual = float(np.max(duals))
-    feas = powsums <= 1.0 + SUM_FEAS_TOL
-    candidates = [(float(objs[i]), X[i], float(grid[i]))
-                  for i in range(grid.size) if feas[i]]
-    evals = grid.size
-
-    for i in range(grid.size - 1):
-        if feas[i] or not feas[i + 1]:
-            continue
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        for _ in range(50):
-            mid = math.sqrt(lo * hi)
-            Xm, sm, om, dm = batch([mid])
-            evals += 1
-            best_dual = max(best_dual, float(dm[0]))
-            if sm[0] <= 1.0 + SUM_FEAS_TOL:
-                candidates.append((float(om[0]), Xm[0], mid))
-                hi = mid
-            else:
-                lo = mid
-    return candidates, best_dual, evals
-
-
-def _quasinorm_prefix_candidates(p: float, t: np.ndarray, tol: float):
-    """Boundary candidates on prefix supports for p < 1 at any dimension.
-
-    For each support size j in a ladder (every size near the smallest
-    feasible one, then geometric steps), solve the one-dimensional equality
-    ``sum of the j kept roots**p = 1`` in the multiplier, under the two
-    branch patterns a restricted-support local minimum can have: all kept
-    coordinates on the increasing branch, or exactly one -- taken as the
-    smallest kept magnitude -- on the decreasing branch.  (Two decreasing
-    coordinates always admit a feasible second-order descent direction.)
-    These are the stationary points the per-coordinate prox path jumps over.
+    The upper root falls and the lower root rises with ``lam`` (from ``t`` and
+    0) until they meet at ``(1-p)/(2-p)*t`` and stay, so both are monotone; a
+    root lost to rounding next to the meeting point is the meeting point.
     """
-    d = t.size
-    order = np.argsort(-t, kind="stable")
-    ts = t[order]
-    nnz = int(np.count_nonzero(ts > 0))
-    if nnz == 0:
-        return [], 0
-    prefix_at_zero = np.cumsum(ts[:nnz] ** p)
-    first = int(np.searchsorted(prefix_at_zero, 1.0))  # index of first sum >= 1
-    if first >= nnz:
-        return [], 0
-    ladder = list(range(first + 1, min(first + 9, nnz + 1)))
-    step = first + 9
-    while step <= nnz:
-        ladder.append(step)
-        step = int(math.ceil(step * 1.5))
-    if nnz > first:
-        ladder.append(nnz)
-    ladder = sorted(set(ladder))
-
-    n_grid = 40
-    lam_top = float(np.max(branch_vanish_lambda(p, ts[:nnz])))
-    grid = np.geomspace(lam_top * 1e-10, lam_top * (1 - 1e-9), n_grid)
-    up = branch_roots(p, grid[:, None], ts[None, :nnz], True, tol)
-    low = branch_roots(p, grid[:, None], ts[None, :nnz], False, tol)
-    evals = 2 * n_grid
-    with np.errstate(invalid="ignore"):
-        up_pw = up**p
-        low_pw = low**p
-        H_up = np.cumsum(up_pw, axis=1)
-
-    items = []  # (j, last_lower, lam_lo, lam_hi, f_lo)
-    for last_lower in (False, True):
-        for j in ladder:
-            col = H_up[:, j - 1] - 1.0
-            if last_lower:
-                col = col - up_pw[:, j - 1] + low_pw[:, j - 1]
-            fin = np.isfinite(col)
-            for l in range(n_grid - 1):
-                if fin[l] and fin[l + 1] and col[l] * col[l + 1] <= 0:
-                    items.append((j, last_lower, grid[l], grid[l + 1], col[l]))
-    if not items:
-        return [], evals
-
-    js = np.array([it[0] for it in items])
-    lowers = np.array([it[1] for it in items])
-    lo = np.array([it[2] for it in items])
-    hi = np.array([it[3] for it in items])
-    flo = np.array([it[4] for it in items])
-    n = len(items)
-    jmax = int(np.max(js))
-    tv = np.broadcast_to(ts[:jmax], (n, jmax))
-    mask_it = np.ones((n, jmax), dtype=bool)
-    mask_it[lowers, js[lowers] - 1] = False
-
-    def equality_values(lams):
-        rts = branch_roots(p, lams[:, None], tv, mask_it, tol)
-        with np.errstate(invalid="ignore"):
-            fm = np.cumsum(rts**p, axis=1)[np.arange(n), js - 1] - 1.0
-        return rts, fm
-
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        _, fm = equality_values(mid)
-        evals += n
-        left = flo * fm <= 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-        conv = np.nanmax(np.abs(fm)) if np.any(np.isfinite(fm)) else math.inf
-        if conv <= 1e-12:
-            break
-    lam_eq = 0.5 * (lo + hi)
-    rts, _ = equality_values(lam_eq)
-    candidates = []
-    for k in range(n):
-        j = int(js[k])
-        x = rts[k, :j]
-        if not np.all(np.isfinite(x)):
-            continue
-        powsum = float(np.sum(x**p))
-        if powsum > 1.0:
-            x = x * powsum ** (-1.0 / p)
-        full = np.zeros(d)
-        full[order[:j]] = x
-        obj = float(0.5 * np.sum((full - t) ** 2))
-        candidates.append((obj, full, float(lam_eq[k])))
-    return candidates, evals
+    lam, t, upper = np.broadcast_arrays(lam, t, upper)
+    meet = (1.0 - p) / (2.0 - p) * t
+    out = np.where(lam > 0, meet, np.where(upper, t, 0.0))
+    live = (lam > 0) & (lam < branch_vanish_lambda(p, t))
+    roots = branch_roots(p, lam[live], t[live], upper[live], tol)
+    out[live] = np.where(np.isnan(roots), meet[live], roots)
+    return out
 
 
-def _quasinorm_candidates_exhaustive(p: float, t: np.ndarray, tol: float):
-    """All equality-constrained stationary systems for p < 1 at tiny dimension.
+def _prefix_points(p: float, lam: np.ndarray, ts: np.ndarray, js: np.ndarray,
+                   low: np.ndarray, budget: float, tol: float):
+    """Points keeping the ``js[r, k]`` largest ``ts`` at multiplier ``lam[r]``.
 
-    The optimal support is a prefix of the coordinates sorted by magnitude
-    (swapping a kept smaller magnitude for a dropped larger one never hurts),
-    and each kept coordinate sits on one of the two branches of the fixed
-    point; enumerate every (prefix, branch assignment) and solve the
-    one-dimensional equality ``sum(x_i**p) = 1`` in the multiplier, locating
-    sign changes on a grid and bisecting them jointly.
+    The last kept one is on the lower root where ``low[r, k]``.  ``pts``
+    records ``lam``, the p-th power sums and objectives ``sum(x**2/2 - x*t)``
+    of the head and of the last coordinate, ``js`` and ``low``; ``cand`` is
+    the objective scaled onto the boundary, ``dev`` the power sum's distance.
     """
-    d = t.size
-    order = np.argsort(-t, kind="stable")
-    ts = t[order]
-    candidates = []
-    evals = 0
-    n_grid = 40
+    U = _clamped_roots(p, lam[:, None], ts[:int(js.max())], True, tol)
+    last_t = ts[js - 1]
+    last = np.where(low, _clamped_roots(p, lam[:, None], last_t, False, tol),
+                    np.take_along_axis(U, js - 1, axis=1))
+    zero = np.zeros((lam.size, 1))
 
-    for j in range(1, d + 1):
-        prefix = ts[:j]
-        if prefix[-1] <= 0:
-            break
-        lam_ub = float(np.min(branch_vanish_lambda(p, prefix)))
-        grid = np.geomspace(lam_ub * 1e-8, lam_ub * (1 - 1e-9), n_grid)
-        masks = np.array(list(itertools.product((True, False), repeat=j)), dtype=bool)
-        roots = branch_roots(p, grid[None, :, None], prefix[None, None, :],
-                             masks[:, None, :], tol)
-        evals += masks.shape[0] * n_grid
-        with np.errstate(invalid="ignore"):
-            h = np.sum(roots**p, axis=2) - 1.0  # NaN where a branch is missing
+    def head(v):  # sums over the first j - 1 columns
+        return np.take_along_axis(np.hstack([zero, np.cumsum(v, axis=1)]), js - 1, axis=1)
 
-        items = []
-        for c in range(masks.shape[0]):
-            for i in range(n_grid - 1):
-                a, b = h[c, i], h[c, i + 1]
-                if np.isfinite(a) and np.isfinite(b) and a * b <= 0:
-                    items.append((c, grid[i], grid[i + 1], a))
-        if not items:
-            continue
-        cidx = np.array([it[0] for it in items])
-        lo = np.array([it[1] for it in items])
-        hi = np.array([it[2] for it in items])
-        flo = np.array([it[3] for it in items])
-        mask_it = masks[cidx]
-        pref = np.broadcast_to(prefix, (len(items), j))
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            rts = branch_roots(p, mid[:, None], pref, mask_it, tol)
-            evals += len(items)
-            with np.errstate(invalid="ignore"):
-                fm = np.sum(rts**p, axis=1) - 1.0
-            left = flo * fm <= 0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            flo = np.where(left, flo, fm)
-            conv = np.nanmax(np.abs(fm)) if np.any(np.isfinite(fm)) else math.inf
-            if conv <= 1e-13:
-                break
-        lam_eq = 0.5 * (lo + hi)
-        rts = branch_roots(p, lam_eq[:, None], pref, mask_it, tol)
-        for k in range(len(items)):
-            x = rts[k]
-            if not np.all(np.isfinite(x)):
-                continue
-            full = np.zeros(d)
-            full[order[:j]] = x
-            obj = float(0.5 * np.sum((full - t) ** 2))
-            candidates.append((obj, full, float(lam_eq[k])))
-    return candidates, evals
+    half_sq, cross = head(0.5 * U * U), head(U * ts[:U.shape[1]])
+    last_half_sq, last_cross = 0.5 * last * last, last * last_t
+    h, l = head(U**p), last**p
+    pts = np.stack(np.broadcast_arrays(lam[:, None], h, l, half_sq - cross,
+                                       last_half_sq - last_cross, js, low), axis=-1)
+    kappa = (budget / (h + l)) ** (1.0 / p)
+    cand = kappa * kappa * (half_sq + last_half_sq) - kappa * (cross + last_cross)
+    return pts, cand, np.abs((h + l) / budget - 1.0), U, last
 
 
 def _project_quasinorm_unit(p: float, t: np.ndarray, tol: float):
-    """Stationary projection of magnitudes t onto the unit ball, p in (0,1)."""
-    candidates, best_dual, evals = _quasinorm_candidates_scan(p, t, tol)
-    ladder, more = _quasinorm_prefix_candidates(p, t, tol)
-    candidates.extend(ladder)
-    evals += more
-    if t.size <= EXHAUSTIVE_DIM:
-        extra, more = _quasinorm_candidates_exhaustive(p, t, tol)
-        for obj, x, lam in extra:
-            pos = x > 0
-            powsum = float(np.sum(x[pos] ** p))
-            if powsum > 1.0:
-                # the multiplier bisection leaves O(1e-12) boundary error;
-                # snap onto the boundary rather than reject the candidate
-                x = x * powsum ** (-1.0 / p)
-                obj = float(0.5 * np.sum((x - t) ** 2))
-            candidates.append((obj, x, lam))
-        evals += more
-    if not candidates:
-        # everything shrunk to zero is always feasible at a large multiplier
-        lam = float(prox_jump_lambda(p, float(np.max(t)))) * 1.01
-        candidates.append((float(0.5 * np.sum(t**2)), np.zeros_like(t), lam))
-    obj, x, lam = min(candidates, key=lambda c: (c[0], c[2]))
-    gap = max(obj - best_dual, 0.0)
-    return x, lam, gap, evals
+    """Global minimizer of ``||x - t||**2/2`` over ``sum(x**p) <= 1``, p in (0, 1).
+
+    ``t`` holds magnitudes with ``sum(t**p) > 1``.  A minimizer (Yang, Wang &
+    Wang, JMLR 2022) keeps a prefix of ``t`` sorted in descending order, since
+    swapping a kept smaller magnitude for a dropped larger one never hurts.
+    On the boundary it solves ``x + lam*x**(p-1) = t`` with ``lam > 0`` on
+    its support, at most one coordinate on the lower root (two make the
+    Lagrangian Hessian negative on a 2-D tangent direction), and that one is
+    the smallest, the last kept.  The candidates are thus the largest
+    feasible prefix of ``t`` as is (``lam = 0``), ``e_1`` on the boundary, and
+    for each size ``j >= 2`` the roots on ``(0, vanish_j]`` of ``H_j = 1``,
+    ``H_j(lam)`` the strictly decreasing p-th power sum of the first ``j``
+    upper roots, and of ``H_{j-1}(lam) + l_j(lam)**p = 1``.
+
+    Certified pruning on one multiplier grid finds the roots: on a cell
+    ``[a, b]`` upper roots fall and the lower root rises, so either left side
+    lies in ``[H(b) + l(a)**p, H(a) + l(b)**p]`` and the objective is at least
+    its value at the matching ends.  Each round splits the cells whose
+    interval holds 1 and is wider than rounding and whose bound is at most the
+    best candidate (an evaluated point scaled onto the boundary).  Upper roots
+    are at least their branch point ``(1-p)/(2-p)*t_i``, so no size with
+    ``sum_{i<j} ((1-p)/(2-p)*t_i)**p >= 1`` has a root.  The concave weak dual,
+    whose maximum bounds the gap, is refined around its best grid point.
+    Units are ``max(t)`` and objectives ``sum(x**2/2 - x*t)``, so nothing
+    overflows; magnitudes with a vanishing multiplier below 1e-290 are
+    dropped.  Returns ``(x, lam, gap, evals)``.
+    """
+    scale = float(np.max(t))
+    order = np.argsort(-t, kind="stable")
+    ts = t[order] / scale
+    budget = scale**-p  # the constraint is sum(x**p) <= budget in these units
+    vanish = branch_vanish_lambda(p, ts)
+
+    # the largest feasible prefix kept as is; when even t_1 is too large it
+    # keeps nothing, and e_1 on the boundary beats it
+    k0 = int(np.searchsorted(np.cumsum(ts**p), budget, side="right"))
+    xi = 1.0 / scale
+    best = [xi * (0.5 * xi - 1.0), np.array([xi]), (1.0 - xi) * xi ** (1.0 - p), 0.0]
+    if k0 > 0:
+        best = [float(-0.5 * np.sum(ts[:k0] ** 2)), ts[:k0], 0.0, 0.0]
+
+    meets = np.cumsum(((1.0 - p) / (2.0 - p) * ts) ** p)
+    top = min(int(np.count_nonzero(vanish > 1e-290)), 1 + int(np.searchsorted(meets, budget)))
+    sizes = np.arange(max(k0 + 1, 2), top + 1)
+    grid = np.concatenate(
+        ([0.0], np.geomspace(1e-9 * vanish[top - 1], vanish[0], QUASI_GRID - 1)))
+    evals = 0
+    if sizes.size:
+        lam, a, b = grid, None, None
+        js = np.broadcast_to(np.concatenate([sizes, sizes]), (grid.size, 2 * sizes.size))
+        low = np.broadcast_to(np.arange(2 * sizes.size) >= sizes.size, js.shape)
+        for _ in range(QUASI_ROUNDS + 1):
+            pts, cand, dev, U, last = _prefix_points(p, lam, ts, js, low, budget, tol)
+            evals += lam.size
+            # objectives within 1e-13 tie; the point nearest the boundary wins
+            lowest = min(best[0], float(np.min(cand)))
+            key = np.where(cand <= lowest + 1e-13 * abs(lowest), dev, np.inf)
+            r, k = np.unravel_index(int(np.argmin(key)), key.shape)
+            if key[r, k] < np.inf and (cand[r, k] < best[0] - 1e-13 * abs(lowest)
+                                       or dev[r, k] < best[3]):
+                x = np.append(U[r, :js[r, k] - 1], last[r, k])
+                best = [float(cand[r, k]), x * (budget / float(np.sum(x**p))) ** (1.0 / p),
+                        float(lam[r]), float(dev[r, k])]
+            # the grid first, once per size and pattern; then the split cells
+            chains = pts.transpose(1, 0, 2) if a is None else np.concatenate(
+                [a.T[:, None], pts.reshape(a.shape[1], -1, 7), b.T[:, None]], axis=1)
+            a, b = np.moveaxis(np.stack([chains[:, :-1], chains[:, 1:]]).reshape(2, -1, 7), 2, 1)
+            lo, hi = b[1] + np.minimum(a[2], b[2]), a[1] + np.maximum(a[2], b[2])
+            keep = ((lo <= budget) & (hi >= budget) & (hi - lo > 1e-13 * budget)
+                    & (a[3] + np.minimum(a[4], b[4]) <= best[0] + 1e-13 * abs(best[0]))
+                    & (a[0] < vanish[a[5].astype(int) - 1]) & (b[0] - a[0] > 1e-15 * b[0]))
+            if not np.any(keep):
+                break
+            a, b = a[:, keep], b[:, keep]
+            lam = np.linspace(a[0], b[0], QUASI_SPLIT + 1)[1:-1].T.ravel()
+            js = np.repeat(a[5].astype(int), QUASI_SPLIT - 1)[:, None]
+            low = np.repeat(a[6] > 0, QUASI_SPLIT - 1)[:, None]
+
+    # weak dual: each prox is the upper root where that beats 0, else 0
+    lam, dual = grid, -np.inf
+    for _ in range(QUASI_ROUNDS + 1):
+        U = _clamped_roots(p, lam[:, None], ts, True, tol)
+        inner = np.minimum(U * (0.5 * U - ts) + (lam[:, None] / p) * U**p, 0.0)
+        vals = np.sum(np.where(lam[:, None] < vanish, inner, 0.0), axis=1) - lam / p * budget
+        evals += lam.size
+        i = int(np.argmax(vals))
+        dual = max(dual, float(vals[i]))
+        lam = np.linspace(lam[max(i - 1, 0)], lam[min(i + 1, lam.size - 1)], QUASI_SPLIT + 1)
+
+    x = np.zeros_like(t)
+    x[order[:best[1].size]] = best[1] * scale
+    return x, best[2] * scale ** (2.0 - p), max(best[0] - dual, 0.0) * scale * scale, evals
 
 
 def project(ball: LpBall, y: np.ndarray, tol: float = LAMBDA_GAP_TOL) -> ProjectionResult:
     """Euclidean projection of ``y`` onto the ball.
 
-    Unique minimizer for p >= 1; for p in (0, 1) a stationary point with a
-    reported weak-duality gap.  ``tol`` controls the outer multiplier search.
+    Unique minimizer for p >= 1.  For p in (0, 1) a global minimizer, by the
+    prefix-support structure in the module docstring, with a weak-duality
+    gap; it keeps a prefix of ``y`` with multiplier 0 or lies on the
+    boundary.  ``tol`` controls the outer multiplier search for p > 1.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size != ball.dim:

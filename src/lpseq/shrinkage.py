@@ -223,16 +223,6 @@ def branch_roots(p: float, lam, t, upper, tol: float = DEFAULT_TOL) -> np.ndarra
     return out
 
 
-def upper_root_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Largest root of ``x + lam*x**(p-1) = t`` for p < 1; NaN where none."""
-    return branch_roots(p, lam, t, True, tol)
-
-
-def lower_root_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Smallest positive root of ``x + lam*x**(p-1) = t`` for p < 1; NaN where none."""
-    return branch_roots(p, lam, t, False, tol)
-
-
 def power_objective(p: float, lam, t, x) -> np.ndarray:
     """Prox objective ``(x-t)**2/2 + (lam/p) * x**p`` at magnitude ``x >= 0``."""
     t = np.asarray(t, dtype=float)
@@ -253,23 +243,17 @@ def prox_power_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
         return psi_many(p, lam, t, tol)
     lam_b, t_b = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(t, dtype=float))
+    # the objective's slope g(x) - t is positive on (0, lower root), so the
+    # lower root never beats zero; only the upper root competes with it
     upper = branch_roots(p, lam_b, t_b, True, tol)
-    lower = branch_roots(p, lam_b, t_b, False, tol)
-    best = np.zeros(t_b.shape)
-    fbest = power_objective(p, lam_b, t_b, best)
-    for cand in (lower, upper):
-        fc = power_objective(p, lam_b, t_b, cand)
-        take = fc < fbest  # strict: ties stay at the sparser point; NaN never wins
-        best = np.where(take, cand, best)
-        fbest = np.where(take, fc, fbest)
-    return _flush(np.array(best))
+    take = power_objective(p, lam_b, t_b, upper) < power_objective(p, lam_b, t_b, 0.0)
+    return _flush(np.where(take, upper, 0.0))  # strict: ties stay at zero; NaN never wins
 
 
 def prox_power(query: ShrinkageQuery) -> float:
     """Global minimizer of ``(x - t)**2/2 + (lam/p) * x**p`` over ``x >= 0``.
 
-    Identical to :func:`psi_solve` for ``p >= 1``.  For ``p in (0, 1)`` the
-    stationary candidates (zero and the at most two positive roots of the
-    fixed point) are enumerated and compared; ties go to zero.
+    Identical to :func:`psi_solve` for ``p >= 1``.  For ``p in (0, 1)`` zero
+    and the upper root of the fixed point are compared; ties go to zero.
     """
     return float(prox_power_many(query.p, query.lam, np.array([query.t]), query.tol)[0])

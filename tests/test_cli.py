@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lpseq.cli import main
+from lpseq.cli import _threads, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +178,12 @@ def test_threads_env_override(tmp_path, capsys, monkeypatch):
                          "--max-d", "100", "--reps", "1", "--seed", "2",
                          "--out", str(out_dir))
     assert code == 0
+
+
+def test_threads_default_is_one(monkeypatch):
+    monkeypatch.delenv("LPSEQ_THREADS", raising=False)
+    args = build_parser().parse_args(["project", "--p", "2", "--input", "1,2"])
+    assert _threads(args) == 1
 
 
 def test_simulate_from_config(tmp_path, capsys):

@@ -259,6 +259,69 @@ def test_quasinorm_gap_reported():
     assert res.duality_gap is None
 
 
+def _objective(x, y):
+    return 0.5 * float(np.sum((x - y) ** 2))
+
+
+def _two_sided_slack(res, p, r):
+    x = np.abs(res.point[res.point != 0])
+    return res.multiplier * abs(float(np.sum(x**p)) - r**p)
+
+
+def test_quasinorm_global_beyond_four_dims():
+    # the optimum keeps two coordinates; a point strictly inside the ball
+    # with a positive multiplier (objective 0.1020) is not even stationary
+    y = np.array([0.51, 0.35, 0.24, 0.1, 0.08])
+    res = project(LpBall(p=0.5, dim=5, radius=1.0), y)
+    np.testing.assert_allclose(res.point, [0.38396, 0.14467, 0, 0, 0], atol=1e-5)
+    assert _objective(res.point, y) <= 0.0660233
+    assert _two_sided_slack(res, 0.5, 1.0) <= 1e-9
+    assert res.kkt_residual <= 1e-9
+
+
+def test_quasinorm_lower_branch_winner():
+    # the kept coordinate at index 0 sits on the lower root of
+    # x + lam*x**(p-1) = |y_0|; the bound is the exhaustive enumeration's
+    # optimum over every (prefix, branch pattern) system
+    p = 0.25
+    y = np.array([0.53695324, 0.5811181, 0.3645724, 0.2941325])
+    res = project(LpBall(p=p, dim=4, radius=1.0), y)
+    assert _objective(res.point, y) <= 0.25373229771043143 + 1e-12
+    assert res.multiplier == pytest.approx(0.0011130589, rel=1e-8)
+    assert 0 < res.point[0] < ((1 - p) * res.multiplier) ** (1 / (2 - p))
+    assert res.kkt_residual <= 1e-9
+
+
+def test_quasinorm_overflow_safe():
+    res = project(LpBall(p=0.5, dim=2, radius=1.0), np.array([1e200, 1.0]))
+    np.testing.assert_array_equal(res.point, [1.0, 0.0])
+    assert math.isfinite(res.duality_gap) and res.duality_gap >= 0.0
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_quasinorm_beats_cheap_feasible_points(data):
+    d = data.draw(st.integers(1, 8))
+    p = data.draw(st.floats(0.05, 0.99))
+    r = data.draw(st.floats(0.5, 2.0))
+    entry = st.sampled_from([0.0, 0.4, -0.4, 1.0, -1.0, 1.7]) | st.floats(-3, 3)
+    y = np.array(data.draw(st.lists(entry, min_size=d, max_size=d)))
+    res = project(LpBall(p=p, dim=d, radius=r), y)
+    assert lp_norm(res.point, p) <= r * (1 + 1e-9)
+    if lp_norm(y, p) > r:
+        assert math.isfinite(res.duality_gap) and res.duality_gap >= 0.0
+    assert _two_sided_slack(res, p, r) <= 1e-9
+    # the largest feasible prefix of |y| kept as is, and r * sign(y_k) * e_k
+    order = np.argsort(-np.abs(y), kind="stable")
+    kept = int(np.searchsorted(np.cumsum(np.abs(y[order]) ** p), r**p, side="right"))
+    prefix = np.zeros(d)
+    prefix[order[:kept]] = y[order[:kept]]
+    spike = np.zeros(d)
+    spike[order[0]] = r * np.sign(y[order[0]])
+    cheap = min(_objective(prefix, y), _objective(spike, y))
+    assert _objective(res.point, y) <= cheap * (1 + 1e-12) + 1e-300
+
+
 def test_zero_vector_input():
     for p in (0.5, 1.0, 2.0, math.inf):
         ball = LpBall(p=p, dim=3, radius=1.0)
