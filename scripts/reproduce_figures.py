@@ -19,7 +19,6 @@ def main() -> int:
     parser.add_argument("--max-d", type=int, default=10_000)
     parser.add_argument("--reps", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args()
 
     for figure in ("2a", "2b"):
@@ -27,8 +26,6 @@ def main() -> int:
         argv = ["reproduce", "--figure", figure, "--max-d", str(args.max_d),
                 "--reps", str(args.reps), "--seed", str(args.seed),
                 "--out", str(out_dir)]
-        if args.threads is not None:
-            argv = ["--threads", str(args.threads)] + argv
         code = lpseq_main(argv)
         if code != 0:
             print(f"figure {figure} run exited with {code}", file=sys.stderr)

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -54,15 +53,6 @@ def _parse_vector(text: str) -> np.ndarray:
     if not tokens:
         raise ValueError("empty input vector")
     return np.array([float(tok) for tok in tokens])
-
-
-def _threads(args) -> int:
-    env = os.environ.get("LPSEQ_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    if args.threads is not None:
-        return max(1, args.threads)
-    return 1
 
 
 def _cmd_project(args) -> int:
@@ -116,15 +106,7 @@ def _cmd_rates(args) -> int:
     return EXIT_OK
 
 
-def _row_to_dict(row: simulate.RiskEstimate) -> dict:
-    return dataclasses.asdict(row)
-
-
-def _row_from_dict(payload: dict) -> simulate.RiskEstimate:
-    return simulate.RiskEstimate(**payload)
-
-
-def _run_resumable(config: simulate.ExperimentConfig, out_dir: Path, threads: int):
+def _run_resumable(config: simulate.ExperimentConfig, out_dir: Path):
     """Run with a cell cursor under out_dir; returns (result, csv_path)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     cursor_path = out_dir / "cursor.json"
@@ -144,28 +126,17 @@ def _run_resumable(config: simulate.ExperimentConfig, out_dir: Path, threads: in
             encoding="utf-8")
 
     def on_cell_done(cell_id, row):
-        completed[cell_id] = _row_to_dict(row)
+        completed[cell_id] = dataclasses.asdict(row)
         flush()
         _log(f"[lpseq] cell done: {cell_id}")
 
+    resumed = {cid: simulate.RiskEstimate(**row) for cid, row in completed.items()}
     try:
-        run = simulate.run_experiment(config, threads=threads,
-                                      completed=frozenset(completed),
-                                      on_cell_done=on_cell_done)
+        result = simulate.run_experiment(config, completed=resumed,
+                                         on_cell_done=on_cell_done)
     except BaseException:
         flush()
         raise
-
-    # merge resumed rows back in canonical cell order
-    by_cell = dict(completed)
-    rows = []
-    for d in config.d_grid:
-        for kind in config.estimators:
-            cid = simulate.cell_id_for(config, d, kind)
-            if cid in by_cell:
-                rows.append(_row_from_dict(by_cell[cid]))
-    result = simulate.ExperimentResult(config, run.experiment_id, tuple(rows),
-                                       run.control)
     csv_path = out_dir / "results.csv"
     simulate.write_csv(result, csv_path)
     cursor_path.unlink(missing_ok=True)
@@ -181,7 +152,7 @@ def _cmd_simulate(args) -> int:
         _log(f"[lpseq] config error: {exc}")
         return EXIT_PARSE
     _echo_config("simulate", config.to_dict())
-    result = simulate.run_experiment(config, threads=_threads(args))
+    result = simulate.run_experiment(config)
     if config.output is None:
         sys.stdout.write(simulate.rows_to_csv(result))
     else:
@@ -211,7 +182,7 @@ def _cmd_reproduce(args) -> int:
     _echo_config("reproduce", config.to_dict())
     out_dir = Path(args.out)
     try:
-        result, csv_path = _run_resumable(config, out_dir, _threads(args))
+        result, csv_path = _run_resumable(config, out_dir)
     except KeyboardInterrupt:
         _log("[lpseq] interrupted; partial results saved, rerun to resume")
         return EXIT_PARTIAL
@@ -248,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lpseq",
         description="lp-ball projection estimators in the Gaussian sequence model",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for simulation cells "
-                             "(default: 1; LPSEQ_THREADS overrides)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("project", help="project a vector onto an lp ball")

@@ -3,8 +3,9 @@
 For p > 1 the projection is computed from its coordinatewise dual
 characterization: each output magnitude solves ``psi + lam*psi**(p-1) = |y_i|``
 at the common multiplier ``lam*`` that makes the shrunk vector exactly
-feasible, and ``lam*`` is located by doubling plus safeguarded bisection on
-the strictly decreasing dual sum.  ``p = 1`` uses exact sort-and-threshold
+feasible.  ``lam*`` is bracketed by doubling, then refined by Newton steps on
+the strictly decreasing dual sum, each replaced by a bisection step when it
+would leave the bracket.  ``p = 1`` uses exact sort-and-threshold
 water filling, ``p = 0`` keeps the largest magnitudes, ``p = inf`` clips.
 For p in (0, 1) the problem is nonconvex; its global minimizer keeps a prefix of
 the sorted magnitudes, at most the last kept one on the lower root of the fixed
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .shrinkage import (
     DEFAULT_TOL,
+    FLUSH_TOL,
     branch_roots,
     branch_vanish_lambda,
     psi_many,
@@ -109,7 +111,9 @@ def lp_norm(x: np.ndarray, p: float) -> float:
     pos = a[a > 0]
     if pos.size == 0:
         return 0.0
-    return float(np.sum(pos**p) ** (1.0 / p))
+    # scale by the largest magnitude first, as hypot does, so powers stay finite
+    top = float(np.max(pos))
+    return top * float(np.sum((pos / top) ** p) ** (1.0 / p))
 
 
 @dataclass
@@ -222,7 +226,10 @@ def _find_lambda_star(p: float, t: np.ndarray, gap_tol: float):
 
 def find_lambda_star(y: np.ndarray, p: float, radius: float = 1.0,
                      tol: float = LAMBDA_GAP_TOL) -> float:
-    """Multiplier at which the dual sum hits 1: doubling then safeguarded bisection.
+    """Multiplier at which the dual sum hits 1: doubling, then safeguarded Newton.
+
+    Newton steps use the dual sum's slope and fall back to bisection whenever
+    a step would leave the current bracket.
 
     Requires ``p > 1`` and an infeasible input (``||y/r||_p > 1``); feasible
     inputs never reach this search (the projection returns them with a zero
@@ -251,8 +258,12 @@ def _kkt_pieces(y: np.ndarray, x: np.ndarray, lam: float, p: float, radius: floa
             stat = float(np.max(np.abs(ay[nz] - ax[nz] - lam * ax[nz] ** (p - 1.0)))) \
                 if np.any(nz) else 0.0
         if p > 1 and np.any(~nz):
-            # for p > 1 a zero output coordinate requires a zero input
-            stat = max(stat, float(np.max(ay[~nz])))
+            # a zero output needs a zero input, up to what a magnitude below the
+            # flush threshold s = r*FLUSH_TOL explains: s + lam*s**(p-1)
+            s = radius * FLUSH_TOL
+            with np.errstate(over="ignore", under="ignore"):
+                floor = s + lam * s ** (p - 1.0)
+            stat = max(stat, float(np.max(np.maximum(ay[~nz] - floor, 0.0))))
     powsum = float(np.sum(ax[nz] ** p)) if np.any(nz) else 0.0
     slack = abs(lam * (powsum - radius**p))
     return max(stat, slack)

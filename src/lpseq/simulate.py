@@ -8,8 +8,8 @@ signal with ``sigma = d**(1/p - 1)``; ``fig2b`` pairs a flat k-sparse
 boundary signal with ``sigma = d**(-1/2)``, where k follows the order-level
 sparsity balance (about sqrt(d) at that noise rule) -- the choice that
 reproduces the reference risk curves -- clamped away from the trivial
-extremes.  Cells are independent, so runs may be resumed cell by cell and
-parallelized without affecting the numbers.
+extremes.  Cells are independent, so a run may be resumed cell by cell
+without affecting the numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import hashlib
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -226,48 +226,37 @@ def cell_id_for(config: ExperimentConfig, d: int, kind: str) -> str:
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1,
-                   completed: frozenset[str] = frozenset(),
+                   completed: Mapping[str, RiskEstimate] | None = None,
                    on_cell_done=None) -> ExperimentResult:
-    """Run every (d, estimator) cell and assemble order-normalized results.
+    """Run every (d, estimator) cell serially and return all rows in cell order.
 
-    ``completed`` names cells to skip (resumption); ``on_cell_done`` is
-    called with ``(cell_id, RiskEstimate)`` as each cell finishes.  Cells are
-    independent, so the thread count changes wall time only.
+    ``completed`` maps cell ids to rows finished earlier (resumption); those
+    cells are not rerun.  ``on_cell_done`` is called with
+    ``(cell_id, RiskEstimate)`` as each newly run cell finishes.  ``threads``
+    is kept for existing callers and must be 1.
     """
-    experiment_id = config.fingerprint()
-    cells = [(d, kind) for d in config.d_grid for kind in config.estimators]
-    pending = [(d, k) for (d, k) in cells if cell_id_for(config, d, k) not in completed]
-
-    def run_cell(cell):
-        d, kind = cell
-        sigma = config.sigma_for(d)
-        theta = config.theta_for(d)
-        cid = cell_id_for(config, d, kind)
-        spec = _estimator_spec(kind, config, d, sigma)
-        row = estimate_risk(spec, theta, sigma, config.reps, config.seed, cid)
-        return cid, row
-
-    results: dict[tuple[int, str], RiskEstimate] = {}
-    if threads > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for (cid, row), cell in zip(pool.map(run_cell, pending), pending):
-                results[cell] = row
+    if threads != 1:
+        raise InvalidParameterError(f"cells run serially; threads must be 1, got {threads}")
+    completed = completed or {}
+    rows = []
+    for d in config.d_grid:
+        for kind in config.estimators:
+            cid = cell_id_for(config, d, kind)
+            row = completed.get(cid)
+            if row is None:
+                sigma = config.sigma_for(d)
+                spec = _estimator_spec(kind, config, d, sigma)
+                row = estimate_risk(spec, config.theta_for(d), sigma, config.reps,
+                                    config.seed, cid)
                 if on_cell_done is not None:
                     on_cell_done(cid, row)
-    else:
-        for cell in pending:
-            cid, row = run_cell(cell)
-            results[cell] = row
-            if on_cell_done is not None:
-                on_cell_done(cid, row)
-
-    rows = tuple(results[c] for c in cells if c in results)
+            rows.append(row)
     control = {
         d: control_function(RateQuery(p=config.p, d=d, sigma=config.sigma_for(d),
                                       radius=config.radius))
         for d in config.d_grid
     }
-    result = ExperimentResult(config, experiment_id, rows, control)
+    result = ExperimentResult(config, config.fingerprint(), tuple(rows), control)
     if config.output is not None:
         write_csv(result, Path(config.output))
     return result

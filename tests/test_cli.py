@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lpseq.cli import _threads, build_parser, main
+from lpseq.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -107,7 +107,7 @@ def test_verify_suite_deterministic(capsys):
 
 def test_reproduce_smoke(tmp_path, capsys):
     out_dir = tmp_path / "fig"
-    code, out, err = run_cli(capsys, "--threads", "1", "reproduce",
+    code, out, err = run_cli(capsys, "reproduce",
                              "--figure", "2a", "--max-d", "100", "--reps", "1",
                              "--seed", "3", "--out", str(out_dir))
     assert code == 0
@@ -124,11 +124,11 @@ def test_reproduce_smoke(tmp_path, capsys):
 
 def test_reproduce_resumes_from_cursor(tmp_path, capsys):
     out_dir = tmp_path / "fig"
-    run_cli(capsys, "--threads", "1", "reproduce", "--figure", "2b",
+    run_cli(capsys, "reproduce", "--figure", "2b",
             "--max-d", "160", "--reps", "2", "--seed", "5", "--out", str(out_dir))
     first = (out_dir / "results.csv").read_text()
     # rerun with identical flags: same output
-    run_cli(capsys, "--threads", "1", "reproduce", "--figure", "2b",
+    run_cli(capsys, "reproduce", "--figure", "2b",
             "--max-d", "160", "--reps", "2", "--seed", "5", "--out", str(out_dir))
     assert (out_dir / "results.csv").read_text() == first
 
@@ -140,6 +140,13 @@ def test_project_solver_diagnostic_exit_3(capsys):
     assert code == 3
     assert "point" in parse_kv(out)  # the result is still printed
     assert "diagnostic" in err
+
+
+def test_project_near_one_flushed_zero_exit_0(capsys):
+    for extra in (["--input", "2,1,0.5"], ["--radius", "3", "--input", "6,3,1.5"]):
+        code, out, _ = run_cli(capsys, "project", "--p", "1.000001", *extra)
+        assert code == 0
+        assert float(parse_kv(out)["kkt_residual"]) <= 1e-9
 
 
 def test_reproduce_partial_exit_4_then_resume(tmp_path, capsys, monkeypatch):
@@ -156,13 +163,13 @@ def test_reproduce_partial_exit_4_then_resume(tmp_path, capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sim, "estimate_risk", flaky)
-    code, _, err = run_cli(capsys, "--threads", "1", "reproduce", "--figure", "2a",
+    code, _, err = run_cli(capsys, "reproduce", "--figure", "2a",
                            "--max-d", "160", "--reps", "1", "--seed", "1",
                            "--out", str(out_dir))
     assert code == 4
     assert (out_dir / "cursor.json").exists()
     monkeypatch.setattr(sim, "estimate_risk", real)
-    code, _, _ = run_cli(capsys, "--threads", "1", "reproduce", "--figure", "2a",
+    code, _, _ = run_cli(capsys, "reproduce", "--figure", "2a",
                          "--max-d", "160", "--reps", "1", "--seed", "1",
                          "--out", str(out_dir))
     assert code == 0
@@ -171,19 +178,29 @@ def test_reproduce_partial_exit_4_then_resume(tmp_path, capsys, monkeypatch):
     assert not (out_dir / "cursor.json").exists()
 
 
-def test_threads_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LPSEQ_THREADS", "2")
-    out_dir = tmp_path / "fig"
-    code, _, _ = run_cli(capsys, "--threads", "1", "reproduce", "--figure", "2a",
-                         "--max-d", "100", "--reps", "1", "--seed", "2",
-                         "--out", str(out_dir))
-    assert code == 0
+def test_reproduce_resumed_matches_clean_run(tmp_path, capsys, monkeypatch):
+    import lpseq.simulate as sim
 
+    flags = ["reproduce", "--figure", "2a", "--max-d", "300", "--reps", "2",
+             "--seed", "4"]
+    clean, resumed = tmp_path / "clean", tmp_path / "resumed"
+    assert run_cli(capsys, *flags, "--out", str(clean))[0] == 0
 
-def test_threads_default_is_one(monkeypatch):
-    monkeypatch.delenv("LPSEQ_THREADS", raising=False)
-    args = build_parser().parse_args(["project", "--p", "2", "--input", "1,2"])
-    assert _threads(args) == 1
+    real = sim.estimate_risk
+    calls = {"n": 0}
+
+    def flaky(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 4:
+            raise RuntimeError("synthetic cell failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "estimate_risk", flaky)
+    assert run_cli(capsys, *flags, "--out", str(resumed))[0] == 4
+    monkeypatch.setattr(sim, "estimate_risk", real)
+    assert run_cli(capsys, *flags, "--out", str(resumed))[0] == 0
+    for name in ("results.csv", "slopes.json", "plot_spec.json"):
+        assert (resumed / name).read_bytes() == (clean / name).read_bytes()
 
 
 def test_simulate_from_config(tmp_path, capsys):

@@ -164,6 +164,11 @@ def test_kkt_residual_consistency_and_sensitivity():
     bumped = ProjectionResult(res.point + np.array([1e-3, 0.0]), res.multiplier,
                               0.0, res.iterations)
     assert kkt_residual(y, bumped, 1.5, 1.0) >= 1e-4
+    # at p = 2 a zero output for a nonzero input is charged in full
+    y = np.array([2.0, 0.5])
+    res = project(LpBall(p=2.0, dim=2, radius=1.0), y)
+    zeroed = ProjectionResult(np.array([res.point[0], 0.0]), res.multiplier, 0.0, 0)
+    assert kkt_residual(y, zeroed, 2.0, 1.0) >= 0.5 * (1 - 1e-12)
     with pytest.raises(InvalidParameterError):
         kkt_residual(y, res, 1.0, 1.0)
 
@@ -248,6 +253,15 @@ def test_p1_matches_generic_near_one():
         exact = project(LpBall(p=1.0, dim=10, radius=1.0), y).point
         near = project(LpBall(p=1.0 + 1e-6, dim=10, radius=1.0), y).point
         assert np.linalg.norm(exact - near) <= 1e-3
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.0, 2.5])
+@pytest.mark.parametrize("c", [1e-160, 1e-150, 1e-100, 1.0, 1e100, 1e150, 1e200])
+def test_lp_norm_scale_safe(p, c):
+    rng = np.random.default_rng(53)
+    for x in (np.array([3.0, 4.0]), rng.standard_normal(7)):
+        assert lp_norm(c * x, p) == pytest.approx(c * lp_norm(x, p), rel=1e-12, abs=0)
+    assert LpBall(p=p, dim=2, radius=5.0 * c).contains(c * np.array([3.0, 4.0])) == (p >= 2)
 
 
 def test_quasinorm_gap_reported():

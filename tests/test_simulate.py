@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,6 +12,7 @@ from lpseq.projection import LpBall, project
 from lpseq.simulate import (
     ExperimentConfig,
     TrialKey,
+    cell_id_for,
     default_d_grid,
     estimate_risk,
     fit_log_slope,
@@ -26,6 +28,10 @@ def small_config(**kw):
                 estimators=("zero", "identity"), seed=123)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def cell_ids(cfg):
+    return [cell_id_for(cfg, d, k) for d in cfg.d_grid for k in cfg.estimators]
 
 
 def test_default_grid_formula():
@@ -132,24 +138,51 @@ def test_run_experiment_row_layout():
 
 def test_csv_deterministic_and_order_invariant():
     cfg = small_config(estimators=("zero", "identity", "soft_threshold"))
-    a = rows_to_csv(run_experiment(cfg, threads=1))
-    b = rows_to_csv(run_experiment(cfg, threads=3))
+    full = run_experiment(cfg)
+    a = rows_to_csv(full)
+    # resuming from every other row gives the same CSV, in cell order
+    ids = cell_ids(cfg)
+    subset = dict(list(zip(ids, full.rows))[1::2])
+    b = rows_to_csv(run_experiment(cfg, completed=subset))
     assert a == b
     header = a.splitlines()[0]
     assert header == ("experiment_id,regime,p,d,sigma,estimator,reps,"
                       "mse_mean,mse_stderr,seed")
 
 
-def test_run_experiment_resume_skips_completed():
+def test_run_experiment_resume_skips_completed(monkeypatch):
+    import lpseq.simulate as sim
+
     cfg = small_config()
     full = run_experiment(cfg)
-    from lpseq.simulate import cell_id_for
-    done = frozenset(cell_id_for(cfg, d, k) for d in cfg.d_grid for k in cfg.estimators)
-    partial = run_experiment(cfg, completed=done)
-    assert partial.rows == ()  # everything skipped
-    # skipping none reproduces the full rows
-    again = run_experiment(cfg)
-    assert again.rows == full.rows
+    ids = cell_ids(cfg)
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a completed cell was rerun")
+
+    monkeypatch.setattr(sim, "estimate_risk", no_cell)
+    seen = []
+    resumed = run_experiment(cfg, completed=dict(zip(ids, full.rows)),
+                             on_cell_done=lambda cid, row: seen.append(cid))
+    assert resumed.rows == full.rows
+    assert seen == []
+
+
+def test_run_experiment_resumed_csv_is_complete(tmp_path):
+    cfg = small_config()
+    full = run_experiment(dataclasses.replace(cfg, output=str(tmp_path / "full.csv")))
+    ids = cell_ids(cfg)
+    half = dict(list(zip(ids, full.rows))[:2])
+    seen = []
+    run_experiment(dataclasses.replace(cfg, output=str(tmp_path / "resumed.csv")),
+                   completed=half, on_cell_done=lambda cid, row: seen.append(cid))
+    assert seen == ids[2:]
+    assert (tmp_path / "resumed.csv").read_text() == (tmp_path / "full.csv").read_text()
+
+
+def test_run_experiment_threads_must_be_one():
+    with pytest.raises(InvalidParameterError, match="threads"):
+        run_experiment(small_config(), threads=2)
 
 
 def test_reps_one_smoke():
