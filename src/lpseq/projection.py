@@ -125,7 +125,7 @@ class ProjectionResult:
     feasible inputs and, degenerately, for the direct ``p = 0`` and
     ``p = inf`` routines, which have no scalar multiplier.  ``kkt_residual``
     is the maximum of the stationarity and two-sided complementary-slackness
-    residuals (stationarity over nonzero coordinates only when p <= 1).
+    residuals (stationarity over nonzero coordinates only when p < 1).
     ``duality_gap`` is reported only for p in (0, 1): the point is a global
     minimizer of a nonconvex problem, whose weak dual gap is positive in general.
     """
@@ -169,8 +169,7 @@ def dual_sum(lam: float, y: np.ndarray, p: float, radius: float = 1.0,
     if lam < 0:
         raise InvalidParameterError(f"lam must be nonnegative, got {lam}")
     t = np.abs(np.asarray(y, dtype=float)) / radius
-    psi = psi_many(p, lam, t, tol)
-    return float(np.sum(psi[psi > 0] ** p))
+    return _dual_sum_and_slope(p, lam, t, tol)[0]
 
 
 def _dual_sum_and_slope(p: float, lam: float, t: np.ndarray, tol: float):
@@ -249,21 +248,16 @@ def find_lambda_star(y: np.ndarray, p: float, radius: float = 1.0,
 def _kkt_pieces(y: np.ndarray, x: np.ndarray, lam: float, p: float, radius: float):
     ay, ax = np.abs(y), np.abs(x)
     nz = ax > 0
-    if p == 1:
-        stat_nz = np.abs(ay[nz] - ax[nz] - lam) if np.any(nz) else np.array([0.0])
-        stat_z = np.maximum(ay[~nz] - lam, 0.0) if np.any(~nz) else np.array([0.0])
-        stat = max(float(np.max(stat_nz)), float(np.max(stat_z)))
-    else:
-        with np.errstate(over="ignore"):
-            stat = float(np.max(np.abs(ay[nz] - ax[nz] - lam * ax[nz] ** (p - 1.0)))) \
-                if np.any(nz) else 0.0
-        if p > 1 and np.any(~nz):
-            # a zero output needs a zero input, up to what a magnitude below the
-            # flush threshold s = r*FLUSH_TOL explains: s + lam*s**(p-1)
-            s = radius * FLUSH_TOL
-            with np.errstate(over="ignore", under="ignore"):
-                floor = s + lam * s ** (p - 1.0)
-            stat = max(stat, float(np.max(np.maximum(ay[~nz] - floor, 0.0))))
+    with np.errstate(over="ignore"):
+        stat = float(np.max(np.abs(ay[nz] - ax[nz] - lam * ax[nz] ** (p - 1.0)))) \
+            if np.any(nz) else 0.0
+    if p >= 1 and np.any(~nz):
+        # a zero output needs a zero input, up to what a magnitude below the
+        # flush threshold s = r*FLUSH_TOL explains: s + lam*s**(p-1)
+        s = radius * FLUSH_TOL
+        with np.errstate(over="ignore", under="ignore"):
+            floor = s + lam * s ** (p - 1.0)
+        stat = max(stat, float(np.max(np.maximum(ay[~nz] - floor, 0.0))))
     powsum = float(np.sum(ax[nz] ** p)) if np.any(nz) else 0.0
     slack = abs(lam * (powsum - radius**p))
     return max(stat, slack)
@@ -457,21 +451,14 @@ def project(ball: LpBall, y: np.ndarray, tol: float = LAMBDA_GAP_TOL) -> Project
         return ProjectionResult(y.copy(), 0.0, 0.0, 0, gap)
 
     if p == 1:
-        mags, tau = _project_l1_unit(t)
-        x = np.sign(y) * mags * r
-        lam = tau * r
-        resid = _kkt_pieces(y, x, lam, p, r)
-        return ProjectionResult(x, lam, resid, 0)
-
-    if p > 1:
-        lam_unit, psi, iters = _find_lambda_star(p, t, tol)
-        x = np.sign(y) * psi * r
-        lam = lam_unit * r ** (2.0 - p)
-        resid = _kkt_pieces(y, x, lam, p, r)
-        return ProjectionResult(x, lam, resid, iters)
-
-    mags, lam_unit, gap_unit, evals = _project_quasinorm_unit(p, t, DEFAULT_TOL)
+        mags, lam_unit = _project_l1_unit(t)
+        iters, gap_unit = 0, None
+    elif p > 1:
+        lam_unit, mags, iters = _find_lambda_star(p, t, tol)
+        gap_unit = None
+    else:
+        mags, lam_unit, gap_unit, iters = _project_quasinorm_unit(p, t, DEFAULT_TOL)
     x = np.sign(y) * mags * r
     lam = lam_unit * r ** (2.0 - p)
-    resid = _kkt_pieces(y, x, lam, p, r)
-    return ProjectionResult(x, lam, resid, evals, gap_unit * r * r)
+    gap = None if gap_unit is None else gap_unit * r * r
+    return ProjectionResult(x, lam, _kkt_pieces(y, x, lam, p, r), iters, gap)

@@ -23,6 +23,10 @@ FLUSH_TOL = 1e-300
 # Default absolute residual tolerance of the scalar root solves.
 DEFAULT_TOL = 1e-12
 
+# Newton steps at most per root; next to the p < 1 turning point, where the
+# roots merge, each step only halves the distance and up to ~24 are used.
+ROOT_STEPS = 60
+
 
 @dataclass(frozen=True)
 class ShrinkageQuery:
@@ -82,7 +86,7 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``lam`` may be a scalar or an array broadcastable against ``t``.  The
     returned psi satisfies ``|psi + lam*psi**(p-1) - t| <= tol`` and lies in
     ``[0, t]``.  Closed forms are used for ``p in {1, 1.5, 2, 3}``; other
-    indices go through a bracketed log-domain bisection with a Newton polish.
+    indices take Newton steps in ``log psi`` that fall monotonically to the root.
     """
     lam_arr, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(t, dtype=float))
@@ -98,48 +102,40 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
         return _flush(2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * lam_arr * t)))
     if p < 1.0:
         raise InvalidParameterError("psi_many requires p >= 1; use prox for p < 1")
-    return _psi_root_generic(p, lam_arr, t, tol)
-
-
-def _psi_root_generic(p: float, lam: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
     out = np.array(t, dtype=float, copy=True)
-    active = (t > 0) & (lam > 0)
-    if not np.any(active):
-        return _flush(out)
-    tv = t[active]
-    lv = lam[active]
-
-    # psi* >= min(t/2, (t/(2 lam))**(1/(p-1))): one of the two terms of the
-    # fixed point must carry at least t/2.
-    log_t = np.log(tv)
-    s_lo = np.minimum(log_t - np.log(2.0), (log_t - np.log(2.0 * lv)) / (p - 1.0)) - 1.0
-    s_hi = log_t.copy()
-
-    def residual(s):
-        return np.exp(s) + lv * np.exp((p - 1.0) * s) - tv
-
-    mid = 0.5 * (s_lo + s_hi)
-    for _ in range(60):
-        r = residual(mid)
-        high = r > 0
-        s_hi = np.where(high, mid, s_hi)
-        s_lo = np.where(high, s_lo, mid)
-        mid = 0.5 * (s_lo + s_hi)
-        if np.max(np.abs(r)) <= tol:
-            break
-
-    x = np.exp(mid)
-    lo_lin, hi_lin = np.exp(s_lo), np.exp(s_hi)
-    with np.errstate(over="ignore", divide="ignore"):
-        for _ in range(8):
-            f = x + lv * x ** (p - 1.0) - tv
-            if np.max(np.abs(f)) <= tol:
-                break
-            fp = 1.0 + lv * (p - 1.0) * x ** (p - 2.0)
-            x = np.clip(x - f / fp, lo_lin, hi_lin)
-
-    out[active] = x
+    active = (t > 0) & (lam_arr > 0)
+    out[active] = np.minimum(_branch_root(p, lam_arr[active], t[active], True, tol), t[active])
     return _flush(out)
+
+
+def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float) -> np.ndarray:
+    """Root of ``x + lam*x**(p-1) = t`` on one branch, for ``lam, t > 0``.
+
+    Newton's method in ``s = log x``: ``f(s) = e**s + lam*e**((p-1)*s) - t``
+    is convex, so steps from a start with ``f >= 0`` move monotonically to the
+    root on that side and never overshoot.  Each start puts one term at ``t``.
+    For p < 1 the root must exist; iterates stay on their branch's side of the
+    turning point ``x_arg``, so a root lost to rounding there comes back as
+    ``x_arg``.  An element stops once ``|f| <= tol``, whatever its batch.
+    """
+    log_t = np.log(t)
+    s_pow = (np.log(lam) - log_t) / (1.0 - p)  # where lam*x**(p-1) = t
+    if p > 1:
+        s, lo, hi = np.minimum(log_t, s_pow), -np.inf, np.inf
+    else:
+        s_arg = np.log(lam * (1.0 - p)) / (2.0 - p)
+        s = np.where(upper, log_t, s_pow)
+        lo, hi = np.where(upper, s_arg, s_pow), np.where(upper, log_t, s_arg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(ROOT_STEPS):
+            x = np.exp(s)
+            pw = lam * np.exp((p - 1.0) * s)
+            f = x + pw - t
+            open_ = np.abs(f) > tol
+            if not np.any(open_):
+                break
+            s = np.where(open_, np.clip(s - f / (x + (p - 1.0) * pw), lo, hi), s)
+    return x
 
 
 def psi_solve(query: ShrinkageQuery) -> float:
@@ -192,34 +188,12 @@ def branch_roots(p: float, lam, t, upper, tol: float = DEFAULT_TOL) -> np.ndarra
     lam, t, upper = np.broadcast_arrays(
         np.asarray(lam, dtype=float), np.asarray(t, dtype=float),
         np.asarray(upper, dtype=bool))
-    out = np.full(t.shape, np.nan)
-    zero_lam = lam == 0
-    sel = zero_lam & upper
-    out[sel] = t[sel]
-    work = ~zero_lam & (t > 0)
-    if not np.any(work):
-        return out
-    lv, tv, uv = lam[work], t[work], upper[work]
-    x_arg = (lv * (1.0 - p)) ** (1.0 / (2.0 - p))
-    with np.errstate(over="ignore"):
-        exists = x_arg + lv * x_arg ** (p - 1.0) <= tv
-    s_arg = np.log(x_arg)
-    # lower roots satisfy x >= (lam/t)**(1/(1-p))
-    s_lo = np.where(uv, s_arg, (np.log(lv) - np.log(tv)) / (1.0 - p) - 1.0)
-    s_hi = np.where(uv, np.log(tv), s_arg)
-    if not np.any(exists):
-        out[work] = np.nan
-        return out
-    mid = 0.5 * (s_lo + s_hi)
-    for _ in range(90):
-        r = np.exp(mid) + lv * np.exp((p - 1.0) * mid) - tv
-        go_hi = (r > 0) == uv  # increasing branch moves hi on excess, decreasing lo
-        s_hi = np.where(go_hi, mid, s_hi)
-        s_lo = np.where(go_hi, s_lo, mid)
-        mid = 0.5 * (s_lo + s_hi)
-        if np.max(np.abs(r[exists])) <= tol:
-            break
-    out[work] = np.where(exists, np.exp(mid), np.nan)
+    out = np.where((lam == 0) & upper, t, np.nan)
+    # roots exist where the map's minimum, at x_arg, is at most t
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x_arg = (lam * (1.0 - p)) ** (1.0 / (2.0 - p))
+        live = (lam > 0) & (x_arg + lam * x_arg ** (p - 1.0) <= t)
+    out[live] = _branch_root(p, lam[live], t[live], upper[live], tol)
     return out
 
 

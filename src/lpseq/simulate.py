@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise InvalidParameterError(f"radius must be positive, got {self.radius}")
         if self.regime == "fig2b" and not (1.0 < self.p < 2.0):
             raise InvalidParameterError("fig2b requires a norm index in (1, 2)")
+        if "soft_threshold" in self.estimators and not (0.0 < self.p < 2.0):
+            raise InvalidParameterError("soft_threshold requires a norm index in (0, 2)")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":

@@ -225,3 +225,13 @@ def test_simulate_from_config(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == 2
     assert "mystery" in err
+
+    # rejected before any cell runs: no CSV, and a parse error, not exit 1
+    del cfg["mystery"]
+    cfg.update(p=2.5, estimators=["mle", "soft_threshold"])
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    csv_out = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(csv_out))
+    assert code == 2
+    assert "soft_threshold" in err
+    assert not csv_out.exists()

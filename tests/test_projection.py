@@ -175,7 +175,7 @@ def test_kkt_residual_consistency_and_sensitivity():
 
 def test_kkt_residual_solver_contract():
     rng = np.random.default_rng(42)
-    for p in (1.2, 1.5, 1.8, 2.5):
+    for p in (1.0, 1.2, 1.5, 1.8, 2.5):
         ball = LpBall(p=p, dim=30, radius=1.0)
         for _ in range(10):
             y = 1.5 * rng.standard_normal(30)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lpseq.errors import InvalidParameterError
 from lpseq.shrinkage import (
     ShrinkageQuery,
+    branch_roots,
     branch_vanish_lambda,
     power_objective,
     prox_jump_lambda,
@@ -53,7 +54,7 @@ def test_psi_invalid_parameters():
         psi_solve(ShrinkageQuery(0.5, 1.0, 1.0))
 
 
-@pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.0, 2.6, 3.0, 4.5])
+@pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 1.8, 2.0, 2.6, 3.0, 4.5, 50.0])
 def test_psi_residual_on_random_grid(p):
     rng = np.random.default_rng(7)
     t = 10.0 ** rng.uniform(-6, 2, size=300)
@@ -149,6 +150,32 @@ def test_branch_helpers_consistency():
     assert np.isnan(
         prox_power_many(p, lam_vanish * 1.001, t)[0]) or prox_power_many(
             p, lam_vanish * 1.001, t)[0] == 0.0
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+def test_branch_roots_residual_existence_and_monotonicity(p):
+    rng = np.random.default_rng(13)
+    t = 10.0 ** rng.uniform(-3, 1, size=40)
+    vanish = branch_vanish_lambda(p, t)
+    frac = np.sort(np.concatenate([rng.uniform(0, 1.2, 400), [0.0, 1 - 1e-9, 1.0, 1 + 1e-9]]))
+    lam = frac[:, None] * vanish  # each column: one t, multipliers increasing
+    upper, lower = branch_roots(p, lam, t, True), branch_roots(p, lam, t, False)
+    np.testing.assert_array_equal(upper[0], t)
+    assert np.all(np.isnan(lower[0]))
+    live = (lam > 0) & (lam <= vanish * (1 - 1e-9))
+    gone = lam > vanish
+    x_arg = (lam * (1.0 - p)) ** (1.0 / (2.0 - p))
+    target = np.broadcast_to(t, lam.shape)[live]
+    for roots in (upper, lower):
+        assert np.all(np.isnan(roots[gone]))
+        x = roots[live]
+        assert not np.any(np.isnan(x))
+        assert np.max(np.abs(x + lam[live] * x ** (p - 1.0) - target)) <= 1e-11
+    ok = ~np.isnan(upper[1:])
+    assert np.all(lower[1:][ok] <= x_arg[1:][ok]) and np.all(x_arg[1:][ok] <= upper[1:][ok])
+    # the p < 1 projection's certified pruning relies on this monotonicity
+    assert np.nanmax(np.diff(upper, axis=0)) <= 0
+    assert np.nanmin(np.diff(lower, axis=0)) >= 0
 
 
 def test_flush_to_zero():
