@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -202,15 +203,14 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_verify(args) -> int:
     _echo_config("verify", {"suite": args.suite, "seed": args.seed})
-    try:
-        reports = oracles.run_suite(args.suite, args.seed)
-    except InvalidParameterError as exc:
-        _log(f"[lpseq] parameter error: {exc}")
-        return EXIT_PARSE
     all_pass = True
-    for report in reports:
-        print(report.line())
-        all_pass = all_pass and report.passed
+    for name in oracles.SUITES if args.suite == "all" else [args.suite]:
+        start = time.perf_counter()
+        reports = oracles.run_suite(name, args.seed)
+        _log(f"[lpseq] suite {name}: {time.perf_counter() - start:.2f} s")
+        for report in reports:
+            print(report.line())
+            all_pass = all_pass and report.passed
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 

@@ -124,8 +124,11 @@ class ProjectionResult:
     fixed point in the original (unrescaled) coordinates; it is 0 for
     feasible inputs and, degenerately, for the direct ``p = 0`` and
     ``p = inf`` routines, which have no scalar multiplier.  ``kkt_residual``
-    is the maximum of the stationarity and two-sided complementary-slackness
-    residuals (stationarity over nonzero coordinates only when p < 1).
+    is scale-free: on the unit ball (``t = |y|/r``, ``m = |x|/r``, multiplier
+    ``lam``) it is the maximum of each coordinate's stationarity residual
+    ``|t_i - m_i - lam*m_i**(p-1)|`` over ``max(1, t_i)`` (over nonzero
+    coordinates only when p < 1) and the two-sided complementary slackness
+    ``lam*|sum(m**p) - 1|`` over ``max(1, max(t))``.
     ``duality_gap`` is reported only for p in (0, 1): the point is a global
     minimizer of a nonconvex problem, whose weak dual gap is positive in general.
     """
@@ -196,7 +199,7 @@ def _find_lambda_star(p: float, t: np.ndarray, gap_tol: float):
     while value > 1.0:
         lo = hi
         hi *= 2.0
-        if hi > 1e300:
+        if not math.isfinite(hi):
             raise BracketFailureError("failed to bracket the dual multiplier")
         value, slope, psi = _dual_sum_and_slope(p, hi, t, inner_tol)
         iterations += 1
@@ -245,30 +248,30 @@ def find_lambda_star(y: np.ndarray, p: float, radius: float = 1.0,
     return lam
 
 
-def _kkt_pieces(y: np.ndarray, x: np.ndarray, lam: float, p: float, radius: float):
-    ay, ax = np.abs(y), np.abs(x)
-    nz = ax > 0
-    with np.errstate(over="ignore"):
-        stat = float(np.max(np.abs(ay[nz] - ax[nz] - lam * ax[nz] ** (p - 1.0)))) \
-            if np.any(nz) else 0.0
-    if p >= 1 and np.any(~nz):
+def _kkt_pieces(t: np.ndarray, mags: np.ndarray, lam: float, p: float):
+    """KKT residual in unit-ball coordinates: ``t = |y|/r``, ``mags = |x|/r``."""
+    nz = mags > 0
+    with np.errstate(all="ignore"):
         # a zero output needs a zero input, up to what a magnitude below the
-        # flush threshold s = r*FLUSH_TOL explains: s + lam*s**(p-1)
-        s = radius * FLUSH_TOL
-        with np.errstate(over="ignore", under="ignore"):
-            floor = s + lam * s ** (p - 1.0)
-        stat = max(stat, float(np.max(np.maximum(ay[~nz] - floor, 0.0))))
-    powsum = float(np.sum(ax[nz] ** p)) if np.any(nz) else 0.0
-    slack = abs(lam * (powsum - radius**p))
-    return max(stat, slack)
+        # flush threshold s explains: s + lam*s**(p-1); for p < 1 it needs none
+        floor = FLUSH_TOL + lam * FLUSH_TOL ** (p - 1.0) if p >= 1 else np.inf
+        stat = np.where(nz, np.abs(t - mags - lam * mags ** (p - 1.0)),
+                        np.maximum(t - floor, 0.0))
+    slack = abs(lam * (float(np.sum(mags[nz] ** p)) - 1.0)) / max(1.0, float(np.max(t)))
+    return max(float(np.max(stat / np.maximum(1.0, t))), slack)
 
 
 def kkt_residual(y: np.ndarray, result: ProjectionResult, p: float,
                  radius: float = 1.0) -> float:
-    """Maximum of the stationarity and complementary-slackness residuals."""
+    """Scale-free KKT residual of ``result``, as ``ProjectionResult`` defines it.
+
+    On the unit ball, stationarity is relative to ``max(1, |y_i|/r)`` for each
+    coordinate and the two-sided slackness to ``max(1, max|y|/r)``.
+    """
     if not (p > 1):
         raise InvalidParameterError(f"kkt_residual requires p > 1, got {p}")
-    return _kkt_pieces(np.asarray(y, float), result.point, result.multiplier, p, radius)
+    return _kkt_pieces(np.abs(np.asarray(y, float)) / radius, np.abs(result.point) / radius,
+                       result.multiplier * radius ** (p - 2.0), p)
 
 
 def _project_l1_unit(t: np.ndarray):
@@ -281,24 +284,8 @@ def _project_l1_unit(t: np.ndarray):
     return np.maximum(t - tau, 0.0), float(tau)
 
 
-def _clamped_roots(p: float, lam, t, upper, tol: float) -> np.ndarray:
-    """Branch roots of ``x + lam*x**(p-1) = t``, held at the branch point past it.
-
-    The upper root falls and the lower root rises with ``lam`` (from ``t`` and
-    0) until they meet at ``(1-p)/(2-p)*t`` and stay, so both are monotone; a
-    root lost to rounding next to the meeting point is the meeting point.
-    """
-    lam, t, upper = np.broadcast_arrays(lam, t, upper)
-    meet = (1.0 - p) / (2.0 - p) * t
-    out = np.where(lam > 0, meet, np.where(upper, t, 0.0))
-    live = (lam > 0) & (lam < branch_vanish_lambda(p, t))
-    roots = branch_roots(p, lam[live], t[live], upper[live], tol)
-    out[live] = np.where(np.isnan(roots), meet[live], roots)
-    return out
-
-
 def _prefix_points(p: float, lam: np.ndarray, ts: np.ndarray, js: np.ndarray,
-                   low: np.ndarray, budget: float, tol: float):
+                   low: np.ndarray, budget: float):
     """Points keeping the ``js[r, k]`` largest ``ts`` at multiplier ``lam[r]``.
 
     The last kept one is on the lower root where ``low[r, k]``.  ``pts``
@@ -306,9 +293,9 @@ def _prefix_points(p: float, lam: np.ndarray, ts: np.ndarray, js: np.ndarray,
     of the head and of the last coordinate, ``js`` and ``low``; ``cand`` is
     the objective scaled onto the boundary, ``dev`` the power sum's distance.
     """
-    U = _clamped_roots(p, lam[:, None], ts[:int(js.max())], True, tol)
+    U = branch_roots(p, lam[:, None], ts[:int(js.max())], True)
     last_t = ts[js - 1]
-    last = np.where(low, _clamped_roots(p, lam[:, None], last_t, False, tol),
+    last = np.where(low, branch_roots(p, lam[:, None], last_t, False),
                     np.take_along_axis(U, js - 1, axis=1))
     zero = np.zeros((lam.size, 1))
 
@@ -325,7 +312,7 @@ def _prefix_points(p: float, lam: np.ndarray, ts: np.ndarray, js: np.ndarray,
     return pts, cand, np.abs((h + l) / budget - 1.0), U, last
 
 
-def _project_quasinorm_unit(p: float, t: np.ndarray, tol: float):
+def _project_quasinorm_unit(p: float, t: np.ndarray):
     """Global minimizer of ``||x - t||**2/2`` over ``sum(x**p) <= 1``, p in (0, 1).
 
     ``t`` holds magnitudes with ``sum(t**p) > 1``.  A minimizer (Yang, Wang &
@@ -378,7 +365,7 @@ def _project_quasinorm_unit(p: float, t: np.ndarray, tol: float):
         js = np.broadcast_to(np.concatenate([sizes, sizes]), (grid.size, 2 * sizes.size))
         low = np.broadcast_to(np.arange(2 * sizes.size) >= sizes.size, js.shape)
         for _ in range(QUASI_ROUNDS + 1):
-            pts, cand, dev, U, last = _prefix_points(p, lam, ts, js, low, budget, tol)
+            pts, cand, dev, U, last = _prefix_points(p, lam, ts, js, low, budget)
             evals += lam.size
             # objectives within 1e-13 tie; the point nearest the boundary wins
             lowest = min(best[0], float(np.min(cand)))
@@ -407,9 +394,9 @@ def _project_quasinorm_unit(p: float, t: np.ndarray, tol: float):
     # weak dual: each prox is the upper root where that beats 0, else 0
     lam, dual = grid, -np.inf
     for _ in range(QUASI_ROUNDS + 1):
-        U = _clamped_roots(p, lam[:, None], ts, True, tol)
+        U = branch_roots(p, lam[:, None], ts, True)
         inner = np.minimum(U * (0.5 * U - ts) + (lam[:, None] / p) * U**p, 0.0)
-        vals = np.sum(np.where(lam[:, None] < vanish, inner, 0.0), axis=1) - lam / p * budget
+        vals = np.sum(inner, axis=1) - lam / p * budget
         evals += lam.size
         i = int(np.argmax(vals))
         dual = max(dual, float(vals[i]))
@@ -457,8 +444,7 @@ def project(ball: LpBall, y: np.ndarray, tol: float = LAMBDA_GAP_TOL) -> Project
         lam_unit, mags, iters = _find_lambda_star(p, t, tol)
         gap_unit = None
     else:
-        mags, lam_unit, gap_unit, iters = _project_quasinorm_unit(p, t, DEFAULT_TOL)
-    x = np.sign(y) * mags * r
-    lam = lam_unit * r ** (2.0 - p)
+        mags, lam_unit, gap_unit, iters = _project_quasinorm_unit(p, t)
     gap = None if gap_unit is None else gap_unit * r * r
-    return ProjectionResult(x, lam, _kkt_pieces(y, x, lam, p, r), iters, gap)
+    return ProjectionResult(np.sign(y) * mags * r, lam_unit * r ** (2.0 - p),
+                            _kkt_pieces(t, mags, lam_unit, p), iters, gap)

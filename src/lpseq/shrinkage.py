@@ -95,11 +95,20 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
     if p == 2.0:
         return _flush(t / (1.0 + lam_arr))
     if p == 1.5:
-        # quadratic in sqrt(psi); conjugate form avoids cancellation
-        u = 2.0 * t / (lam_arr + np.sqrt(lam_arr * lam_arr + 4.0 * t))
+        # quadratic in sqrt(psi); conjugate form avoids cancellation.  lam*lam
+        # overflows once lam passes 1.3e154, where hypot takes over
+        if (lam if np.isscalar(lam) else np.max(lam)) < 1e150:
+            root = np.sqrt(lam_arr * lam_arr + 4.0 * t)
+        else:
+            root = np.hypot(lam_arr, 2.0 * np.sqrt(t))
+        u = 2.0 * t / (lam_arr + root)
         return _flush(u * u)
     if p == 3.0:
-        return _flush(2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * lam_arr * t)))
+        with np.errstate(over="ignore"):
+            root = np.sqrt(1.0 + 4.0 * lam_arr * t)
+        # where 4*lam*t overflows, the 1 beside it is below rounding
+        root = np.where(np.isinf(root), 2.0 * np.sqrt(lam_arr) * np.sqrt(t), root)
+        return _flush(2.0 * t / (1.0 + root))
     if p < 1.0:
         raise InvalidParameterError("psi_many requires p >= 1; use prox for p < 1")
     out = np.array(t, dtype=float, copy=True)
@@ -179,20 +188,20 @@ def prox_jump_lambda(p: float, t) -> np.ndarray:
 
 
 def branch_roots(p: float, lam, t, upper, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Roots of ``x + lam*x**(p-1) = t`` on the chosen branch, p < 1.
+    """Roots of ``x + lam*x**(p-1) = t`` on the chosen branch, p < 1, for ``lam >= 0``.
 
     ``lam``, ``t``, and the boolean ``upper`` broadcast together; True picks
     the larger root (on the increasing part of the map), False the smaller.
-    NaN marks branch points that do not exist at that multiplier.
+    At ``lam = 0`` the upper root is ``t`` and the lower root 0.  The upper
+    root falls and the lower root rises with ``lam`` until both meet at
+    ``(1-p)/(2-p)*t`` at ``branch_vanish_lambda(p, t)``; from there on both
+    are held at that meeting point, so both are monotone and never NaN.
     """
     lam, t, upper = np.broadcast_arrays(
         np.asarray(lam, dtype=float), np.asarray(t, dtype=float),
         np.asarray(upper, dtype=bool))
-    out = np.where((lam == 0) & upper, t, np.nan)
-    # roots exist where the map's minimum, at x_arg, is at most t
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x_arg = (lam * (1.0 - p)) ** (1.0 / (2.0 - p))
-        live = (lam > 0) & (x_arg + lam * x_arg ** (p - 1.0) <= t)
+    out = np.where(lam > 0, (1.0 - p) / (2.0 - p) * t, np.where(upper, t, 0.0))
+    live = (lam > 0) & (lam < branch_vanish_lambda(p, t))
     out[live] = _branch_root(p, lam[live], t[live], upper[live], tol)
     return out
 
@@ -215,13 +224,12 @@ def prox_power_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     if p >= 1.0:
         return psi_many(p, lam, t, tol)
-    lam_b, t_b = np.broadcast_arrays(np.asarray(lam, dtype=float),
-                                     np.asarray(t, dtype=float))
-    # the objective's slope g(x) - t is positive on (0, lower root), so the
-    # lower root never beats zero; only the upper root competes with it
-    upper = branch_roots(p, lam_b, t_b, True, tol)
-    take = power_objective(p, lam_b, t_b, upper) < power_objective(p, lam_b, t_b, 0.0)
-    return _flush(np.where(take, upper, 0.0))  # strict: ties stay at zero; NaN never wins
+    # the objective's slope g(x) - t is positive on (0, lower root), and
+    # everywhere past the branch point, so there neither the lower root nor
+    # the meeting point beats zero; only the upper root competes with it
+    upper = branch_roots(p, lam, t, True, tol)
+    take = power_objective(p, lam, t, upper) < power_objective(p, lam, t, 0.0)
+    return _flush(np.where(take, upper, 0.0))  # strict: ties stay at zero
 
 
 def prox_power(query: ShrinkageQuery) -> float:

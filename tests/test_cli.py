@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,13 @@ def test_verify_suite_deterministic(capsys):
     assert "PASS" in out1
 
 
+def test_verify_reports_suite_time(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "kkt")
+    assert code == 0
+    assert re.search(r"^\[lpseq\] suite kkt: \d+\.\d+ s$", err, re.MULTILINE)
+    assert "suite kkt" not in out  # stdout stays the report lines
+
+
 def test_reproduce_smoke(tmp_path, capsys):
     out_dir = tmp_path / "fig"
     code, out, err = run_cli(capsys, "reproduce",
@@ -147,6 +155,23 @@ def test_project_near_one_flushed_zero_exit_0(capsys):
         code, out, _ = run_cli(capsys, "project", "--p", "1.000001", *extra)
         assert code == 0
         assert float(parse_kv(out)["kkt_residual"]) <= 1e-9
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--p", "2", "--input", "30000,40000"], [0.6, 0.8]),
+    (["--p", "2.5", "--radius", "1e150", "--input", "3e150,4e150"],
+     [6.744927412036669e149, 8.293388899537692e149]),
+    (["--p", "2.5", "--input", "1e200,1e200"], [0.757858283255199] * 2),
+    (["--p", "1.5", "--input", "1e300,-1e300"], [2 ** (-2 / 3), -(2 ** (-2 / 3))]),
+    (["--p", "3", "--input", "1e300,1e300"], [2 ** (-1 / 3)] * 2),
+])
+def test_project_extreme_scales_exit_0(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, "project", *argv)
+    kv = parse_kv(out)
+    assert code == 0
+    assert float(kv["kkt_residual"]) <= 1e-9
+    point = [float(v) for v in kv["point"].split(",")]
+    assert point == pytest.approx(expected, rel=1e-9)
 
 
 def test_reproduce_partial_exit_4_then_resume(tmp_path, capsys, monkeypatch):

@@ -246,6 +246,23 @@ def test_scaling_equivariance():
             np.testing.assert_allclose(big, r * unit, atol=1e-9)
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_scaling_equivariance_extreme(data):
+    p = data.draw(st.sampled_from([0.5, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0]))
+    d = data.draw(st.integers(1, 8))
+    y = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=d, max_size=d)))
+    r = data.draw(st.floats(0.3, 3.0))
+    c = 10.0 ** data.draw(st.floats(-150, 150))
+    unit = project(LpBall(p=p, dim=d, radius=r), y)
+    big = project(LpBall(p=p, dim=d, radius=c * r), c * y)
+    np.testing.assert_allclose(big.point / c, unit.point, rtol=1e-12,
+                               atol=1e-12 * float(np.max(np.abs(unit.point))))
+    assert unit.kkt_residual <= 1e-9 and big.kkt_residual <= 1e-9
+    if p < 1:
+        assert big.duality_gap / c**2 == pytest.approx(unit.duality_gap, rel=1e-9, abs=1e-15)
+
+
 def test_p1_matches_generic_near_one():
     rng = np.random.default_rng(37)
     for _ in range(10):

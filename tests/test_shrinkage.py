@@ -161,21 +161,22 @@ def test_branch_roots_residual_existence_and_monotonicity(p):
     lam = frac[:, None] * vanish  # each column: one t, multipliers increasing
     upper, lower = branch_roots(p, lam, t, True), branch_roots(p, lam, t, False)
     np.testing.assert_array_equal(upper[0], t)
-    assert np.all(np.isnan(lower[0]))
+    np.testing.assert_array_equal(lower[0], 0.0)
     live = (lam > 0) & (lam <= vanish * (1 - 1e-9))
-    gone = lam > vanish
+    gone = lam >= vanish
+    meet = np.broadcast_to((1.0 - p) / (2.0 - p) * t, lam.shape)
     x_arg = (lam * (1.0 - p)) ** (1.0 / (2.0 - p))
     target = np.broadcast_to(t, lam.shape)[live]
     for roots in (upper, lower):
-        assert np.all(np.isnan(roots[gone]))
+        np.testing.assert_array_equal(roots[gone], meet[gone])
         x = roots[live]
-        assert not np.any(np.isnan(x))
+        assert not np.any(np.isnan(roots))
         assert np.max(np.abs(x + lam[live] * x ** (p - 1.0) - target)) <= 1e-11
-    ok = ~np.isnan(upper[1:])
-    assert np.all(lower[1:][ok] <= x_arg[1:][ok]) and np.all(x_arg[1:][ok] <= upper[1:][ok])
+    below = (lam > 0) & (lam < vanish)
+    assert np.all(lower[below] <= x_arg[below]) and np.all(x_arg[below] <= upper[below])
     # the p < 1 projection's certified pruning relies on this monotonicity
-    assert np.nanmax(np.diff(upper, axis=0)) <= 0
-    assert np.nanmin(np.diff(lower, axis=0)) >= 0
+    assert np.max(np.diff(upper, axis=0)) <= 0
+    assert np.min(np.diff(lower, axis=0)) >= 0
 
 
 def test_flush_to_zero():
