@@ -3,9 +3,9 @@
 For p > 1 the projection is computed from its coordinatewise dual
 characterization: each output magnitude solves ``psi + lam*psi**(p-1) = |y_i|``
 at the common multiplier ``lam*`` that makes the shrunk vector exactly
-feasible.  ``lam*`` is bracketed by doubling, then refined by Newton steps on
-the strictly decreasing dual sum, each replaced by a bisection step when it
-would leave the bracket.  ``p = 1`` uses exact sort-and-threshold
+feasible.  Newton steps on the log of the strictly decreasing dual sum start at
+the dual norm ``||y/r||_q`` (``q = p/(p-1)``), an upper bound on ``lam*``, with
+bisection where a step leaves the bracket.  ``p = 1`` uses exact sort-and-threshold
 water filling, ``p = 0`` keeps the largest magnitudes, ``p = inf`` clips.
 For p in (0, 1) the problem is nonconvex; its global minimizer keeps a prefix of
 the sorted magnitudes, at most the last kept one on the lower root of the fixed
@@ -40,8 +40,8 @@ from .shrinkage import (
 # Feasibility slack on the p-th power sum; keeps ||x||_p <= r*(1 + 1e-9).
 SUM_FEAS_TOL = 1e-10
 
-# Outer multiplier search stops at this dual-sum gap or at relative bracket
-# width 1e-14*(1 + lam), whichever happens first.
+# Outer multiplier search stops at this dual-sum gap (also on the KKT slackness
+# it implies) or at relative bracket width 1e-14*(1 + lam), whichever is first.
 LAMBDA_GAP_TOL = 1e-10
 
 # The p < 1 solver's multiplier grid, and its refinement: QUASI_ROUNDS rounds of
@@ -123,7 +123,8 @@ class ProjectionResult:
     ``multiplier`` is the Lagrange-type multiplier of the coordinatewise
     fixed point in the original (unrescaled) coordinates; it is 0 for
     feasible inputs and, degenerately, for the direct ``p = 0`` and
-    ``p = inf`` routines, which have no scalar multiplier.  ``kkt_residual``
+    ``p = inf`` routines, which have no scalar multiplier.  At large p it is
+    ``inf`` (r < 1) or 0 (r > 1) where ``r**(2-p)`` leaves double range.  ``kkt_residual``
     is scale-free: on the unit ball (``t = |y|/r``, ``m = |x|/r``, multiplier
     ``lam``) it is the maximum of each coordinate's stationarity residual
     ``|t_i - m_i - lam*m_i**(p-1)|`` over ``max(1, t_i)`` (over nonzero
@@ -187,62 +188,50 @@ def _dual_sum_and_slope(p: float, lam: float, t: np.ndarray, tol: float):
 
 
 def _find_lambda_star(p: float, t: np.ndarray, gap_tol: float):
-    """Multiplier making the dual sum equal 1, given sum(t**p) > 1."""
+    """``(lam, psi, evaluations)`` with dual sum 1 at ``lam``, given ||t||_p > 1.
+
+    ``psi <= (t/lam)**(1/(p-1))`` bounds the dual sum by ``(||t||_q/lam)**q``,
+    so ``[0, ||t||_q]`` brackets the root.  Newton steps on its log start at the
+    top, against ``lam`` (near linear for a barely infeasible ``t``); one that
+    passes ``lo`` is redone against ``log lam`` (near slope ``-q`` far out).
+    """
     if not np.all(np.isfinite(t)):
         raise BracketFailureError("non-finite magnitudes in multiplier search")
-    inner_tol = min(gap_tol / 10, DEFAULT_TOL)
-    iterations = 0
-    lo = 0.0
-    hi = 1.0
-    value, slope, psi = _dual_sum_and_slope(p, hi, t, inner_tol)
-    iterations += 1
-    while value > 1.0:
-        lo = hi
-        hi *= 2.0
-        if not math.isfinite(hi):
-            raise BracketFailureError("failed to bracket the dual multiplier")
-        value, slope, psi = _dual_sum_and_slope(p, hi, t, inner_tol)
-        iterations += 1
-
-    lam = 0.5 * (lo + hi)
-    for _ in range(200):
+    inner_tol = min(gap_tol / (10 * p), DEFAULT_TOL)  # psi's error moves the sum p-fold
+    slack_unit = max(1.0, float(np.max(t)))  # the KKT slackness is lam*|f|/slack_unit
+    lo, hi = 0.0, lp_norm(t, p / (p - 1.0))
+    lam = hi
+    for iterations in range(1, 201):
         value, slope, psi = _dual_sum_and_slope(p, lam, t, inner_tol)
-        iterations += 1
         f = value - 1.0
-        if abs(f) <= gap_tol or (hi - lo) <= 1e-14 * (1.0 + lam):
-            break
-        if f > 0:
-            lo = lam
-        else:
-            hi = lam
-        newton = lam - f / slope if slope < 0 else math.nan
-        if math.isfinite(newton) and lo < newton < hi:
-            lam = newton
-        else:
-            lam = 0.5 * (lo + hi)
-    else:  # pragma: no cover - bracket shrinks strictly every iteration
-        _, _, psi = _dual_sum_and_slope(p, lam, t, inner_tol)
-        iterations += 1
-    return lam, psi, iterations
+        if (abs(f) * max(1.0, lam / slack_unit) <= gap_tol
+                or (hi - lo) <= 1e-14 * (1.0 + lam) or iterations == 200):
+            return lam, psi, iterations
+        lo, hi = (lam, hi) if f > 0 else (lo, lam)
+        step = -math.log(value) * value / (lam * slope) if value > 0 > lam * slope else math.nan
+        newton = lam * (1.0 + step)
+        if newton <= lo:  # past lo against lam: redo against log lam
+            newton = lam * math.exp(step)
+        lam = newton if lo < newton < hi else 0.5 * (lo + hi)
 
 
 def find_lambda_star(y: np.ndarray, p: float, radius: float = 1.0,
                      tol: float = LAMBDA_GAP_TOL) -> float:
-    """Multiplier at which the dual sum hits 1: doubling, then safeguarded Newton.
+    """Multiplier at which the dual sum hits 1, searched below the dual norm.
 
-    Newton steps use the dual sum's slope and fall back to bisection whenever
-    a step would leave the current bracket.
+    ``||y/r||_q`` (``q`` the conjugate index) bounds the root from above.
+    Newton steps on ``log dual_sum`` start there, against ``lam`` or, where
+    that leaves the bracket, ``log lam``; bisection where both would.
 
     Requires ``p > 1`` and an infeasible input (``||y/r||_p > 1``); feasible
     inputs never reach this search (the projection returns them with a zero
-    multiplier).  The result satisfies ``|dual_sum(lam) - 1| <= tol`` unless
-    the bracket collapses to relative width 1e-14 first.
+    multiplier).  The result satisfies ``|f| * max(1, lam / max(1, max|y|/r)) <= tol``,
+    ``f = dual_sum(lam) - 1``, unless the bracket collapses to relative width 1e-14.
     """
     if not (p > 1):
         raise InvalidParameterError(f"find_lambda_star requires p > 1, got {p}")
     t = np.abs(np.asarray(y, dtype=float)) / radius
-    pos = t > 0
-    if not np.any(pos) or float(np.sum(t[pos] ** p)) <= 1.0:
+    if lp_norm(t, p) <= 1.0:
         raise InvalidParameterError("input lies inside the ball; multiplier is 0")
     lam, _, _ = _find_lambda_star(p, t, tol)
     return lam
@@ -266,12 +255,24 @@ def kkt_residual(y: np.ndarray, result: ProjectionResult, p: float,
     """Scale-free KKT residual of ``result``, as ``ProjectionResult`` defines it.
 
     On the unit ball, stationarity is relative to ``max(1, |y_i|/r)`` for each
-    coordinate and the two-sided slackness to ``max(1, max|y|/r)``.
+    coordinate and the two-sided slackness to ``max(1, max|y|/r)``.  Raises
+    ``InvalidParameterError`` where the multiplier has no finite unit-ball value.
     """
     if not (p > 1):
         raise InvalidParameterError(f"kkt_residual requires p > 1, got {p}")
+    lam = _rescaled(result.multiplier, radius, p - 2.0)
+    if not math.isfinite(lam):
+        raise InvalidParameterError("multiplier outside double range; see result.kkt_residual")
     return _kkt_pieces(np.abs(np.asarray(y, float)) / radius, np.abs(result.point) / radius,
-                       result.multiplier * radius ** (p - 2.0), p)
+                       lam, p)
+
+
+def _rescaled(lam: float, radius: float, power: float) -> float:
+    """``lam * radius**power``, inf where that passes double range."""
+    try:
+        return lam * radius**power if lam else 0.0
+    except OverflowError:
+        return math.inf
 
 
 def _project_l1_unit(t: np.ndarray):
@@ -431,9 +432,7 @@ def project(ball: LpBall, y: np.ndarray, tol: float = LAMBDA_GAP_TOL) -> Project
         return ProjectionResult(project_clip(r, y), 0.0, 0.0, 0)
 
     t = np.abs(y) / r
-    pos = t > 0
-    powsum = float(np.sum(t[pos] ** p)) if np.any(pos) else 0.0
-    if powsum <= 1.0 + SUM_FEAS_TOL:
+    if lp_norm(t, p) <= (1.0 + SUM_FEAS_TOL) ** (1.0 / p):
         gap = 0.0 if p < 1 else None
         return ProjectionResult(y.copy(), 0.0, 0.0, 0, gap)
 
@@ -446,5 +445,5 @@ def project(ball: LpBall, y: np.ndarray, tol: float = LAMBDA_GAP_TOL) -> Project
     else:
         mags, lam_unit, gap_unit, iters = _project_quasinorm_unit(p, t)
     gap = None if gap_unit is None else gap_unit * r * r
-    return ProjectionResult(np.sign(y) * mags * r, lam_unit * r ** (2.0 - p),
+    return ProjectionResult(np.sign(y) * mags * r, _rescaled(lam_unit, r, 2.0 - p),
                             _kkt_pieces(t, mags, lam_unit, p), iters, gap)

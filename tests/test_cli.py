@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -166,10 +167,14 @@ def test_project_near_one_flushed_zero_exit_0(capsys):
     (["--p", "3", "--input", "1e300,1e300"], [2 ** (-1 / 3)] * 2),
 ])
 def test_project_extreme_scales_exit_0(capsys, argv, expected):
-    code, out, _ = run_cli(capsys, "project", *argv)
+    # in-process, numpy warnings would never reach the captured stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "project", *argv)
     kv = parse_kv(out)
     assert code == 0
     assert float(kv["kkt_residual"]) <= 1e-9
+    assert int(kv["iterations"]) <= 5
     point = [float(v) for v in kv["point"].split(",")]
     assert point == pytest.approx(expected, rel=1e-9)
 

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpseq.errors import (
@@ -137,7 +138,7 @@ def test_dual_sum_strictly_decreasing():
 
 
 def test_lambda_star_via_project():
-    # doubling+bisection lands on the closed-form multiplier
+    # the search from the dual-norm bracket lands on the closed-form multiplier
     res = project(LpBall(p=2.0, dim=2, radius=1.0), np.array([2.0, 0.0]))
     assert res.multiplier == pytest.approx(1.0, abs=1e-9)
     res = project(LpBall(p=1.5, dim=2, radius=1.0), np.array([2.0, 2.0]))
@@ -171,6 +172,11 @@ def test_kkt_residual_consistency_and_sensitivity():
     assert kkt_residual(y, zeroed, 2.0, 1.0) >= 0.5 * (1 - 1e-12)
     with pytest.raises(InvalidParameterError):
         kkt_residual(y, res, 1.0, 1.0)
+    # r**(2-p) overflows: the multiplier is inf and has no unit-ball value
+    res = project(LpBall(p=1e4, dim=1, radius=0.5), np.array([5.0]))
+    assert res.multiplier == math.inf and res.kkt_residual <= 1e-9
+    with pytest.raises(InvalidParameterError):
+        kkt_residual(np.array([5.0]), res, 1e4, 0.5)
 
 
 def test_kkt_residual_solver_contract():
@@ -254,6 +260,9 @@ def test_scaling_equivariance_extreme(data):
     y = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=d, max_size=d)))
     r = data.draw(st.floats(0.3, 3.0))
     c = 10.0 ** data.draw(st.floats(-150, 150))
+    # a subnormal c*y or c*r carries fewer digits than the rel 1e-12 below
+    tiny = np.finfo(float).tiny
+    assume(c * r >= tiny and np.all((y == 0) | (np.abs(c * y) >= tiny)))
     unit = project(LpBall(p=p, dim=d, radius=r), y)
     big = project(LpBall(p=p, dim=d, radius=c * r), c * y)
     np.testing.assert_allclose(big.point / c, unit.point, rtol=1e-12,
@@ -261,6 +270,20 @@ def test_scaling_equivariance_extreme(data):
     assert unit.kkt_residual <= 1e-9 and big.kkt_residual <= 1e-9
     if p < 1:
         assert big.duality_gap / c**2 == pytest.approx(unit.duality_gap, rel=1e-9, abs=1e-15)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_extreme_norm_indices(data):
+    p = data.draw(st.sampled_from([1 + 1e-9, 1 + 1e-3, 50.0, 1e4]))
+    d = data.draw(st.integers(1, 8))
+    y = 10.0 ** data.draw(st.floats(-3, 3)) * data.draw(vectors(d, 1.0))
+    r = data.draw(st.floats(0.3, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = project(LpBall(p=p, dim=d, radius=r), y)
+    assert res.kkt_residual <= 1e-9
+    assert res.iterations <= 25
 
 
 def test_p1_matches_generic_near_one():
