@@ -9,8 +9,10 @@ bisection where a step leaves the bracket.  ``p = 1`` uses exact sort-and-thresh
 water filling, ``p = 0`` keeps the largest magnitudes, ``p = inf`` clips.
 For p in (0, 1) the problem is nonconvex; its global minimizer keeps a prefix of
 the sorted magnitudes, at most the last kept one on the lower root of the fixed
-point, and one solver enumerates every prefix size under both branch patterns
-and reports a weak-duality gap.
+point, and one solver enumerates every prefix size under both branch patterns.
+Its weak-duality gap is to the exact maximum of the concave dual: the prox
+jump multipliers split the dual into smooth pieces, a bisection over them finds
+the piece where the slope changes sign, and Newton steps find its root there.
 
 General radii are handled by solving on the unit ball after rescaling
 ``y / r`` and mapping the solution back.
@@ -34,6 +36,7 @@ from .shrinkage import (
     FLUSH_TOL,
     branch_roots,
     branch_vanish_lambda,
+    prox_jump_lambda,
     psi_many,
 )
 
@@ -44,8 +47,9 @@ SUM_FEAS_TOL = 1e-10
 # it implies) or at relative bracket width 1e-14*(1 + lam), whichever is first.
 LAMBDA_GAP_TOL = 1e-10
 
-# The p < 1 solver's multiplier grid, and its refinement: QUASI_ROUNDS rounds of
-# splitting each cell that may hold the optimum in QUASI_SPLIT (16**14 ~ 7e16).
+# The p < 1 primal search's multiplier grid, and its refinement: QUASI_ROUNDS
+# rounds of splitting each cell that may hold the optimum in QUASI_SPLIT
+# (16**14 ~ 7e16).
 QUASI_GRID = 48
 QUASI_SPLIT = 16
 QUASI_ROUNDS = 14
@@ -132,6 +136,9 @@ class ProjectionResult:
     ``lam*|sum(m**p) - 1|`` over ``max(1, max(t))``.
     ``duality_gap`` is reported only for p in (0, 1): the point is a global
     minimizer of a nonconvex problem, whose weak dual gap is positive in general.
+    ``iterations`` counts multiplier evaluations: for p > 1 those of the dual
+    sum, for p in (0, 1) those of the primal search plus those of the weak
+    dual; it is 0 for p in {0, 1, inf} and for inputs inside the ball.
     """
 
     point: np.ndarray
@@ -256,15 +263,22 @@ def kkt_residual(y: np.ndarray, result: ProjectionResult, p: float,
 
     On the unit ball, stationarity is relative to ``max(1, |y_i|/r)`` for each
     coordinate and the two-sided slackness to ``max(1, max|y|/r)``.  Raises
-    ``InvalidParameterError`` where the multiplier has no finite unit-ball value.
+    ``InvalidParameterError`` where the multiplier has no finite unit-ball value:
+    where it is infinite, or zero for an input outside the ball, which only an
+    underflowed ``r**(2-p)`` gives.
     """
     if not (p > 1):
         raise InvalidParameterError(f"kkt_residual requires p > 1, got {p}")
+    t = np.abs(np.asarray(y, float)) / radius
     lam = _rescaled(result.multiplier, radius, p - 2.0)
-    if not math.isfinite(lam):
+    if not math.isfinite(lam) or (lam == 0 and not _inside_unit(t, p)):
         raise InvalidParameterError("multiplier outside double range; see result.kkt_residual")
-    return _kkt_pieces(np.abs(np.asarray(y, float)) / radius, np.abs(result.point) / radius,
-                       lam, p)
+    return _kkt_pieces(t, np.abs(result.point) / radius, lam, p)
+
+
+def _inside_unit(t: np.ndarray, p: float) -> bool:
+    """Whether magnitudes ``t`` lie in the unit ball, up to ``SUM_FEAS_TOL`` on the power sum."""
+    return lp_norm(t, p) <= (1.0 + SUM_FEAS_TOL) ** (1.0 / p)
 
 
 def _rescaled(lam: float, radius: float, power: float) -> float:
@@ -313,6 +327,66 @@ def _prefix_points(p: float, lam: np.ndarray, ts: np.ndarray, js: np.ndarray,
     return pts, cand, np.abs((h + l) / budget - 1.0), U, last
 
 
+def _weak_dual_max(p: float, ts: np.ndarray, budget: float):
+    """``(max D, evaluations)`` of the weak dual for magnitudes ``ts`` sorted descending.
+
+    ``D(lam) = sum_i min(phi_i, 0) - lam*budget/p`` is concave, ``phi_i`` the
+    objective ``U*(U/2 - t_i) + (lam/p)*U**p`` at the upper root ``U_i``.
+    Coordinate i is live (``phi_i < 0``) below ``prox_jump_lambda(p, t_i)``,
+    which falls along ``ts``, so the live set is a prefix, and on a piece
+    between jumps ``p*D' = sum_live U**p - budget`` is smooth and falling.
+    A bisection over the jumps, galloping from the largest, finds the piece
+    where the slope changes sign: the maximum is at its lower jump if the
+    slope is negative just past it, else at the slope's root, found by Newton
+    steps (``dU/dlam = -U**(p-1) / (1 + lam*(p-1)*U**(p-2))``) with bisection
+    where one leaves the bracket.  They stop once ``|D'|`` times the bracket
+    width, which by concavity bounds how far ``D`` is below its maximum, or
+    times the Newton step, which estimates it, is 1e-16 of ``|D|``.  Every
+    ``D`` is a weak dual value, so an inexact root only loosens the gap.
+    """
+    jumps = prox_jump_lambda(p, ts)
+    n = int(np.count_nonzero(jumps > 0))
+    evals = 0
+
+    def probe(lam, k):  # p*D' on the live prefix k, D, and the roots
+        nonlocal evals
+        evals += 1
+        U = branch_roots(p, lam, ts[:k], True)
+        Up = U**p
+        phi = np.minimum(U * (0.5 * U - ts[:k]) + (lam / p) * Up, 0.0)
+        return float(np.sum(Up)) - budget, float(np.sum(phi)) - lam / p * budget, U, Up
+
+    # at jumps[m] the slope from the left, over prefix m + 1, rises with m;
+    # find bad + 1 = good with it negative at bad (+inf at -1), >= 0 at good
+    # (lam = 0 at n, where every coordinate counts)
+    bad, good, m, at_good = -1, n, 0, None
+    while good - bad > 1:
+        at = probe(float(jumps[m]), m + 1)
+        if at[0] >= 0:
+            good, at_good = m, at
+        else:
+            bad, at_bad = m, at
+        m = 2 * m + 1 if good == n and 2 * m + 1 < n else (bad + good) // 2
+    if at_good is None:
+        at_good = probe(0.0, ts.size)
+    _, dual, _, Up = at_good
+    if good == 0 or float(np.sum(Up[:good])) <= budget:  # falls just past the jump: a kink
+        return dual, evals
+
+    a, b = (float(jumps[good]) if good < n else 0.0), float(jumps[bad])
+    lam, (h, value, U, Up) = b, at_bad
+    for _ in range(100):
+        dh = -p * float(np.sum(Up * Up / (U * U + lam * (p - 1.0) * Up)))
+        step = lam - h / dh
+        if abs(h) * min(b - a, abs(step - lam)) <= 1e-16 * p * abs(value) or b - a <= 1e-15 * b:
+            break
+        lam = step if a < step < b else 0.5 * (a + b)
+        h, value, U, Up = probe(lam, good)
+        dual = max(dual, value)
+        a, b = (lam, b) if h > 0 else (a, lam)
+    return dual, evals
+
+
 def _project_quasinorm_unit(p: float, t: np.ndarray):
     """Global minimizer of ``||x - t||**2/2`` over ``sum(x**p) <= 1``, p in (0, 1).
 
@@ -335,8 +409,8 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
     interval holds 1 and is wider than rounding and whose bound is at most the
     best candidate (an evaluated point scaled onto the boundary).  Upper roots
     are at least their branch point ``(1-p)/(2-p)*t_i``, so no size with
-    ``sum_{i<j} ((1-p)/(2-p)*t_i)**p >= 1`` has a root.  The concave weak dual,
-    whose maximum bounds the gap, is refined around its best grid point.
+    ``sum_{i<j} ((1-p)/(2-p)*t_i)**p >= 1`` has a root.  The gap is to the
+    exact maximum of the concave weak dual, from ``_weak_dual_max``.
     Units are ``max(t)`` and objectives ``sum(x**2/2 - x*t)``, so nothing
     overflows; magnitudes with a vanishing multiplier below 1e-290 are
     dropped.  Returns ``(x, lam, gap, evals)``.
@@ -392,20 +466,11 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
             js = np.repeat(a[5].astype(int), QUASI_SPLIT - 1)[:, None]
             low = np.repeat(a[6] > 0, QUASI_SPLIT - 1)[:, None]
 
-    # weak dual: each prox is the upper root where that beats 0, else 0
-    lam, dual = grid, -np.inf
-    for _ in range(QUASI_ROUNDS + 1):
-        U = branch_roots(p, lam[:, None], ts, True)
-        inner = np.minimum(U * (0.5 * U - ts) + (lam[:, None] / p) * U**p, 0.0)
-        vals = np.sum(inner, axis=1) - lam / p * budget
-        evals += lam.size
-        i = int(np.argmax(vals))
-        dual = max(dual, float(vals[i]))
-        lam = np.linspace(lam[max(i - 1, 0)], lam[min(i + 1, lam.size - 1)], QUASI_SPLIT + 1)
-
+    dual, dual_evals = _weak_dual_max(p, ts, budget)
     x = np.zeros_like(t)
     x[order[:best[1].size]] = best[1] * scale
-    return x, best[2] * scale ** (2.0 - p), max(best[0] - dual, 0.0) * scale * scale, evals
+    gap = max(best[0] - dual, 0.0) * scale * scale
+    return x, best[2] * scale ** (2.0 - p), gap, evals + dual_evals
 
 
 def project(ball: LpBall, y: np.ndarray, tol: float = LAMBDA_GAP_TOL) -> ProjectionResult:
@@ -415,6 +480,7 @@ def project(ball: LpBall, y: np.ndarray, tol: float = LAMBDA_GAP_TOL) -> Project
     prefix-support structure in the module docstring, with a weak-duality
     gap; it keeps a prefix of ``y`` with multiplier 0 or lies on the
     boundary.  ``tol`` controls the outer multiplier search for p > 1.
+    Raises ``InvalidParameterError`` where ``max|y|/r`` overflows.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size != ball.dim:
@@ -431,8 +497,11 @@ def project(ball: LpBall, y: np.ndarray, tol: float = LAMBDA_GAP_TOL) -> Project
     if p == math.inf:
         return ProjectionResult(project_clip(r, y), 0.0, 0.0, 0)
 
-    t = np.abs(y) / r
-    if lp_norm(t, p) <= (1.0 + SUM_FEAS_TOL) ** (1.0 / p):
+    with np.errstate(over="ignore"):
+        t = np.abs(y) / r
+    if not np.isfinite(np.max(t)):
+        raise InvalidParameterError(f"max|y|/r overflows at radius {r!r}")
+    if _inside_unit(t, p):
         gap = 0.0 if p < 1 else None
         return ProjectionResult(y.copy(), 0.0, 0.0, 0, gap)
 

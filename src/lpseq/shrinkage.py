@@ -197,11 +197,12 @@ def branch_roots(p: float, lam, t, upper, tol: float = DEFAULT_TOL) -> np.ndarra
     ``(1-p)/(2-p)*t`` at ``branch_vanish_lambda(p, t)``; from there on both
     are held at that meeting point, so both are monotone and never NaN.
     """
-    lam, t, upper = np.broadcast_arrays(
-        np.asarray(lam, dtype=float), np.asarray(t, dtype=float),
-        np.asarray(upper, dtype=bool))
+    t = np.asarray(t, dtype=float)
+    lam, t, upper, vanish = np.broadcast_arrays(
+        np.asarray(lam, dtype=float), t, np.asarray(upper, dtype=bool),
+        branch_vanish_lambda(p, t))  # on t before broadcasting: once per magnitude
     out = np.where(lam > 0, (1.0 - p) / (2.0 - p) * t, np.where(upper, t, 0.0))
-    live = (lam > 0) & (lam < branch_vanish_lambda(p, t))
+    live = (lam > 0) & (lam < vanish)
     out[live] = _branch_root(p, lam[live], t[live], upper[live], tol)
     return out
 

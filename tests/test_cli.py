@@ -63,6 +63,9 @@ def test_project_parse_error_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "project", "--p", "0", "--input", "1,2")
     assert code == 2  # p = 0 without --sparsity
+    code, _, err = run_cli(capsys, "project", "--p", "0.5", "--radius", "1e-300",
+                           "--input", "1e10,1")
+    assert code == 2 and "overflows" in err  # max|y|/r leaves double range
 
 
 def test_project_gap_reported_for_quasinorm(capsys):

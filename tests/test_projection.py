@@ -22,6 +22,7 @@ from lpseq.projection import (
     project_clip,
     project_top_s,
 )
+from lpseq.shrinkage import power_objective, prox_jump_lambda, prox_power_many
 
 # closed forms recomputed independently (mpmath): 2 c**1.5 = 1 and the
 # stationarity identity lam = (2 - c)/sqrt(c)
@@ -177,6 +178,11 @@ def test_kkt_residual_consistency_and_sensitivity():
     assert res.multiplier == math.inf and res.kkt_residual <= 1e-9
     with pytest.raises(InvalidParameterError):
         kkt_residual(np.array([5.0]), res, 1e4, 0.5)
+    # r**(2-p) underflows: a zero multiplier for an input outside the ball
+    res = project(LpBall(p=1e4, dim=1, radius=3.0), np.array([5.0]))
+    assert res.multiplier == 0.0 and res.kkt_residual <= 1e-9
+    with pytest.raises(InvalidParameterError):
+        kkt_residual(np.array([5.0]), res, 1e4, 3.0)
 
 
 def test_kkt_residual_solver_contract():
@@ -374,6 +380,86 @@ def test_quasinorm_beats_cheap_feasible_points(data):
     spike[order[0]] = r * np.sign(y[order[0]])
     cheap = min(_objective(prefix, y), _objective(spike, y))
     assert _objective(res.point, y) <= cheap * (1 + 1e-12) + 1e-300
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
+def test_overflowing_rescale_rejected(p):
+    # |y|/r leaves double range: a parameter error, before any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            project(LpBall(p=p, dim=2, radius=1e-300), np.array([1e10, 1.0]))
+
+
+def _independent_dual(p, y, r, points=200, jumps=None):
+    """Largest Lagrangian dual value of the projection on a multiplier grid.
+
+    The grid is 0, ``points`` geometric multipliers below twice the largest
+    prox jump, and the jump multipliers themselves (the ``jumps`` largest),
+    then two rounds of 33 points between the best point's neighbours.  Each
+    value is ``sum_i min_x ((x - |y_i|)**2/2 + (lam/p)*x**p) - lam*r**p/p``,
+    from the public prox.  Off the jumps the grid's best value is within about
+    5e-8 relative of the exact maximum, so it catches a wrong piece or a
+    stalled root; the maximum-at-a-jump cases check the last digits.
+    """
+    t = np.abs(y)
+    kinks = np.sort(prox_jump_lambda(p, t))[::-1][:jumps]
+    lams = np.unique(np.concatenate(
+        [[0.0], np.geomspace(1e-12 * kinks[0], 2 * kinks[0], points), kinks]))
+    best = -np.inf
+    for _ in range(3):
+        vals = []
+        for lam in np.array_split(lams[:, None], 1 + lams.size * t.size // 2**16):
+            x = prox_power_many(p, lam, t)
+            vals.append(np.sum(power_objective(p, lam, t, x), axis=1) - lam[:, 0] * r**p / p)
+        vals = np.concatenate(vals)
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        lams = np.linspace(lams[max(i - 1, 0)], lams[min(i + 1, lams.size - 1)], 33)
+    return best
+
+
+def _assert_certificate(p, y, r, **grid):
+    res = project(LpBall(p=p, dim=y.size, radius=r), y)
+    assert math.isfinite(res.duality_gap) and res.duality_gap >= 0.0
+    if lp_norm(y, p) > r:
+        implied = _objective(res.point, y) - res.duality_gap
+        dual = _independent_dual(p, y, r, **grid)
+        assert implied >= dual - 1e-12 * abs(dual)
+    return res
+
+
+def test_quasinorm_dual_certificate_batch():
+    # the reported gap leaves a dual value at least the best on a dense grid
+    rng = np.random.default_rng(2024)
+    for _ in range(800):
+        p = float(rng.uniform(0.02, 0.99))
+        d = int(rng.integers(1, 60))
+        r = float(10 ** rng.uniform(-2, 2))
+        y = 3 * r * 10 ** rng.uniform(-1, 1) * rng.standard_normal(d)
+        if d > 2 and rng.random() < 0.5:
+            y[rng.integers(0, d, size=d // 3)] = y[0]  # ties
+        if rng.random() < 0.5:
+            y[rng.random(d) < 0.3] = 0.0
+        _assert_certificate(p, y, r)
+
+
+@pytest.mark.parametrize("y", [[2.0], [2.0, -2.0, 0.0]])
+def test_quasinorm_dual_max_at_jump(y):
+    # the dual slope is positive up to the common prox jump of the entries
+    # and -r**p/p past it, so the dual maximum is exactly there
+    p, y = 0.5, np.array(y)
+    jump = float(prox_jump_lambda(p, 2.0))
+    res = _assert_certificate(p, y, 1.0)
+    dual = 0.5 * float(np.sum(y**2)) - jump / p
+    assert _objective(res.point, y) - res.duality_gap == pytest.approx(dual, rel=1e-12)
+
+
+def test_quasinorm_dual_certificate_large_dim():
+    d = 10_000
+    rng = np.random.default_rng(5)
+    y = np.eye(1, d)[0] + d**-0.5 * rng.standard_normal(d)
+    _assert_certificate(0.5, y, 1.0, jumps=64)
 
 
 def test_zero_vector_input():
