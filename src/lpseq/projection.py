@@ -9,7 +9,9 @@ bisection where a step leaves the bracket.  ``p = 1`` uses exact sort-and-thresh
 water filling, ``p = 0`` keeps the largest magnitudes, ``p = inf`` clips.
 For p in (0, 1) the problem is nonconvex; its global minimizer keeps a prefix of
 the sorted magnitudes, at most the last kept one on the lower root of the fixed
-point, and one solver enumerates every prefix size under both branch patterns.
+point, and one solver enumerates every prefix size under both branch patterns:
+a multiplier grid brackets each size's roots, Newton steps solve the cells
+where the power sum is monotone, and only cells where it may turn are split.
 Its weak-duality gap is to the exact maximum of the concave dual: the prox
 jump multipliers split the dual into smooth pieces, a bisection over them finds
 the piece where the slope changes sign, and Newton steps find its root there.
@@ -48,11 +50,15 @@ SUM_FEAS_TOL = 1e-10
 LAMBDA_GAP_TOL = 1e-10
 
 # The p < 1 primal search's multiplier grid, and its refinement: QUASI_ROUNDS
-# rounds of splitting each cell that may hold the optimum in QUASI_SPLIT
-# (16**14 ~ 7e16).
+# rounds of splitting each cell that may hold the optimum and where the power
+# sum may turn in QUASI_SPLIT (16**14 ~ 7e16).
 QUASI_GRID = 48
 QUASI_SPLIT = 16
 QUASI_ROUNDS = 14
+
+# Smallest multiplier, in units of max|y|**(2-p), the p < 1 solver resolves;
+# magnitudes whose roots vanish below it are dropped.
+TINY_LAMBDA = 1e-290
 
 
 @dataclass(frozen=True)
@@ -305,8 +311,9 @@ def _prefix_points(p: float, lam: np.ndarray, ts: np.ndarray, js: np.ndarray,
 
     The last kept one is on the lower root where ``low[r, k]``.  ``pts``
     records ``lam``, the p-th power sums and objectives ``sum(x**2/2 - x*t)``
-    of the head and of the last coordinate, ``js`` and ``low``; ``cand`` is
-    the objective scaled onto the boundary, ``dev`` the power sum's distance.
+    of the head and of the last coordinate, ``js``, ``low``, and the slopes in
+    ``lam`` of the two power sums; ``cand`` is the objective scaled onto the
+    boundary, ``dev`` the power sum's distance.
     """
     U = branch_roots(p, lam[:, None], ts[:int(js.max())], True)
     last_t = ts[js - 1]
@@ -320,11 +327,82 @@ def _prefix_points(p: float, lam: np.ndarray, ts: np.ndarray, js: np.ndarray,
     half_sq, cross = head(0.5 * U * U), head(U * ts[:U.shape[1]])
     last_half_sq, last_cross = 0.5 * last * last, last * last_t
     h, l = head(U**p), last**p
-    pts = np.stack(np.broadcast_arrays(lam[:, None], h, l, half_sq - cross,
-                                       last_half_sq - last_cross, js, low), axis=-1)
+    pts = np.stack(np.broadcast_arrays(
+        lam[:, None], h, l, half_sq - cross, last_half_sq - last_cross, js, low,
+        head(_power_slope(p, U, ts[:U.shape[1]])), _power_slope(p, last, last_t)), axis=-1)
     kappa = (budget / (h + l)) ** (1.0 / p)
     cand = kappa * kappa * (half_sq + last_half_sq) - kappa * (cross + last_cross)
     return pts, cand, np.abs((h + l) / budget - 1.0), U, last
+
+
+def _power_slope(p: float, x, t):
+    """``d(x**p)/dlam`` along a root ``x`` of ``x + lam*x**(p-1) = t``, on either branch."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -p * x ** (2.0 * p - 1.0) / ((2.0 - p) * x - (1.0 - p) * t)
+
+
+def _cell_shapes(p: float, ts: np.ndarray, vanish: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Masks of the cells ``[a, b]`` with a monotone power sum, and with no local minimizer.
+
+    With every root upper the sum falls.  With the last one lower, each upper
+    ``U**p`` is concave in ``lam``, and the lower root's slope, as a function
+    of the root, falls up to ``x0 = (1-2p)/(2(2-p))*t`` (only for p < 1/2)
+    and rises after it, so the ends and ``x0`` bound the sum's slope on the
+    cell.  A root where it falls is no local minimizer: the slope is
+    ``p*(n_j**2/|h_j| - sum_{i<j} n_i**2/h_i)``, with ``n = x**(p-1)`` and ``h``
+    the Lagrangian Hessian's diagonal ``1 + lam*(p-1)*x**(p-2)``, and the
+    Hessian is positive semidefinite on the tangent space just where it is
+    nonnegative.
+    """
+    last = a[5].astype(int) - 1
+    x0 = (1.0 - 2.0 * p) / (2.0 * (2.0 - p)) * ts[last]
+    least = np.minimum(a[8], b[8])
+    if p < 0.5:  # l = x**p at the ends brackets x0**p where the slope is least
+        inside = (a[2] < x0**p) & (x0**p < b[2])
+        least = np.where(inside, _power_slope(p, x0, ts[last]), least)
+    low = a[6] > 0
+    live = b[0] < vanish[last]  # past it the roots are held, with no slope
+    return live & (~low | (b[7] + least > 0)), live & low & (a[7] + np.maximum(a[8], b[8]) < 0)
+
+
+def _cell_roots(p: float, ts: np.ndarray, budget: float, a: np.ndarray, b: np.ndarray):
+    """Roots of ``sum(x**p) = budget`` on cells ``[a, b]`` where it is monotone and changes sign.
+
+    Newton steps from the secant point, the slope from ``_power_slope``,
+    redone against ``log lam`` where a step leaves the cell, with bisection
+    where both would.  A cell stops once its sum is within 1e-13 of
+    ``budget`` relative, it is as narrow as rounding, or ``lam`` is down to
+    ``TINY_LAMBDA`` (for p near 0 a lower root's power ``(lam/t)**(p/(1-p))``
+    meets ``budget`` only below double range).  Returns the multipliers, the
+    points (zero past each cell's size) and the evaluations.
+    """
+    js, low = a[5].astype(int), a[6] > 0
+    cols = np.arange(int(js.max()))
+    live = cols < js[:, None]
+    upper = (cols < js[:, None] - 1) | ~low[:, None]
+    t = ts[:cols.size]
+    lo, hi, f_lo = a[0], b[0], a[1] + a[2] - budget
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = lo - f_lo * (hi - lo) / (b[1] + b[2] - budget - f_lo)
+    lam = np.where((lo < lam) & (lam < hi), lam, 0.5 * (lo + hi))
+    open_, evals = np.ones(lam.size, dtype=bool), 0
+    for _ in range(100):
+        x = np.where(live, branch_roots(p, lam[:, None], t, upper), 0.0)
+        evals += int(np.count_nonzero(open_))
+        f = np.sum(x**p, axis=1) - budget
+        slope = np.sum(np.where(live, _power_slope(p, x, t), 0.0), axis=1)
+        same = np.sign(f) == np.sign(f_lo)  # the sum keeps its sign at lo
+        lo, hi = np.where(open_ & same, lam, lo), np.where(open_ & ~same, lam, hi)
+        open_ &= (np.abs(f) > 1e-13 * budget) & (hi - lo > 1e-15 * hi) & (lam > TINY_LAMBDA)
+        if not np.any(open_):
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = f / slope
+            newton, log_newton = lam - step, lam * np.exp(-step / lam)
+        inside = [(lo < v) & (v < hi) & (v != lam) for v in (newton, log_newton)]
+        step = np.maximum(np.select(inside, [newton, log_newton], 0.5 * (lo + hi)), TINY_LAMBDA)
+        lam = np.where(open_, step, lam)
+    return lam, x, evals
 
 
 def _weak_dual_max(p: float, ts: np.ndarray, budget: float):
@@ -405,15 +483,18 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
     Certified pruning on one multiplier grid finds the roots: on a cell
     ``[a, b]`` upper roots fall and the lower root rises, so either left side
     lies in ``[H(b) + l(a)**p, H(a) + l(b)**p]`` and the objective is at least
-    its value at the matching ends.  Each round splits the cells whose
-    interval holds 1 and is wider than rounding and whose bound is at most the
-    best candidate (an evaluated point scaled onto the boundary).  Upper roots
+    its value at the matching ends.  A cell stays when its interval holds 1
+    and is wider than rounding and its bound is at most the best candidate
+    (an evaluated point scaled onto the boundary).  Where ``_cell_shapes``
+    shows the power sum monotone on it, the cell holds one root, which
+    ``_cell_roots`` finds by Newton steps; where it falls with a lower root,
+    no local minimizer; each round splits the other cells.  Upper roots
     are at least their branch point ``(1-p)/(2-p)*t_i``, so no size with
     ``sum_{i<j} ((1-p)/(2-p)*t_i)**p >= 1`` has a root.  The gap is to the
     exact maximum of the concave weak dual, from ``_weak_dual_max``.
     Units are ``max(t)`` and objectives ``sum(x**2/2 - x*t)``, so nothing
-    overflows; magnitudes with a vanishing multiplier below 1e-290 are
-    dropped.  Returns ``(x, lam, gap, evals)``.
+    overflows; magnitudes with a vanishing multiplier below ``TINY_LAMBDA``
+    are dropped.  Returns ``(x, lam, gap, evals)``.
     """
     scale = float(np.max(t))
     order = np.argsort(-t, kind="stable")
@@ -430,10 +511,21 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
         best = [float(-0.5 * np.sum(ts[:k0] ** 2)), ts[:k0], 0.0, 0.0]
 
     meets = np.cumsum(((1.0 - p) / (2.0 - p) * ts) ** p)
-    top = min(int(np.count_nonzero(vanish > 1e-290)), 1 + int(np.searchsorted(meets, budget)))
+    top = min(int(np.count_nonzero(vanish > TINY_LAMBDA)), 1 + int(np.searchsorted(meets, budget)))
     sizes = np.arange(max(k0 + 1, 2), top + 1)
     grid = np.concatenate(
         ([0.0], np.geomspace(1e-9 * vanish[top - 1], vanish[0], QUASI_GRID - 1)))
+
+    def improve(cand, dev, point):
+        # objectives within 1e-13 tie; the point nearest the boundary wins
+        lowest = min(best[0], float(np.min(cand)))
+        key = np.where(cand <= lowest + 1e-13 * abs(lowest), dev, np.inf)
+        i = np.unravel_index(int(np.argmin(key)), key.shape)
+        if key[i] < np.inf and (cand[i] < best[0] - 1e-13 * abs(lowest) or dev[i] < best[3]):
+            x, lam_i = point(*i)
+            best[:] = [float(cand[i]), x * (budget / float(np.sum(x**p))) ** (1.0 / p),
+                       float(lam_i), float(dev[i])]
+
     evals = 0
     if sizes.size:
         lam, a, b = grid, None, None
@@ -442,23 +534,33 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
         for _ in range(QUASI_ROUNDS + 1):
             pts, cand, dev, U, last = _prefix_points(p, lam, ts, js, low, budget)
             evals += lam.size
-            # objectives within 1e-13 tie; the point nearest the boundary wins
-            lowest = min(best[0], float(np.min(cand)))
-            key = np.where(cand <= lowest + 1e-13 * abs(lowest), dev, np.inf)
-            r, k = np.unravel_index(int(np.argmin(key)), key.shape)
-            if key[r, k] < np.inf and (cand[r, k] < best[0] - 1e-13 * abs(lowest)
-                                       or dev[r, k] < best[3]):
-                x = np.append(U[r, :js[r, k] - 1], last[r, k])
-                best = [float(cand[r, k]), x * (budget / float(np.sum(x**p))) ** (1.0 / p),
-                        float(lam[r]), float(dev[r, k])]
+            improve(cand, dev, lambda r, k: (np.append(U[r, :js[r, k] - 1], last[r, k]), lam[r]))
             # the grid first, once per size and pattern; then the split cells
+            fields = pts.shape[-1]
             chains = pts.transpose(1, 0, 2) if a is None else np.concatenate(
-                [a.T[:, None], pts.reshape(a.shape[1], -1, 7), b.T[:, None]], axis=1)
-            a, b = np.moveaxis(np.stack([chains[:, :-1], chains[:, 1:]]).reshape(2, -1, 7), 2, 1)
+                [a.T[:, None], pts.reshape(a.shape[1], -1, fields), b.T[:, None]], axis=1)
+            a, b = np.moveaxis(
+                np.stack([chains[:, :-1], chains[:, 1:]]).reshape(2, -1, fields), 2, 1)
             lo, hi = b[1] + np.minimum(a[2], b[2]), a[1] + np.maximum(a[2], b[2])
             keep = ((lo <= budget) & (hi >= budget) & (hi - lo > 1e-13 * budget)
                     & (a[3] + np.minimum(a[4], b[4]) <= best[0] + 1e-13 * abs(best[0]))
                     & (a[0] < vanish[a[5].astype(int) - 1]) & (b[0] - a[0] > 1e-15 * b[0]))
+            if not np.any(keep):
+                break
+            # a monotone sum has one root, found by Newton steps; only the
+            # cells where it may turn are split
+            monotone, no_minimizer = _cell_shapes(p, ts, vanish, a, b)
+            sign_change = (a[1] + a[2] - budget) * (b[1] + b[2] - budget) <= 0
+            roots = keep & monotone & sign_change
+            if np.any(roots):
+                lam_r, x, n = _cell_roots(p, ts, budget, a[:, roots], b[:, roots])
+                evals += n
+                s = np.sum(x**p, axis=1)
+                kappa = (budget / s) ** (1.0 / p)
+                improve(0.5 * kappa * kappa * np.sum(x * x, axis=1)
+                        - kappa * (x @ ts[:x.shape[1]]), np.abs(s / budget - 1.0),
+                        lambda i: (x[i, :int(a[5, roots][i])], lam_r[i]))
+            keep &= ~monotone & ~no_minimizer
             if not np.any(keep):
                 break
             a, b = a[:, keep], b[:, keep]

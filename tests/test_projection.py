@@ -462,6 +462,75 @@ def test_quasinorm_dual_certificate_large_dim():
     _assert_certificate(0.5, y, 1.0, jumps=64)
 
 
+def test_quasinorm_lower_root_optimum_costs_like_the_rest():
+    # where y_1 < 1 the optimum keeps y_1 and a second coordinate on its lower
+    # root; Newton steps find that root in a few evaluations, so these inputs
+    # cost about what the e_1 optima do (16-way splitting took about 150 more)
+    d = 200
+    rng = np.random.default_rng(11)
+    kept, iterations = [], []
+    for _ in range(24):
+        y = np.eye(1, d)[0] + d**-0.5 * rng.standard_normal(d)
+        res = project(LpBall(p=0.5, dim=d, radius=1.0), y)
+        kept.append(np.count_nonzero(res.point))
+        iterations.append(res.iterations)
+        assert res.kkt_residual <= 1e-9
+    assert 1 in kept and 2 in kept
+    assert max(iterations) <= 60
+
+
+@pytest.mark.parametrize("p, r, y", [
+    (0.7010067919606441, 0.29978494419288443, [
+        -0.1813649640832338, -0.13567977124723962, 0.23517959759050716, -0.20344503075022083,
+        0.1060034904564088, 0.34283515810023374, 0.06246290083006332, -0.10172111663827996,
+        -0.15191137028203064, 0.048801583799871574, 0.27368598646444364, -0.23146395439380854,
+        -0.21654160724044594, -0.1819023789026443, -0.062443763450146246, 0.2501439246891717,
+        0.048354332928447916, -0.380122896661159, -0.07721881741604322]),
+    (0.8394369560740542, 24.81825240999707, [
+        0.0, -32.3099987487505, -2.7517568756739195, -1.6660843963157062, 18.989621694411785,
+        -5.925294537865491, 0.0, -2.7517568756739195, 8.95864291584393, 0.0, 0.0,
+        -16.66521651382481, 4.04356588896545, -2.7517568756739195, 8.888802824312771, 0.0]),
+])
+def test_quasinorm_two_coordinate_optimum(p, r, y):
+    # the optimum keeps the two largest magnitudes, the second on its lower
+    # root, in a grid cell that ends past where that root vanishes: the held
+    # root there has no slope, so the cell must be split, not judged by it
+    y = np.array(y)
+    t = np.sort(np.abs(y))[::-1]
+    res = project(LpBall(p=p, dim=y.size, radius=r), y)
+    x1 = np.linspace(0.0, r, 100_001)[1:-1]
+    for _ in range(3):  # the best boundary point keeping the top two, zooming in
+        x2 = np.maximum(r**p - x1**p, 0.0) ** (1 / p)
+        vals = 0.5 * ((x1 - t[0]) ** 2 + (x2 - t[1]) ** 2)
+        i = int(np.argmin(vals))
+        best = float(vals[i]) + 0.5 * float(np.sum(t[2:] ** 2))
+        x1 = np.linspace(x1[max(i - 1, 0)], x1[min(i + 1, x1.size - 1)], 1001)
+    assert np.count_nonzero(res.point) == 2
+    assert _objective(res.point, y) <= best * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("p, r, y", [
+    (0.00576901839754414, 1.4210240356625545, [1.0, 0.4]),
+    (0.005685786501605244, 1.661466379958235, [-0.02748556, -1.61345432]),
+    (0.0076046900802066615, 1.7147306159907543, [1.0, 0.40891284, 1.0, 1.0, 0.0, 0.0]),
+])
+def test_quasinorm_root_below_double_range(p, r, y):
+    # near p = 0 a lower root's power (lam/t)**(p/(1-p)) meets the budget only
+    # at a multiplier below double range; the solver stops short, with no warning
+    y = np.array(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = project(LpBall(p=p, dim=y.size, radius=r), y)
+    assert lp_norm(res.point, p) <= r * (1 + 1e-9)
+    assert math.isfinite(res.duality_gap) and res.duality_gap >= 0.0
+    # no worse than the largest feasible prefix of |y| kept as is
+    order = np.argsort(-np.abs(y), kind="stable")
+    kept = int(np.searchsorted(np.cumsum(np.abs(y[order]) ** p), r**p, side="right"))
+    prefix = np.zeros_like(y)
+    prefix[order[:kept]] = y[order[:kept]]
+    assert _objective(res.point, y) <= _objective(prefix, y) * (1 + 1e-12)
+
+
 def test_zero_vector_input():
     for p in (0.5, 1.0, 2.0, math.inf):
         ball = LpBall(p=p, dim=3, radius=1.0)
