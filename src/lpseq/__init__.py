@@ -18,6 +18,7 @@ from .projection import (
     lp_norm,
     project,
     project_clip,
+    project_many,
     project_top_s,
 )
 from .rates import (
@@ -74,6 +75,7 @@ __all__ = [
     "lp_norm",
     "project",
     "project_clip",
+    "project_many",
     "project_top_s",
     "prox_power",
     "psi_solve",

@@ -129,7 +129,8 @@ def _run_resumable(config: simulate.ExperimentConfig, out_dir: Path):
     def on_cell_done(cell_id, row):
         completed[cell_id] = dataclasses.asdict(row)
         flush()
-        _log(f"[lpseq] cell done: {cell_id}")
+        _log(f"[lpseq] cell done: {cell_id} kkt_max={row.kkt_residual_max:.3g}"
+             f" iterations_max={row.iterations_max}")
 
     resumed = {cid: simulate.RiskEstimate(**row) for cid, row in completed.items()}
     try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .projection import LpBall, lp_norm, project
+from .projection import LpBall, lp_norm, project, project_many
 from .rates import RateQuery, control_function
 from .rng import keyed_generator
 
@@ -340,10 +340,8 @@ def check_mle_variance(ball: LpBall, theta_star: np.ndarray, sigma: float,
         raise InvalidParameterError("variance check requires a convex ball (p >= 1)")
     theta_star = np.asarray(theta_star, dtype=float)
     rng = keyed_generator(key, f"mle_variance|p={ball.p!r}|d={ball.dim}|sigma={sigma!r}")
-    fits = np.empty((reps, ball.dim))
-    for i in range(reps):
-        y = theta_star + sigma * rng.standard_normal(ball.dim)
-        fits[i] = project(ball, y).point
+    ys = theta_star + sigma * rng.standard_normal((reps, ball.dim))
+    fits = np.array([res.point for res in project_many(ball, ys)])
     centered = fits - fits.mean(axis=0)
     variance = float(np.sum(centered**2) / max(reps - 1, 1))
     m = control_function(RateQuery(p=ball.p, d=ball.dim, sigma=sigma, radius=ball.radius))
@@ -356,8 +354,8 @@ def check_mle_variance(ball: LpBall, theta_star: np.ndarray, sigma: float,
 def pathwise_errors(ball: LpBall, theta_star: np.ndarray, sigmas,
                     xi: np.ndarray) -> list[float]:
     """Projection errors along one noise path at increasing amplitudes."""
-    return [float(np.linalg.norm(project(ball, theta_star + s * xi).point - theta_star))
-            for s in sigmas]
+    ys = [theta_star + s * xi for s in sigmas]
+    return [float(np.linalg.norm(res.point - theta_star)) for res in project_many(ball, ys)]
 
 
 # --- named check suites -------------------------------------------------------
@@ -372,9 +370,8 @@ def _suite_kkt(seed: int) -> list[CheckReport]:
         for d in (5, 25):
             rng = keyed_generator(seed, f"suite_kkt|p={p!r}|d={d}")
             ball = LpBall(p=p, dim=d, radius=1.0)
-            for _ in range(15):
-                y = 1.5 * rng.standard_normal(d)
-                res = project(ball, y)
+            ys = 1.5 * rng.standard_normal((15, d))
+            for y, res in zip(ys, project_many(ball, ys)):
                 worst_resid = max(worst_resid, res.kkt_residual)
                 trials += 1
                 if p < 2.0 and lp_norm(y, p) > 1.0 and res.multiplier > 0:

@@ -18,6 +18,12 @@ the piece where the slope changes sign, and Newton steps find its root there.
 
 General radii are handled by solving on the unit ball after rescaling
 ``y / r`` and mapping the solution back.
+
+``project_many`` projects each row of an ``(n, d)`` block, bit for bit as
+``project`` does.  For p > 1 one multiplier search runs on the whole block:
+each of its dual-sum evaluations is one vectorized call over the rows still
+open, while every row keeps its bracket and Newton step in plain floats, so
+it takes the iterates it would alone.  ``project`` runs that search on one row.
 """
 
 from __future__ import annotations
@@ -155,14 +161,16 @@ class ProjectionResult:
 
 
 def project_top_s(s: int, y: np.ndarray) -> np.ndarray:
-    """Keep the s largest-magnitude entries, zero the rest (ties: lowest index)."""
+    """Keep the s largest-magnitude entries, zero the rest (ties: lowest index).
+
+    ``y`` is one vector, or a block whose rows are treated one by one.
+    """
     y = np.asarray(y, dtype=float)
-    if not (1 <= s <= y.size):
-        raise InvalidParameterError(f"sparsity must lie in [1, {y.size}], got {s}")
-    order = np.argsort(-np.abs(y), kind="stable")
+    if not (1 <= s <= y.shape[-1]):
+        raise InvalidParameterError(f"sparsity must lie in [1, {y.shape[-1]}], got {s}")
+    keep = np.argsort(-np.abs(y), axis=-1, kind="stable")[..., :s]
     out = np.zeros_like(y)
-    keep = order[:s]
-    out[keep] = y[keep]
+    np.put_along_axis(out, keep, np.take_along_axis(y, keep, axis=-1), axis=-1)
     return out
 
 
@@ -186,46 +194,74 @@ def dual_sum(lam: float, y: np.ndarray, p: float, radius: float = 1.0,
     if lam < 0:
         raise InvalidParameterError(f"lam must be nonnegative, got {lam}")
     t = np.abs(np.asarray(y, dtype=float)) / radius
-    return _dual_sum_and_slope(p, lam, t, tol)[0]
+    return _dual_sums(p, [lam], t[None], tol)[0][0]
 
 
-def _dual_sum_and_slope(p: float, lam: float, t: np.ndarray, tol: float):
-    psi = psi_many(p, lam, t, tol)
-    pos = psi > 0
-    value = float(np.sum(psi[pos] ** p))
-    with np.errstate(over="ignore", divide="ignore"):
-        pw = psi[pos] ** (p - 1.0)
-        denom = 1.0 + lam * (p - 1.0) * psi[pos] ** (p - 2.0)
-        slope = -float(np.sum(p * pw * pw / denom))
-    return value, slope, psi
+def _dual_sums(p: float, lam: list, T: np.ndarray, tol: float):
+    """Dual sums of the rows of ``T`` at multipliers ``lam``, minus their slopes, and psi.
+
+    The sums and the (nonnegative) minus slopes come back as lists.  A lone
+    row's multiplier goes to numpy as a scalar, which it broadcasts faster
+    than a column.
+    """
+    lam = lam[0] if len(lam) == 1 else np.array(lam)[:, None]
+    psi = psi_many(p, lam, T, tol)
+    value = np.sum(psi**p, axis=1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pw = psi ** (p - 1.0)
+        denom = 1.0 + lam * (p - 1.0) * psi ** (p - 2.0)  # inf at psi = 0, p < 2
+        fall = np.sum(p * pw * pw / denom, axis=1)
+    return value.tolist(), fall.tolist(), psi
 
 
-def _find_lambda_star(p: float, t: np.ndarray, gap_tol: float):
-    """``(lam, psi, evaluations)`` with dual sum 1 at ``lam``, given ||t||_p > 1.
+def _find_lambda_star(p: float, T: np.ndarray, gap_tol: float):
+    """``(lam, psi, evaluations)`` per row of ``T``: dual sum 1 at ``lam``, given ||t||_p > 1.
 
     ``psi <= (t/lam)**(1/(p-1))`` bounds the dual sum by ``(||t||_q/lam)**q``,
     so ``[0, ||t||_q]`` brackets the root.  Newton steps on its log start at the
     top, against ``lam`` (near linear for a barely infeasible ``t``); one that
     passes ``lo`` is redone against ``log lam`` (near slope ``-q`` far out).
+    One call of ``_dual_sums`` evaluates every row still open; each row's
+    bracket and step are plain floats, so it takes the iterates it would
+    alone, and a row that stops leaves the block.
     """
-    if not np.all(np.isfinite(t)):
-        raise BracketFailureError("non-finite magnitudes in multiplier search")
     inner_tol = min(gap_tol / (10 * p), DEFAULT_TOL)  # psi's error moves the sum p-fold
-    slack_unit = max(1.0, float(np.max(t)))  # the KKT slackness is lam*|f|/slack_unit
-    lo, hi = 0.0, lp_norm(t, p / (p - 1.0))
-    lam = hi
-    for iterations in range(1, 201):
-        value, slope, psi = _dual_sum_and_slope(p, lam, t, inner_tol)
-        f = value - 1.0
-        if (abs(f) * max(1.0, lam / slack_unit) <= gap_tol
-                or (hi - lo) <= 1e-14 * (1.0 + lam) or iterations == 200):
+    slack_unit = [max(1.0, m) for m in np.max(T, axis=1).tolist()]  # slackness is lam*|f|/this
+    hi = _lp_norms(T, p / (p - 1.0))
+    lo, lam, iterations = [0.0] * len(hi), hi[:], [0] * len(hi)
+    rows, block, psi_out = list(range(len(hi))), T, None
+    for step_count in range(1, 201):
+        values, falls, psi = _dual_sums(p, [lam[i] for i in rows], block, inner_tol)
+        keep, done = [], []
+        for k, i in enumerate(rows):
+            value, lam_i = values[k], lam[i]
+            f = value - 1.0
+            if (abs(f) * max(1.0, lam_i / slack_unit[i]) <= gap_tol
+                    or (hi[i] - lo[i]) <= 1e-14 * (1.0 + lam_i) or step_count == 200):
+                done.append(k)
+                iterations[i] = step_count
+                continue
+            keep.append(k)
+            if f > 0:
+                lo[i] = lam_i
+            else:
+                hi[i] = lam_i
+            step = (math.log(value) * value / (lam_i * falls[k])
+                    if value > 0 and lam_i * falls[k] > 0 else math.nan)
+            newton = lam_i * (1.0 + step)
+            if newton <= lo[i]:  # past lo against lam: redo against log lam
+                newton = lam_i * math.exp(step)
+            lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
+        if not done:
+            continue
+        if len(done) == len(hi):  # the whole block stops at once
             return lam, psi, iterations
-        lo, hi = (lam, hi) if f > 0 else (lo, lam)
-        step = -math.log(value) * value / (lam * slope) if value > 0 > lam * slope else math.nan
-        newton = lam * (1.0 + step)
-        if newton <= lo:  # past lo against lam: redo against log lam
-            newton = lam * math.exp(step)
-        lam = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if psi_out is None:
+            psi_out = np.empty_like(T)
+        psi_out[[rows[k] for k in done]] = psi[done]
+        if not keep:
+            return lam, psi_out, iterations
+        rows, block = [rows[k] for k in keep], block[keep]
 
 
 def find_lambda_star(y: np.ndarray, p: float, radius: float = 1.0,
@@ -244,23 +280,26 @@ def find_lambda_star(y: np.ndarray, p: float, radius: float = 1.0,
     if not (p > 1):
         raise InvalidParameterError(f"find_lambda_star requires p > 1, got {p}")
     t = np.abs(np.asarray(y, dtype=float)) / radius
+    if not np.all(np.isfinite(t)):
+        raise BracketFailureError("non-finite magnitudes in multiplier search")
     if lp_norm(t, p) <= 1.0:
         raise InvalidParameterError("input lies inside the ball; multiplier is 0")
-    lam, _, _ = _find_lambda_star(p, t, tol)
-    return lam
+    return _find_lambda_star(p, t[None], tol)[0][0]
 
 
-def _kkt_pieces(t: np.ndarray, mags: np.ndarray, lam: float, p: float):
-    """KKT residual in unit-ball coordinates: ``t = |y|/r``, ``mags = |x|/r``."""
-    nz = mags > 0
+def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float) -> list:
+    """KKT residual of each row in unit-ball coordinates: ``T = |Y|/r``, ``M = |X|/r``."""
+    lam_c = lam[0] if len(lam) == 1 else np.array(lam)[:, None]  # as in _dual_sums
+    nz = M > 0
     with np.errstate(all="ignore"):
         # a zero output needs a zero input, up to what a magnitude below the
         # flush threshold s explains: s + lam*s**(p-1); for p < 1 it needs none
-        floor = FLUSH_TOL + lam * FLUSH_TOL ** (p - 1.0) if p >= 1 else np.inf
-        stat = np.where(nz, np.abs(t - mags - lam * mags ** (p - 1.0)),
-                        np.maximum(t - floor, 0.0))
-    slack = abs(lam * (float(np.sum(mags[nz] ** p)) - 1.0)) / max(1.0, float(np.max(t)))
-    return max(float(np.max(stat / np.maximum(1.0, t))), slack)
+        floor = FLUSH_TOL + lam_c * FLUSH_TOL ** (p - 1.0) if p >= 1 else np.inf
+        stat = np.where(nz, np.abs(T - M - lam_c * M ** (p - 1.0)), np.maximum(T - floor, 0.0))
+    stat = np.max(stat / np.maximum(1.0, T), axis=1).tolist()
+    sums, tops = np.sum(M**p, axis=1).tolist(), np.max(T, axis=1).tolist()
+    return [max(st, abs(lam_i * (s - 1.0)) / max(1.0, top))
+            for st, lam_i, s, top in zip(stat, lam, sums, tops)]
 
 
 def kkt_residual(y: np.ndarray, result: ProjectionResult, p: float,
@@ -277,14 +316,24 @@ def kkt_residual(y: np.ndarray, result: ProjectionResult, p: float,
         raise InvalidParameterError(f"kkt_residual requires p > 1, got {p}")
     t = np.abs(np.asarray(y, float)) / radius
     lam = _rescaled(result.multiplier, radius, p - 2.0)
-    if not math.isfinite(lam) or (lam == 0 and not _inside_unit(t, p)):
+    if not math.isfinite(lam) or (lam == 0 and not _inside_unit(t[None], p)[0]):
         raise InvalidParameterError("multiplier outside double range; see result.kkt_residual")
-    return _kkt_pieces(t, np.abs(result.point) / radius, lam, p)
+    return _kkt_pieces(t[None], np.abs(result.point)[None] / radius, [lam], p)[0]
 
 
-def _inside_unit(t: np.ndarray, p: float) -> bool:
-    """Whether magnitudes ``t`` lie in the unit ball, up to ``SUM_FEAS_TOL`` on the power sum."""
-    return lp_norm(t, p) <= (1.0 + SUM_FEAS_TOL) ** (1.0 / p)
+def _lp_norms(T: np.ndarray, p: float) -> list:
+    """``lp_norm`` of each row of the nonnegative block ``T``, for p in (0, inf)."""
+    tops = np.max(T, axis=1)
+    with np.errstate(invalid="ignore"):  # 0/0 on a zero row
+        sums = np.sum((T / tops[:, None]) ** p, axis=1)
+    return [top * s ** (1.0 / p) if top > 0 else 0.0
+            for top, s in zip(tops.tolist(), sums.tolist())]
+
+
+def _inside_unit(T: np.ndarray, p: float) -> list:
+    """Whether each row lies in the unit ball, up to ``SUM_FEAS_TOL`` on the power sum."""
+    bound = (1.0 + SUM_FEAS_TOL) ** (1.0 / p)
+    return [norm <= bound for norm in _lp_norms(T, p)]
 
 
 def _rescaled(lam: float, radius: float, power: float) -> float:
@@ -296,13 +345,19 @@ def _rescaled(lam: float, radius: float, power: float) -> float:
 
 
 def _project_l1_unit(t: np.ndarray):
-    """Water-filling threshold for the unit l1 ball; t = |y|, sum(t) > 1."""
-    u = np.sort(t)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, t.size + 1)
-    rho = int(np.max(np.nonzero(u > (css - 1.0) / j)[0])) + 1
-    tau = (css[rho - 1] - 1.0) / rho
-    return np.maximum(t - tau, 0.0), float(tau)
+    """Water-filling threshold for the unit l1 ball; t = |y|, sum(t) > 1.
+
+    In the gaps ``v = max(t) - t`` the kept magnitudes are
+    ``(1 + sum_{i<=rho} v_i)/rho - v_j``.  Gaps of magnitudes that can be
+    kept, within 1 of the top, are exact, so no scale of ``t`` makes the
+    threshold cancel against it.
+    """
+    top = float(np.max(t))
+    v = top - np.sort(t)[::-1]
+    level = (1.0 + np.cumsum(v)) / np.arange(1, t.size + 1)
+    rho = int(np.max(np.nonzero(v < level)[0]))  # v[0] = 0 < level[0] = 1
+    s = float(level[rho])
+    return np.maximum(s - (top - t), 0.0), top - s
 
 
 def _prefix_points(p: float, lam: np.ndarray, ts: np.ndarray, js: np.ndarray,
@@ -416,10 +471,11 @@ def _weak_dual_max(p: float, ts: np.ndarray, budget: float):
     A bisection over the jumps, galloping from the largest, finds the piece
     where the slope changes sign: the maximum is at its lower jump if the
     slope is negative just past it, else at the slope's root, found by Newton
-    steps (``dU/dlam = -U**(p-1) / (1 + lam*(p-1)*U**(p-2))``) with bisection
-    where one leaves the bracket.  They stop once ``|D'|`` times the bracket
-    width, which by concavity bounds how far ``D`` is below its maximum, or
-    times the Newton step, which estimates it, is 1e-16 of ``|D|``.  Every
+    steps (``dU/dlam = -U**(p-1) / (1 + lam*(p-1)*U**(p-2))``) from the secant
+    point of the piece's ends, with bisection where one leaves the bracket.
+    They stop once ``|D'|`` times the bracket width, which by concavity bounds
+    how far ``D`` is below its maximum, or times the Newton step, which
+    estimates it, is 1e-16 of ``|D|``.  Every
     ``D`` is a weak dual value, so an inexact root only loosens the gap.
     """
     jumps = prox_jump_lambda(p, ts)
@@ -448,20 +504,22 @@ def _weak_dual_max(p: float, ts: np.ndarray, budget: float):
     if at_good is None:
         at_good = probe(0.0, ts.size)
     _, dual, _, Up = at_good
-    if good == 0 or float(np.sum(Up[:good])) <= budget:  # falls just past the jump: a kink
+    h_a = float(np.sum(Up[:good])) - budget  # the slope just past the jump, over prefix good
+    if good == 0 or h_a <= 0:  # falls just past the jump: a kink
         return dual, evals
 
     a, b = (float(jumps[good]) if good < n else 0.0), float(jumps[bad])
-    lam, (h, value, U, Up) = b, at_bad
+    lam = a + h_a * (b - a) / (h_a - at_bad[0])  # the secant of the piece's ends
     for _ in range(100):
+        lam = lam if a < lam < b else 0.5 * (a + b)
+        h, value, U, Up = probe(lam, good)
+        dual = max(dual, value)
+        a, b = (lam, b) if h > 0 else (a, lam)
         dh = -p * float(np.sum(Up * Up / (U * U + lam * (p - 1.0) * Up)))
         step = lam - h / dh
         if abs(h) * min(b - a, abs(step - lam)) <= 1e-16 * p * abs(value) or b - a <= 1e-15 * b:
             break
-        lam = step if a < step < b else 0.5 * (a + b)
-        h, value, U, Up = probe(lam, good)
-        dual = max(dual, value)
-        a, b = (lam, b) if h > 0 else (a, lam)
+        lam = step
     return dual, evals
 
 
@@ -494,7 +552,8 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
     exact maximum of the concave weak dual, from ``_weak_dual_max``.
     Units are ``max(t)`` and objectives ``sum(x**2/2 - x*t)``, so nothing
     overflows; magnitudes with a vanishing multiplier below ``TINY_LAMBDA``
-    are dropped.  Returns ``(x, lam, gap, evals)``.
+    are dropped.  Returns ``(x, lam, gap, evals)``; a prefix kept as is comes
+    back as the entries of ``t`` themselves.
     """
     scale = float(np.max(t))
     order = np.argsort(-t, kind="stable")
@@ -508,7 +567,8 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
     xi = 1.0 / scale
     best = [xi * (0.5 * xi - 1.0), np.array([xi]), (1.0 - xi) * xi ** (1.0 - p), 0.0]
     if k0 > 0:
-        best = [float(-0.5 * np.sum(ts[:k0] ** 2)), ts[:k0], 0.0, 0.0]
+        prefix = ts[:k0]
+        best = [float(-0.5 * np.sum(prefix**2)), prefix, 0.0, 0.0]
 
     meets = np.cumsum(((1.0 - p) / (2.0 - p) * ts) ** p)
     top = min(int(np.count_nonzero(vanish > TINY_LAMBDA)), 1 + int(np.searchsorted(meets, budget)))
@@ -570,7 +630,8 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
 
     dual, dual_evals = _weak_dual_max(p, ts, budget)
     x = np.zeros_like(t)
-    x[order[:best[1].size]] = best[1] * scale
+    kept = order[:best[1].size]
+    x[kept] = t[kept] if k0 > 0 and best[1] is prefix else best[1] * scale  # as is: exact
     gap = max(best[0] - dual, 0.0) * scale * scale
     return x, best[2] * scale ** (2.0 - p), gap, evals + dual_evals
 
@@ -589,32 +650,67 @@ def project(ball: LpBall, y: np.ndarray, tol: float = LAMBDA_GAP_TOL) -> Project
         raise DimensionMismatchError(
             f"expected a vector of length {ball.dim}, got shape {y.shape}"
         )
-    if not np.all(np.isfinite(y)):
+    return _project_rows(ball, y[None], tol)[0]
+
+
+def project_many(ball: LpBall, Y: np.ndarray,
+                 tol: float = LAMBDA_GAP_TOL) -> list[ProjectionResult]:
+    """:func:`project` applied to each row of the ``(n, d)`` block ``Y``.
+
+    Row ``i`` of the result equals ``project(ball, Y[i], tol)`` bit for bit.
+    For p > 1 one multiplier search runs on the whole block, so each of its
+    dual-sum evaluations is one vectorized call over the rows still open;
+    p = 1 and p < 1 solve row by row, p in {0, inf} in one step.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != ball.dim:
+        raise DimensionMismatchError(
+            f"expected an (n, {ball.dim}) block, got shape {Y.shape}"
+        )
+    return _project_rows(ball, Y, tol)
+
+
+def _project_rows(ball: LpBall, Y: np.ndarray, tol: float) -> list[ProjectionResult]:
+    """The projections of the rows of ``Y``, as ``project_many`` documents them."""
+    if not np.all(np.isfinite(Y)):
         raise NonFiniteInputError("input vector contains non-finite entries")
-
     p, r = ball.p, ball.radius
-
     if p == 0:
-        return ProjectionResult(project_top_s(ball.sparsity, y), 0.0, 0.0, 0)
+        return [ProjectionResult(x, 0.0, 0.0, 0) for x in project_top_s(ball.sparsity, Y)]
     if p == math.inf:
-        return ProjectionResult(project_clip(r, y), 0.0, 0.0, 0)
+        return [ProjectionResult(x, 0.0, 0.0, 0) for x in project_clip(r, Y)]
+    if Y.shape[0] == 0:
+        return []
 
     with np.errstate(over="ignore"):
-        t = np.abs(y) / r
-    if not np.isfinite(np.max(t)):
+        T = np.abs(Y) / r
+    if not np.isfinite(np.max(T)):
         raise InvalidParameterError(f"max|y|/r overflows at radius {r!r}")
-    if _inside_unit(t, p):
-        gap = 0.0 if p < 1 else None
-        return ProjectionResult(y.copy(), 0.0, 0.0, 0, gap)
+    feasible_gap = 0.0 if p < 1 else None
+    results = [ProjectionResult(y.copy(), 0.0, 0.0, 0, feasible_gap) if inside else None
+               for inside, y in zip(_inside_unit(T, p), Y)]
+    outside = [i for i, res in enumerate(results) if res is None]
+    if not outside:
+        return results
+    if len(outside) < len(results):
+        T, Y = T[outside], Y[outside]
 
-    if p == 1:
-        mags, lam_unit = _project_l1_unit(t)
-        iters, gap_unit = 0, None
-    elif p > 1:
-        lam_unit, mags, iters = _find_lambda_star(p, t, tol)
-        gap_unit = None
+    gaps = [None] * len(outside)
+    if p > 1:
+        lams, mags, iters = _find_lambda_star(p, T, tol)
     else:
-        mags, lam_unit, gap_unit, iters = _project_quasinorm_unit(p, t)
-    gap = None if gap_unit is None else gap_unit * r * r
-    return ProjectionResult(np.sign(y) * mags * r, _rescaled(lam_unit, r, 2.0 - p),
-                            _kkt_pieces(t, mags, lam_unit, p), iters, gap)
+        mags, lams, iters = np.empty_like(T), [0.0] * len(outside), [0] * len(outside)
+        for k, t in enumerate(T):
+            if p == 1:
+                mags[k], lams[k] = _project_l1_unit(t)
+            else:
+                mags[k], lams[k], gap_unit, iters[k] = _project_quasinorm_unit(p, t)
+                gaps[k] = gap_unit * r * r
+    points = np.sign(Y) * mags * r
+    if p < 1:  # a magnitude kept as is is returned as is, not as (|y|/r)*r
+        points = np.where(mags == T, Y, points)
+    kkts = _kkt_pieces(T, mags, lams, p)
+    for k, (i, lam) in enumerate(zip(outside, lams)):
+        results[i] = ProjectionResult(points[k], _rescaled(lam, r, 2.0 - p), kkts[k], iters[k],
+                                      gaps[k])
+    return results

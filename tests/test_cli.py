@@ -132,6 +132,9 @@ def test_reproduce_smoke(tmp_path, capsys):
     assert spec["data"] == "results.csv"
     assert not (out_dir / "cursor.json").exists()
     assert json.loads(out.strip())["slopes"] is not None
+    # each cell reports its solver health on stderr
+    done = [line for line in err.splitlines() if "cell done" in line]
+    assert len(done) == 2 and "est=mle kkt_max=" in done[0] and "iterations_max=" in done[0]
 
 
 def test_reproduce_resumes_from_cursor(tmp_path, capsys):

@@ -20,6 +20,7 @@ from lpseq.projection import (
     lp_norm,
     project,
     project_clip,
+    project_many,
     project_top_s,
 )
 from lpseq.shrinkage import power_objective, prox_jump_lambda, prox_power_many
@@ -382,6 +383,19 @@ def test_quasinorm_beats_cheap_feasible_points(data):
     assert _objective(res.point, y) <= cheap * (1 + 1e-12) + 1e-300
 
 
+@pytest.mark.parametrize("y, r, expected", [
+    ([1e150, -3e149, 2.0], 0.7, [0.7, 0.0, 0.0]),
+    ([1e150, 1e150, 1.0], 1.0, [0.5, 0.5, 0.0]),
+    ([-1e300, 1e-300], 2.0, [-2.0, 0.0]),
+])
+def test_l1_water_filling_scale_safe(y, r, expected):
+    # the threshold is taken in gaps below max|y|, so a 1 below the
+    # magnitudes' rounding does not cancel away (a raw ValueError before)
+    res = project(LpBall(p=1.0, dim=len(y), radius=r), np.array(y))
+    np.testing.assert_allclose(res.point, expected, rtol=1e-12, atol=0)
+    assert res.kkt_residual <= 1e-12
+
+
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
 def test_overflowing_rescale_rejected(p):
     # |y|/r leaves double range: a parameter error, before any warning
@@ -544,3 +558,53 @@ def test_project_p0_dispatch():
     res = project(ball, np.array([3.0, -1.0, 2.0]))
     np.testing.assert_array_equal(res.point, [3.0, 0.0, 2.0])
     assert res.multiplier == 0.0
+
+
+def _block(p, d, r, rng):
+    """Rows that stop at different steps: infeasible, zero, inside, near the
+    boundary, scaled by 1e150 and 1e-150, and one with ties and zeros."""
+    rows = [rng.standard_normal(d) * s for s in (1.0, 3.0, 0.0, 0.05, 1e150, 1e-150)]
+    tied = 2.0 * rng.standard_normal(d)
+    tied[::3], tied[1::3] = 0.0, tied[0 + 2 if d > 2 else 0]
+    rows.append(tied)
+    if 0 < p < math.inf:
+        u = rng.standard_normal(d)
+        rows += [u * (r / lp_norm(u, p)) * (1 + e) for e in (-1e-12, 1e-9, 1e-3)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 1.3, 1.5, 2.0, 3.0, 1e4, math.inf])
+def test_project_many_matches_lone_calls_bit_for_bit(p):
+    rng = np.random.default_rng(31)
+    for d, r in ((1, 0.7), (7, 1.0), (40, 2.5)):
+        if p == 0:
+            ball = LpBall(p=p, dim=d, sparsity=max(1, d // 3))
+        else:
+            ball = LpBall(p=p, dim=d, radius=r)
+        Y = _block(p, d, r, rng)
+        many = project_many(ball, Y)
+        assert len(many) == len(Y)
+        for y, got in zip(Y, many):
+            lone = project(ball, y)
+            assert got.point.tobytes() == lone.point.tobytes()
+            assert got.multiplier == lone.multiplier
+            assert got.kkt_residual == lone.kkt_residual
+            assert got.iterations == lone.iterations
+            assert got.duality_gap == lone.duality_gap
+        if 1 < p < math.inf and d > 1:
+            assert len({res.iterations for res in many}) > 2  # rows left the block apart
+
+
+def test_project_many_validation():
+    ball = LpBall(p=1.5, dim=3, radius=1.0)
+    for bad in (np.ones(3), np.ones((2, 4)), np.ones((2, 3, 1))):
+        with pytest.raises(DimensionMismatchError):
+            project_many(ball, bad)
+    for value in (np.nan, np.inf):
+        Y = np.ones((4, 3))
+        Y[2, 1] = value
+        with pytest.raises(NonFiniteInputError):
+            project_many(ball, Y)
+    assert project_many(ball, np.empty((0, 3))) == []
+    with pytest.raises(InvalidParameterError, match="overflows"):
+        project_many(LpBall(p=1.5, dim=2, radius=1e-300), np.array([[0.1, 0.1], [1e10, 1.0]]))

@@ -193,3 +193,52 @@ def test_prox_broadcast_matches_scalar():
     for i, lam in enumerate(lams):
         single = prox_power_many(0.5, float(lam), t)
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
+
+
+def test_root_stop_floor_leaves_small_magnitudes_alone(monkeypatch):
+    # up to t = 100 the rounding floor is below the default tol: the roots
+    # come out as with the absolute stop alone, bit for bit
+    import lpseq.shrinkage as shrinkage
+
+    rng = np.random.default_rng(21)
+    t = 10.0 ** rng.uniform(-3, 2, size=400)
+    upper = rng.random(400) < 0.5
+
+    def roots(p, lam):
+        return branch_roots(p, lam, t, upper) if p < 1 else psi_many(p, lam, t)
+
+    for p in (0.5, 1.3, 2.6):
+        if p < 1:
+            lam = rng.random(400) * branch_vanish_lambda(p, t)
+        else:
+            lam = 10.0 ** rng.uniform(-3, 1, size=400)
+        got = roots(p, lam)
+        with monkeypatch.context() as m:
+            m.setattr(shrinkage, "ROOT_FLOOR", 0.0)
+            np.testing.assert_array_equal(roots(p, lam), got)
+
+
+def test_root_stops_at_rounding_floor(monkeypatch):
+    # at t ~ 1e4 an absolute |f| <= 1e-12 lies below double resolution; the
+    # root stops at its rounding floor instead of running all ROOT_STEPS
+    import lpseq.shrinkage as shrinkage
+
+    exps = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            exps.append(1)
+            return np.exp(x)
+
+    rng = np.random.default_rng(22)
+    p, lam = 1.3, 0.7
+    t = 1e4 * (1.0 + rng.random(1000))
+    monkeypatch.setattr(shrinkage, "np", CountingNumpy())
+    psi = psi_many(p, lam, t)
+    monkeypatch.undo()
+    assert len(exps) // 2 <= 10  # two exp calls per Newton step; all 60 without the floor
+    floor = shrinkage.ROOT_FLOOR * np.finfo(float).eps * t * (1.0 + np.log(t))
+    assert np.all(np.abs(psi + lam * psi ** (p - 1.0) - t) <= np.maximum(1e-12, floor))

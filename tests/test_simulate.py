@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from lpseq.errors import InvalidParameterError
-from lpseq.estimators import EstimatorSpec
+from lpseq.estimators import EstimatorSpec, estimate
 from lpseq.instances import spike_instance
 from lpseq.projection import LpBall, project
 from lpseq.simulate import (
+    BLOCK_ELEMENTS,
     ExperimentConfig,
+    RiskEstimate,
     TrialKey,
     cell_id_for,
     default_d_grid,
@@ -230,3 +232,58 @@ def test_summary_anchor_and_slopes():
     d0 = min(cfg.d_grid)
     mle0 = next(r.mse_mean for r in result.rows if r.estimator == "mle" and r.d == d0)
     assert summary["minimax_anchor"] == pytest.approx(mle0 / result.control[d0])
+
+
+def _per_trial_risk(spec, theta, sigma, reps, seed, cell_id):
+    # the loop estimate_risk replaced: one estimate call per trial
+    errors = np.empty(reps)
+    for trial in range(reps):
+        y = sample_observation(theta, sigma, TrialKey(seed, cell_id, trial))
+        errors[trial] = float(np.sum((estimate(spec, y) - theta) ** 2))
+    return float(np.mean(errors)), float(np.std(errors, ddof=1) / math.sqrt(reps))
+
+
+@pytest.mark.parametrize("d, reps", [(30, 300), (3000, 5), (9000, 3)])
+def test_chunked_risk_matches_per_trial_loop(d, reps):
+    # rows per block: 273 at d=30 (300 = 273 + 27), 2 at d=3000, 1 past the cap
+    assert (BLOCK_ELEMENTS // 30, BLOCK_ELEMENTS // 3000) == (273, 2) and 9000 > BLOCK_ELEMENTS
+    cfg = ExperimentConfig(regime="fig2a", p=1.5, d_grid=(d,), reps=reps)
+    sigma, theta = cfg.sigma_for(d), cfg.theta_for(d)
+    ball = LpBall(p=1.5, dim=d, radius=1.0)
+    for kind in ("mle", "soft_threshold", "identity"):
+        spec = EstimatorSpec(kind=kind, ball=ball, noise_level=sigma)
+        got = estimate_risk(spec, theta, sigma, reps, seed=5, cell_id=f"c{kind}")
+        assert (got.mse_mean, got.mse_stderr) == _per_trial_risk(spec, theta, sigma, reps,
+                                                                 5, f"c{kind}")
+        if kind == "mle":
+            lone = [project(ball, sample_observation(theta, sigma, TrialKey(5, "cmle", t)))
+                    for t in range(reps)]
+            assert got.kkt_residual_max == max(res.kkt_residual for res in lone)
+            assert got.iterations_max == max(res.iterations for res in lone) > 0
+        else:
+            assert (got.kkt_residual_max, got.iterations_max) == (0.0, 0)
+
+
+def test_estimate_accepts_a_block():
+    rng = np.random.default_rng(8)
+    Y = rng.standard_normal((5, 12))
+    ball = LpBall(p=1.3, dim=12, radius=1.0)
+    for kind in ("mle", "soft_threshold", "zero", "identity"):
+        spec = EstimatorSpec(kind=kind, ball=ball, noise_level=0.4)
+        block = estimate(spec, Y)
+        assert block.shape == Y.shape
+        for y, row in zip(Y, block):
+            assert row.tobytes() == estimate(spec, y).tobytes()
+
+
+def test_health_stays_out_of_csv_and_old_rows_load():
+    cfg = small_config(estimators=("mle", "zero"))
+    result = run_experiment(cfg)
+    mle = [r for r in result.rows if r.estimator == "mle"]
+    assert all(r.kkt_residual_max <= 1e-9 and r.iterations_max > 0 for r in mle)
+    assert "kkt" not in rows_to_csv(result) and "iterations" not in rows_to_csv(result)
+    # a row saved before the health fields existed still loads
+    old = {k: v for k, v in dataclasses.asdict(mle[0]).items()
+           if k not in ("kkt_residual_max", "iterations_max")}
+    row = RiskEstimate(**old)
+    assert (row.kkt_residual_max, row.iterations_max) == (0.0, 0)
