@@ -1,13 +1,13 @@
 """Run every benchmark workload and write one snapshot, ``BENCH_<label>.json``.
 
-    python3 scripts/bench.py --label NAME [--seed 0] [--seconds 30] [--checkout PATH]
+    python3 scripts/bench.py --label NAME [--seconds 30] [--checkout PATH]
 
 For each workload declared in ``BENCHMARK.json`` this runs
-``perfbench/run.py`` twice in a fresh interpreter, untraced (end-to-end
-metrics) and traced (per-layer metrics), and keeps from the run record it
-writes under ``perfbench/out/``: the metrics, the outcome (``correct``,
-``attempted``, ``failed``), the host slowdown over the run and the run's
-provenance.  ``--checkout`` measures another checkout of the repository, such
+``perfbench/run.py`` at its default seed twice in a fresh interpreter,
+untraced (end-to-end metrics) and traced (per-layer metrics), and keeps from
+the run record it writes under ``perfbench/out/``: the metrics, the outcome
+(``correct``, ``attempted``, ``failed``), the host slowdown over the run and
+the run's provenance.  ``--checkout`` measures another checkout of the repository, such
 as a parent commit, with that checkout's own benchmark; the snapshot is still
 written at the root of this one.
 """
@@ -23,14 +23,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_workload(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_workload(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
     """One ``perfbench/run.py`` run; returns the parts of its record a snapshot keeps."""
     subprocess.run([sys.executable, str(checkout / "perfbench" / "run.py"),
-                    "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-                    "--trace", str(trace)],
+                    "--workload", workload, "--seconds", str(seconds), "--trace", str(trace)],
                    cwd=checkout, check=True, stdout=subprocess.DEVNULL)
     record = json.loads((checkout / "perfbench" / "out"
-                         / f"{workload}-seed{seed}-trace{trace}.json").read_text())
+                         / f"{workload}-seed0-trace{trace}.json").read_text())
     kept = {key: record[key] for key in ("correct", "attempted", "failed", "provenance")}
     kept["metrics"] = {name: m["value"] for name, m in record["metrics"].items()}
     if not trace:
@@ -42,7 +41,6 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: float, trace
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=None,
                         help="seconds per run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--checkout", type=Path, default=ROOT)
@@ -50,12 +48,12 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.checkout / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    snapshot = {"label": args.label, "seed": args.seed, "seconds": seconds, "workloads": {}}
+    snapshot = {"label": args.label, "seed": 0, "seconds": seconds, "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         print(f"bench: {workload}", file=sys.stderr)
         snapshot["workloads"][workload] = {
-            "end_to_end": run_workload(args.checkout, workload, args.seed, seconds, 0),
-            "per_layer": run_workload(args.checkout, workload, args.seed, seconds, 1),
+            "end_to_end": run_workload(args.checkout, workload, seconds, 0),
+            "per_layer": run_workload(args.checkout, workload, seconds, 1),
         }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(snapshot, indent=1) + "\n")

@@ -123,13 +123,7 @@ def lp_norm(x: np.ndarray, p: float) -> float:
         return float(np.count_nonzero(x))
     if p == math.inf:
         return float(np.max(np.abs(x))) if x.size else 0.0
-    a = np.abs(x)
-    pos = a[a > 0]
-    if pos.size == 0:
-        return 0.0
-    # scale by the largest magnitude first, as hypot does, so powers stay finite
-    top = float(np.max(pos))
-    return top * float(np.sum((pos / top) ** p) ** (1.0 / p))
+    return _lp_norms(np.abs(x).reshape(1, -1), p)[0] if x.size else 0.0
 
 
 @dataclass
@@ -200,11 +194,9 @@ def dual_sum(lam: float, y: np.ndarray, p: float, radius: float = 1.0,
 def _dual_sums(p: float, lam: list, T: np.ndarray, tol: float):
     """Dual sums of the rows of ``T`` at multipliers ``lam``, minus their slopes, and psi.
 
-    The sums and the (nonnegative) minus slopes come back as lists.  A lone
-    row's multiplier goes to numpy as a scalar, which it broadcasts faster
-    than a column.
+    The sums and the (nonnegative) minus slopes come back as lists.
     """
-    lam = lam[0] if len(lam) == 1 else np.array(lam)[:, None]
+    lam = _lam_column(lam)
     psi = psi_many(p, lam, T, tol)
     value = np.sum(psi**p, axis=1)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -212,6 +204,12 @@ def _dual_sums(p: float, lam: list, T: np.ndarray, tol: float):
         denom = 1.0 + lam * (p - 1.0) * psi ** (p - 2.0)  # inf at psi = 0, p < 2
         fall = np.sum(p * pw * pw / denom, axis=1)
     return value.tolist(), fall.tolist(), psi
+
+
+def _lam_column(lam: list):
+    """Row multipliers as a column against an ``(n, d)`` block; a lone one as a
+    scalar, which numpy broadcasts faster and to the same values."""
+    return lam[0] if len(lam) == 1 else np.array(lam)[:, None]
 
 
 def _find_lambda_star(p: float, T: np.ndarray, gap_tol: float):
@@ -289,7 +287,7 @@ def find_lambda_star(y: np.ndarray, p: float, radius: float = 1.0,
 
 def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float) -> list:
     """KKT residual of each row in unit-ball coordinates: ``T = |Y|/r``, ``M = |X|/r``."""
-    lam_c = lam[0] if len(lam) == 1 else np.array(lam)[:, None]  # as in _dual_sums
+    lam_c = _lam_column(lam)
     nz = M > 0
     with np.errstate(all="ignore"):
         # a zero output needs a zero input, up to what a magnitude below the
@@ -323,6 +321,7 @@ def kkt_residual(y: np.ndarray, result: ProjectionResult, p: float,
 
 def _lp_norms(T: np.ndarray, p: float) -> list:
     """``lp_norm`` of each row of the nonnegative block ``T``, for p in (0, inf)."""
+    # scale by the largest magnitude first, as hypot does, so powers stay finite
     tops = np.max(T, axis=1)
     with np.errstate(invalid="ignore"):  # 0/0 on a zero row
         sums = np.sum((T / tops[:, None]) ** p, axis=1)
