@@ -218,12 +218,13 @@ def estimate_risk(spec: EstimatorSpec, theta_star: np.ndarray, sigma: float,
     rows = max(1, BLOCK_ELEMENTS // theta_star.size)
     for start in range(0, reps, rows):
         trials = range(start, min(start + rows, reps))
-        Y = np.array([sample_observation(theta_star, sigma, TrialKey(seed, cell_id, trial))
-                      for trial in trials])
+        Y = np.empty((len(trials), theta_star.size))
+        for k, trial in enumerate(trials):
+            Y[k] = sample_observation(theta_star, sigma, TrialKey(seed, cell_id, trial))
         try:
             if spec.kind == "mle":
                 results = project_many(spec.ball, Y)
-                fitted = np.array([res.point for res in results])
+                fitted = [res.point for res in results]
                 kkt = max(kkt, max(res.kkt_residual for res in results))
                 iterations = max(iterations, max(res.iterations for res in results))
             else:
@@ -231,7 +232,7 @@ def estimate_risk(spec: EstimatorSpec, theta_star: np.ndarray, sigma: float,
         except Exception as exc:
             raise RuntimeError(f"estimator {spec.kind!r} failed in cell {cell_id!r}"
                                f" at trials {trials.start}-{trials.stop - 1}") from exc
-        errors[trials.start:trials.stop] = np.sum((fitted - theta_star) ** 2, axis=1)
+        errors[start:trials.stop] = [float(np.sum((x - theta_star) ** 2)) for x in fitted]
     stderr = float(np.std(errors, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return RiskEstimate(
         mse_mean=float(np.mean(errors)),
