@@ -224,7 +224,7 @@ def estimate_risk(spec: EstimatorSpec, theta_star: np.ndarray, sigma: float,
         try:
             if spec.kind == "mle":
                 results = project_many(spec.ball, Y)
-                fitted = [res.point for res in results]
+                fitted = np.array([res.point for res in results])
                 kkt = max(kkt, max(res.kkt_residual for res in results))
                 iterations = max(iterations, max(res.iterations for res in results))
             else:
@@ -232,7 +232,7 @@ def estimate_risk(spec: EstimatorSpec, theta_star: np.ndarray, sigma: float,
         except Exception as exc:
             raise RuntimeError(f"estimator {spec.kind!r} failed in cell {cell_id!r}"
                                f" at trials {trials.start}-{trials.stop - 1}") from exc
-        errors[start:trials.stop] = [float(np.sum((x - theta_star) ** 2)) for x in fitted]
+        errors[start:trials.stop] = np.sum((fitted - theta_star) ** 2, axis=1)
     stderr = float(np.std(errors, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return RiskEstimate(
         mse_mean=float(np.mean(errors)),
