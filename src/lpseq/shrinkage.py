@@ -11,7 +11,6 @@ toward zero so that sparsity patterns are deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,10 @@ ROOT_STEPS = 60
 # 180,000 seeded roots (p from 0.1 to 10, t from 1e-4 to 1e12) the least
 # residual Newton reached was at most 7.5 of these units.  Up to t = 100 the
 # floor stays below the default tol, so only larger magnitudes stop earlier.
+# It applies from step ROOT_FLOOR_STEP on: ordinary roots have stopped by
+# then, so their calls never pay for computing it.
 ROOT_FLOOR = 8.0
+ROOT_FLOOR_STEP = 8
 EPS = float(np.finfo(float).eps)
 
 
@@ -52,7 +54,8 @@ class ShrinkageQuery:
     tol : float
         Absolute residual tolerance, ``tol > 0``.  Where the residual's
         rounding floor ``ROOT_FLOOR*eps*t*(1 + |log t|)`` is larger (``t``
-        above about 100), the root stops at that floor instead.
+        above about 100), the root stops at that floor instead, after at
+        least ``ROOT_FLOOR_STEP`` Newton steps.
     """
 
     p: float
@@ -97,7 +100,8 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``lam`` may be a scalar or an array broadcastable against ``t``.  The
     returned psi lies in ``[0, t]`` and satisfies
     ``|psi + lam*psi**(p-1) - t| <= max(tol, ROOT_FLOOR*eps*t*(1 + |log t|))``,
-    the second term being the residual's rounding floor at large ``t``.
+    the second term being the residual's rounding floor at large ``t``
+    (reached from ``ROOT_FLOOR_STEP`` Newton steps on).
     Closed forms are used for ``p in {1, 1.5, 2, 3}``; other indices take
     Newton steps in ``log psi`` that fall monotonically to the root.
     """
@@ -141,14 +145,11 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float) ->
     root on that side and never overshoot.  Each start puts one term at ``t``.
     For p < 1 the root must exist; iterates stay on their branch's side of the
     turning point ``x_arg``, so a root lost to rounding there comes back as
-    ``x_arg``.  An element stops once ``|f|`` is at most ``tol`` or the
-    rounding floor ``ROOT_FLOOR*eps*t*(1 + |log t|)``, whatever its batch.
+    ``x_arg``.  An element stops once ``|f| <= tol``, or from step
+    ``ROOT_FLOOR_STEP`` on once ``|f|`` is within the rounding floor
+    ``ROOT_FLOOR*eps*t*(1 + |log t|)``, whatever its batch.
     """
     log_t = np.log(t)
-    # t*(1 + |log t|) rises with t, so the floor passes tol only if it does at max(t)
-    top = float(np.max(t, initial=1.0))
-    if ROOT_FLOOR * EPS * top * (1.0 + abs(math.log(top))) > tol:
-        tol = np.maximum(tol, ROOT_FLOOR * EPS * t * (1.0 + np.abs(log_t)))
     s_pow = (np.log(lam) - log_t) / (1.0 - p)  # where lam*x**(p-1) = t
     if p > 1:
         s, lo, hi = np.minimum(log_t, s_pow), -np.inf, np.inf
@@ -157,10 +158,12 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float) ->
         s = np.where(upper, log_t, s_pow)
         lo, hi = np.where(upper, s_arg, s_pow), np.where(upper, log_t, s_arg)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(ROOT_STEPS):
+        for step in range(ROOT_STEPS):
             x = np.exp(s)
             pw = lam * np.exp((p - 1.0) * s)
             f = x + pw - t
+            if step == ROOT_FLOOR_STEP:
+                tol = np.maximum(tol, ROOT_FLOOR * EPS * t * (1.0 + np.abs(log_t)))
             open_ = np.abs(f) > tol
             if not np.any(open_):
                 break
