@@ -276,6 +276,21 @@ def test_estimate_accepts_a_block():
             assert row.tobytes() == estimate(spec, y).tobytes()
 
 
+@pytest.mark.parametrize("regime, p, sigma_rule, reps", [
+    ("fig2a", 1.5, "spike", 16),  # the fig2a benchmark workload at seed 0
+    ("fig2b", 1.3, "flat", 4),  # the fig2b_p13 benchmark workload at seed 0
+])
+def test_benchmark_cells_meet_the_kkt_rule(regime, p, sigma_rule, reps):
+    # Every trial's p > 1 projection meets the CLI's 10 * tol rule (1e-9 at the
+    # default tol), the rule the benchmark's traced run applies per trial.
+    cfg = ExperimentConfig(regime=regime, p=p, sigma_rule=sigma_rule, reps=reps,
+                           estimators=("mle", "soft_threshold"), seed=0)
+    mle = [r for r in run_experiment(cfg, threads=1).rows if r.estimator == "mle"]
+    assert [r.d for r in mle] == list(cfg.d_grid)
+    for row in mle:
+        assert row.kkt_residual_max <= 1e-9 and row.iterations_max > 0, row
+
+
 def test_health_stays_out_of_csv_and_old_rows_load():
     cfg = small_config(estimators=("mle", "zero"))
     result = run_experiment(cfg)
