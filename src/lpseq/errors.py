@@ -11,7 +11,3 @@ class DimensionMismatchError(ValueError):
 
 class NonFiniteInputError(ValueError):
     """An input contains NaN or infinity."""
-
-
-class BracketFailureError(RuntimeError):
-    """A bracketing search failed to enclose a root (non-finite input)."""

@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
-from .projection import LpBall, project, project_many
+from .projection import LpBall, project
 from .shrinkage import soft_threshold
 
 EstimatorKind = Literal["mle", "soft_threshold", "zero", "identity"]
@@ -73,16 +73,15 @@ def st_lambda(sigma: float, d: int, p: float, include_e: bool = True) -> float:
 
 
 def estimate(spec: EstimatorSpec, y: np.ndarray) -> np.ndarray:
-    """Apply the estimator to one observation vector, or to each row of an (n, d) block."""
+    """Apply the estimator to one observation vector; every kind but ``mle`` also
+    takes an (n, d) block, row by row (``project_many`` projects a block)."""
     y = np.asarray(y, dtype=float)
     if spec.kind == "zero":
         return np.zeros_like(y)
     if spec.kind == "identity":
         return y.copy()
     if spec.kind == "mle":
-        if y.ndim == 1:
-            return project(spec.ball, y).point
-        return np.array([res.point for res in project_many(spec.ball, y)]).reshape(y.shape)
+        return project(spec.ball, y).point
     lam = st_lambda(spec.noise_level, y.shape[-1], spec.ball.p)
     return soft_threshold(y, lam)
 

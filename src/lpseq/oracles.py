@@ -197,23 +197,30 @@ def brute_force_projection(ball: LpBall, y: np.ndarray,
 # --- Monte Carlo width and probability checks --------------------------------
 
 
+def _row_stats(rng: np.random.Generator, reps: int, width: int, stat) -> np.ndarray:
+    """``stat`` of each row of a ``(reps, width)`` standard normal draw.
+
+    The draw comes in chunks of about 2e6 entries; chunks of one generator
+    give the same numbers as one draw.
+    """
+    if reps < 1:
+        raise InvalidParameterError(f"reps must be >= 1, got {reps}")
+    chunk = max(1, int(2e6) // width)
+    return np.concatenate([stat(rng.standard_normal((min(chunk, reps - done), width)))
+                           for done in range(0, reps, chunk)])
+
+
 def sparse_cap_width(d: int, s: int, reps: int, key: int) -> tuple[float, float]:
     """Monte Carlo mean (and stderr) of the top-s squared-entry sum."""
     if not (1 <= s <= d):
         raise InvalidParameterError(f"s must lie in [1, {d}], got {s}")
     rng = keyed_generator(key, f"sparse_cap_width|d={d}|s={s}")
-    totals = np.empty(reps)
-    chunk = max(1, int(2e6) // d)
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
-        sq = rng.standard_normal((take, d)) ** 2
-        if s == d:
-            totals[done:done + take] = sq.sum(axis=1)
-        else:
-            part = np.partition(sq, d - s, axis=1)[:, d - s:]
-            totals[done:done + take] = part.sum(axis=1)
-        done += take
+
+    def top_s(xi):
+        sq = xi**2
+        return (sq if s == d else np.partition(sq, d - s, axis=1)[:, d - s:]).sum(axis=1)
+
+    totals = _row_stats(rng, reps, d, top_s)
     return float(totals.mean()), float(totals.std(ddof=1) / math.sqrt(reps))
 
 
@@ -262,16 +269,8 @@ def check_small_ball(D: int, r: float, reps: int, key: int) -> CheckReport:
         raise InvalidParameterError(f"r must lie in [2, 2 log D], got {r}")
     rng = keyed_generator(key, f"small_ball|D={D}|r={r!r}")
     floor = math.sqrt(r) * D ** (1.0 / r) / math.sqrt(32.0 * math.e)
-    hits = 0
-    chunk = max(1, int(2e6) // D)
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
-        xi = rng.standard_normal((take, D))
-        norms = np.sum(np.abs(xi) ** r, axis=1) ** (1.0 / r)
-        hits += int(np.sum(norms >= floor))
-        done += take
-    phat = hits / reps
+    norms = _row_stats(rng, reps, D, lambda xi: np.sum(np.abs(xi) ** r, axis=1) ** (1.0 / r))
+    phat = int(np.sum(norms >= floor)) / reps
     stderr = math.sqrt(max(phat * (1 - phat), 1e-12) / reps)
     return _report(f"small_ball(D={D}, r={r:g})", phat, 0.5 - 3 * stderr, reps, key)
 
@@ -316,9 +315,8 @@ def check_noise_term(d: int, q: float, t: float, reps: int, key: int) -> CheckRe
         raise InvalidParameterError(f"t must lie in (0, 1), got {t}")
     m = d - d % 4
     rng = keyed_generator(key, f"noise_term|d={d}|q={q!r}|t={t!r}")
-    block = np.abs(rng.standard_normal((reps, m // 2))) ** q
-    smallest = np.partition(block, m // 4 - 1, axis=1)[:, : m // 4]
-    values = 4.0 / m * smallest.sum(axis=1)
+    values = _row_stats(rng, reps, m // 2, lambda xi: 4.0 / m * np.partition(
+        np.abs(xi) ** q, m // 4 - 1, axis=1)[:, : m // 4].sum(axis=1))
     level = 0.5 * (3.0 * t / 10.0) ** q
     phat = float(np.mean(values >= level))
     bound = (1.0 - t) ** 2 / 80.0

@@ -21,9 +21,11 @@ General radii are handled by solving on the unit ball after rescaling
 
 ``project_many`` projects each row of an ``(n, d)`` block, bit for bit as
 ``project`` does.  For p > 1 one multiplier search runs on the whole block:
-each of its dual-sum evaluations is one vectorized call over the rows still
-open, while every row keeps its bracket and Newton step in plain floats, so
-it takes the iterates it would alone.  ``project`` runs that search on one row.
+each of its dual-sum evaluations is one vectorized call over the whole block,
+while every row keeps its bracket and Newton step in plain floats, so it takes
+the iterates it would alone, and a row that has stopped keeps its multiplier
+until the last one stops.  A block thus costs its slowest row's evaluations
+times its rows.  ``project`` runs that search on one row.
 """
 
 from __future__ import annotations
@@ -33,12 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketFailureError,
-    DimensionMismatchError,
-    InvalidParameterError,
-    NonFiniteInputError,
-)
+from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteInputError
 from .shrinkage import (
     DEFAULT_TOL,
     FLUSH_TOL,
@@ -219,47 +216,37 @@ def _find_lambda_star(p: float, T: np.ndarray, gap_tol: float):
     so ``[0, ||t||_q]`` brackets the root.  Newton steps on its log start at the
     top, against ``lam`` (near linear for a barely infeasible ``t``); one that
     passes ``lo`` is redone against ``log lam`` (near slope ``-q`` far out).
-    One call of ``_dual_sums`` evaluates every row still open; each row's
-    bracket and step are plain floats, so it takes the iterates it would
-    alone, and a row that stops leaves the block.
+    One call of ``_dual_sums`` evaluates the whole block; each row's bracket
+    and step are plain floats, so it takes the iterates it would alone.  A row
+    that has stopped keeps its multiplier, so its ``psi`` comes out the same at
+    every later step, and a block costs its slowest row's evaluations times its rows.
     """
     inner_tol = min(gap_tol / (10 * p), DEFAULT_TOL)  # psi's error moves the sum p-fold
     slack_unit = [max(1.0, m) for m in np.max(T, axis=1).tolist()]  # slackness is lam*|f|/this
     hi = _lp_norms(T, p / (p - 1.0))
     lo, lam, iterations = [0.0] * len(hi), hi[:], [0] * len(hi)
-    rows, block, psi_out = list(range(len(hi))), T, None
     for step_count in range(1, 201):
-        values, falls, psi = _dual_sums(p, [lam[i] for i in rows], block, inner_tol)
-        keep, done = [], []
-        for k, i in enumerate(rows):
-            value, lam_i = values[k], lam[i]
-            f = value - 1.0
+        values, falls, psi = _dual_sums(p, lam, T, inner_tol)
+        for i, (value, fall) in enumerate(zip(values, falls)):
+            if iterations[i]:
+                continue
+            lam_i, f = lam[i], value - 1.0
             if (abs(f) * max(1.0, lam_i / slack_unit[i]) <= gap_tol
                     or (hi[i] - lo[i]) <= 1e-14 * (1.0 + lam_i) or step_count == 200):
-                done.append(k)
                 iterations[i] = step_count
                 continue
-            keep.append(k)
             if f > 0:
                 lo[i] = lam_i
             else:
                 hi[i] = lam_i
-            step = (math.log(value) * value / (lam_i * falls[k])
-                    if value > 0 and lam_i * falls[k] > 0 else math.nan)
+            step = (math.log(value) * value / (lam_i * fall)
+                    if value > 0 and lam_i * fall > 0 else math.nan)
             newton = lam_i * (1.0 + step)
             if newton <= lo[i]:  # past lo against lam: redo against log lam
                 newton = lam_i * math.exp(step)
             lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
-        if not done:
-            continue
-        if len(done) == len(hi):  # the whole block stops at once
+        if all(iterations):
             return lam, psi, iterations
-        if psi_out is None:
-            psi_out = np.empty_like(T)
-        psi_out[[rows[k] for k in done]] = psi[done]
-        if not keep:
-            return lam, psi_out, iterations
-        rows, block = [rows[k] for k in keep], block[keep]
 
 
 def find_lambda_star(y: np.ndarray, p: float, radius: float = 1.0,
@@ -274,12 +261,13 @@ def find_lambda_star(y: np.ndarray, p: float, radius: float = 1.0,
     inputs never reach this search (the projection returns them with a zero
     multiplier).  The result satisfies ``|f| * max(1, lam / max(1, max|y|/r)) <= tol``,
     ``f = dual_sum(lam) - 1``, unless the bracket collapses to relative width 1e-14.
+    Raises ``NonFiniteInputError`` where a magnitude ``|y|/r`` is not finite.
     """
     if not (p > 1):
         raise InvalidParameterError(f"find_lambda_star requires p > 1, got {p}")
     t = np.abs(np.asarray(y, dtype=float)) / radius
     if not np.all(np.isfinite(t)):
-        raise BracketFailureError("non-finite magnitudes in multiplier search")
+        raise NonFiniteInputError("non-finite magnitudes in multiplier search")
     if lp_norm(t, p) <= 1.0:
         raise InvalidParameterError("input lies inside the ball; multiplier is 0")
     return _find_lambda_star(p, t[None], tol)[0][0]
@@ -658,8 +646,9 @@ def project_many(ball: LpBall, Y: np.ndarray,
 
     Row ``i`` of the result equals ``project(ball, Y[i], tol)`` bit for bit.
     For p > 1 one multiplier search runs on the whole block, so each of its
-    dual-sum evaluations is one vectorized call over the rows still open;
-    p = 1 and p < 1 solve row by row, p in {0, inf} in one step.
+    dual-sum evaluations is one vectorized call over the whole block, and the
+    block costs its slowest row's evaluations times its rows; p = 1 and p < 1
+    solve row by row, p in {0, inf} in one step.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != ball.dim:

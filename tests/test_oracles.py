@@ -161,6 +161,13 @@ def test_noise_term_validation():
         check_noise_term(100, 3.0, 1.5, 10, key=0)
 
 
+def test_monte_carlo_checks_need_a_draw():
+    for check, args in ((sparse_cap_width, (10, 2)), (check_small_ball, (44, 2.0)),
+                        (check_noise_term, (100, 3.0, 0.5))):
+        with pytest.raises(InvalidParameterError, match="reps"):
+            check(*args, 0, key=0)
+
+
 def test_mle_variance_origin():
     rep = check_mle_variance(LpBall(p=2.0, dim=30, radius=1.0), np.zeros(30),
                              0.3, 200, key=13)

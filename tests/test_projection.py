@@ -159,6 +159,12 @@ def test_find_lambda_star_direct():
         find_lambda_star(np.array([2.0, 2.0]), 1.0)  # p must exceed 1
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_find_lambda_star_rejects_non_finite_input(value):
+    with pytest.raises(NonFiniteInputError):
+        find_lambda_star(np.array([2.0, value]), 1.5)
+
+
 def test_kkt_residual_consistency_and_sensitivity():
     ball = LpBall(p=1.5, dim=2, radius=1.0)
     y = np.array([2.0, 2.0])
@@ -592,7 +598,7 @@ def test_project_many_matches_lone_calls_bit_for_bit(p):
             assert got.iterations == lone.iterations
             assert got.duality_gap == lone.duality_gap
         if 1 < p < math.inf and d > 1:
-            assert len({res.iterations for res in many}) > 2  # rows left the block apart
+            assert len({res.iterations for res in many}) > 2  # rows stop at different steps
 
 
 def test_project_many_validation():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lpseq.errors import InvalidParameterError
+from lpseq.errors import DimensionMismatchError, InvalidParameterError
 from lpseq.estimators import EstimatorSpec, estimate
 from lpseq.instances import spike_instance
 from lpseq.projection import LpBall, project
@@ -268,12 +268,14 @@ def test_estimate_accepts_a_block():
     rng = np.random.default_rng(8)
     Y = rng.standard_normal((5, 12))
     ball = LpBall(p=1.3, dim=12, radius=1.0)
-    for kind in ("mle", "soft_threshold", "zero", "identity"):
+    for kind in ("soft_threshold", "zero", "identity"):
         spec = EstimatorSpec(kind=kind, ball=ball, noise_level=0.4)
         block = estimate(spec, Y)
         assert block.shape == Y.shape
         for y, row in zip(Y, block):
             assert row.tobytes() == estimate(spec, y).tobytes()
+    with pytest.raises(DimensionMismatchError):  # project_many projects a block
+        estimate(EstimatorSpec(kind="mle", ball=ball), Y)
 
 
 @pytest.mark.parametrize("regime, p, sigma_rule, reps", [
@@ -285,7 +287,7 @@ def test_benchmark_cells_meet_the_kkt_rule(regime, p, sigma_rule, reps):
     # default tol), the rule the benchmark's traced run applies per trial.
     cfg = ExperimentConfig(regime=regime, p=p, sigma_rule=sigma_rule, reps=reps,
                            estimators=("mle", "soft_threshold"), seed=0)
-    mle = [r for r in run_experiment(cfg, threads=1).rows if r.estimator == "mle"]
+    mle = [r for r in run_experiment(cfg).rows if r.estimator == "mle"]
     assert [r.d for r in mle] == list(cfg.d_grid)
     for row in mle:
         assert row.kkt_residual_max <= 1e-9 and row.iterations_max > 0, row
