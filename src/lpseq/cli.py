@@ -66,7 +66,7 @@ def _cmd_project(args) -> int:
             ball = LpBall(p=0.0, dim=y.size, sparsity=args.sparsity)
         else:
             ball = LpBall(p=p, dim=y.size, radius=args.radius)
-    except (ValueError, InvalidParameterError) as exc:
+    except ValueError as exc:
         _log(f"[lpseq] parameter error: {exc}")
         return EXIT_PARSE
     _echo_config("project", {"p": args.p, "radius": args.radius,
@@ -90,7 +90,7 @@ def _cmd_rates(args) -> int:
         p = _parse_p(args.p)
         query = RateQuery(p=p, d=args.d, sigma=args.sigma, radius=args.radius,
                           sparsity=args.sparsity, n=args.n, tau=args.tau)
-    except (ValueError, InvalidParameterError) as exc:
+    except ValueError as exc:
         _log(f"[lpseq] parameter error: {exc}")
         return EXIT_PARSE
     _echo_config("rates", {"p": args.p, "d": args.d, "sigma": args.sigma,
@@ -148,17 +148,16 @@ def _run_resumable(config: simulate.ExperimentConfig, out_dir: Path):
 def _cmd_simulate(args) -> int:
     try:
         config = simulate.ExperimentConfig.from_json(args.config)
-        if args.out is not None:
-            config = dataclasses.replace(config, output=args.out)
-    except (ValueError, InvalidParameterError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:  # TypeError: a value of the wrong type
         _log(f"[lpseq] config error: {exc}")
         return EXIT_PARSE
     _echo_config("simulate", config.to_dict())
     result = simulate.run_experiment(config)
-    if config.output is None:
+    if args.out is None:
         sys.stdout.write(simulate.rows_to_csv(result))
     else:
-        _log(f"[lpseq] wrote {config.output}")
+        simulate.write_csv(result, Path(args.out))
+        _log(f"[lpseq] wrote {args.out}")
     return EXIT_OK
 
 
@@ -266,7 +265,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameterError, ValueError) as exc:
+    except ValueError as exc:
         _log(f"[lpseq] error: {exc}")
         return EXIT_PARSE
 

@@ -50,13 +50,11 @@ class EstimatorSpec:
                 raise InvalidParameterError("soft_threshold requires noise_level > 0")
 
 
-def st_lambda(sigma: float, d: int, p: float, include_e: bool = True) -> float:
+def st_lambda(sigma: float, d: int, p: float) -> float:
     """Soft-threshold level ``sqrt(2 sigma^2 log(e d sigma^p))``.
 
-    ``include_e=False`` drops the factor e inside the logarithm (the variant
-    printed alongside the estimator's definition); either way the level is
-    clamped at zero once the logarithm's argument falls below one, which is
-    the regime where no shrinkage is called for.
+    The level is clamped at zero once the logarithm's argument falls below
+    one, which is the regime where no shrinkage is called for.
     """
     if not (sigma > 0):
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
@@ -64,9 +62,7 @@ def st_lambda(sigma: float, d: int, p: float, include_e: bool = True) -> float:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
     if not (0 < p < 2):
         raise InvalidParameterError(f"st_lambda requires p in (0, 2), got {p}")
-    arg = d * sigma**p
-    if include_e:
-        arg *= math.e
+    arg = d * sigma**p * math.e
     if arg <= 1.0:
         return 0.0
     return math.sqrt(2.0 * sigma**2 * math.log(arg))

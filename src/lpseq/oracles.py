@@ -24,7 +24,7 @@ from .rng import keyed_generator
 
 # Generous slack for the variance-versus-rate comparison; the underlying
 # statement only asserts existence of some universal constant.
-DEFAULT_VARIANCE_SLACK = 100.0
+VARIANCE_SLACK = 100.0
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,11 @@ def _pair_search(ball: LpBall, y: np.ndarray, x: np.ndarray, i: int, j: int) -> 
         x[i], x[j] = xi, xj
 
 
-def _polish(ball: LpBall, y: np.ndarray, x: np.ndarray, sweeps: int = 80) -> np.ndarray:
+def _polish(ball: LpBall, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = x.copy()
     d = y.size
     prev = _objective(x, y)
-    for _ in range(sweeps):
+    for _ in range(80):
         for i in range(d):
             bound = _coordinate_bound(ball, x, i)
             x[i] = float(np.clip(y[i], -bound, bound))
@@ -152,13 +152,12 @@ _GRID_POINTS = {1: 2001, 2: 201, 3: 41}
 _ZOOM_POINTS = {1: 201, 2: 41, 3: 21}
 
 
-def brute_force_projection(ball: LpBall, y: np.ndarray,
-                           grid_resolution: float = 1e-3) -> np.ndarray:
+def brute_force_projection(ball: LpBall, y: np.ndarray) -> np.ndarray:
     """Dense-grid projection oracle for dimensions up to 3.
 
-    Zooms the grid around its incumbent until the step is below
-    ``grid_resolution``, then runs coordinate and coordinate-pair
-    relaxation until the objective stops improving.
+    Zooms the grid around its incumbent until the step is below 1e-3, then
+    runs coordinate and coordinate-pair relaxation until the objective stops
+    improving.
     """
     y = np.asarray(y, dtype=float)
     if ball.dim > 3:
@@ -183,7 +182,7 @@ def brute_force_projection(ball: LpBall, y: np.ndarray,
     if x is None:
         x = np.zeros_like(y)
     step = 2 * scale / (_GRID_POINTS[ball.dim] - 1)
-    while step > grid_resolution:
+    while step > 1e-3:
         lo = x - 2 * step
         hi = x + 2 * step
         npts = _ZOOM_POINTS[ball.dim]
@@ -275,6 +274,13 @@ def check_small_ball(D: int, r: float, reps: int, key: int) -> CheckReport:
     return _report(f"small_ball(D={D}, r={r:g})", phat, 0.5 - 3 * stderr, reps, key)
 
 
+def _noise_term_rows(blocks: np.ndarray, q: float) -> np.ndarray:
+    """Trimmed noise statistic of each row of an ``(n, m/2)`` block."""
+    m = 2 * blocks.shape[1]
+    return 4.0 / m * np.partition(
+        np.abs(blocks) ** q, m // 4 - 1, axis=1)[:, : m // 4].sum(axis=1)
+
+
 def noise_term_value(xi: np.ndarray, q: float) -> float:
     """Trimmed noise statistic of one draw, computed exactly.
 
@@ -288,9 +294,7 @@ def noise_term_value(xi: np.ndarray, q: float) -> float:
     if d < 4:
         raise InvalidParameterError(f"need d >= 4, got {d}")
     m = d - d % 4
-    block = np.abs(xi[m // 2: m]) ** q
-    smallest = np.partition(block, m // 4 - 1)[: m // 4]
-    return float(4.0 / m * smallest.sum())
+    return float(_noise_term_rows(xi[None, m // 2: m], q)[0])
 
 
 def noise_term_value_by_enumeration(xi: np.ndarray, q: float) -> float:
@@ -315,8 +319,7 @@ def check_noise_term(d: int, q: float, t: float, reps: int, key: int) -> CheckRe
         raise InvalidParameterError(f"t must lie in (0, 1), got {t}")
     m = d - d % 4
     rng = keyed_generator(key, f"noise_term|d={d}|q={q!r}|t={t!r}")
-    values = _row_stats(rng, reps, m // 2, lambda xi: 4.0 / m * np.partition(
-        np.abs(xi) ** q, m // 4 - 1, axis=1)[:, : m // 4].sum(axis=1))
+    values = _row_stats(rng, reps, m // 2, lambda xi: _noise_term_rows(xi, q))
     level = 0.5 * (3.0 * t / 10.0) ** q
     phat = float(np.mean(values >= level))
     bound = (1.0 - t) ** 2 / 80.0
@@ -326,13 +329,12 @@ def check_noise_term(d: int, q: float, t: float, reps: int, key: int) -> CheckRe
 
 
 def check_mle_variance(ball: LpBall, theta_star: np.ndarray, sigma: float,
-                       reps: int, key: int,
-                       variance_slack: float = DEFAULT_VARIANCE_SLACK) -> CheckReport:
+                       reps: int, key: int) -> CheckReport:
     """Variance of the projection estimator against the rate, with slack.
 
     The statement being probed is one-sided with an unspecified universal
-    constant; ``variance_slack`` is an engineering choice recorded in the
-    report.  Marked inconclusive below 10 replications.
+    constant; ``VARIANCE_SLACK`` is an engineering choice recorded in the
+    report as its threshold.  Marked inconclusive below 10 replications.
     """
     if ball.p < 1:
         raise InvalidParameterError("variance check requires a convex ball (p >= 1)")
@@ -345,7 +347,7 @@ def check_mle_variance(ball: LpBall, theta_star: np.ndarray, sigma: float,
     m = control_function(RateQuery(p=ball.p, d=ball.dim, sigma=sigma, radius=ball.radius))
     ratio = variance / m
     return _report(f"mle_variance(p={ball.p:g}, d={ball.dim}, sigma={sigma:g})",
-                   ratio, variance_slack, reps, key, comparison="<=",
+                   ratio, VARIANCE_SLACK, reps, key, comparison="<=",
                    inconclusive=reps < 10)
 
 
@@ -482,12 +484,7 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int) -> list[CheckReport]:
-    """Run one named suite, or all of them."""
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](seed))
-        return out
+    """Run one named suite of ``SUITES``."""
     if name not in SUITES:
         raise InvalidParameterError(f"unknown suite {name!r}")
     return SUITES[name](seed)

@@ -106,11 +106,12 @@ class LpBall:
             return self.p / (self.p - 1.0)
         raise InvalidParameterError(f"conjugate undefined for p = {self.p}")
 
-    def contains(self, y: np.ndarray, feas_tol: float = 1e-9) -> bool:
+    def contains(self, y: np.ndarray) -> bool:
+        """Whether ``y`` lies in the set, up to ``||y||_p <= r * (1 + 1e-9)``."""
         y = np.asarray(y, dtype=float)
         if self.p == 0:
             return int(np.count_nonzero(y)) <= self.sparsity
-        return lp_norm(y, self.p) <= self.radius * (1.0 + feas_tol)
+        return lp_norm(y, self.p) <= self.radius * (1.0 + 1e-9)
 
 
 def lp_norm(x: np.ndarray, p: float) -> float:

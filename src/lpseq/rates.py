@@ -88,8 +88,8 @@ def p_threshold(d: int) -> float:
 
 def _unit_control(p: float, d: int, s: float) -> float:
     """Control function on the unit ball at noise level s."""
-    if p >= 2 or p == math.inf:
-        return min(d ** (1.0 - 2.0 / p) if p != math.inf else float(d), s * s * d)
+    if p >= 2:
+        return min(d ** (1.0 - 2.0 / p), s * s * d)
     high = 1.0 / (1.0 + math.log(d))
     low = d ** (-2.0 / p)
     if s * s >= high:

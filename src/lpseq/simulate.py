@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -44,23 +45,16 @@ DEFAULT_MAX_D = 10_000
 BLOCK_ELEMENTS = 2**13
 
 
-def default_d_grid(max_d: int = DEFAULT_MAX_D, count: int | None = None) -> tuple[int, ...]:
-    """Dimension grid ``floor(10**(2 + 8k/39))`` for k = 0, 1, ...
-
-    Stops after ``count`` points when given, otherwise at ``max_d``.
-    """
+def default_d_grid(max_d: int = DEFAULT_MAX_D) -> tuple[int, ...]:
+    """Dimension grid ``floor(10**(2 + 8k/39))`` for k = 0, 1, ... up to ``max_d``."""
     grid = []
-    k = 0
-    while True:
-        v = int(math.floor(10 ** (2.0 + 8.0 * k / 39.0)))
-        if count is not None:
-            if k >= count:
-                break
-        elif v > max_d:
-            break
+    while (v := int(math.floor(10 ** (2.0 + 8.0 * len(grid) / 39.0)))) <= max_d:
         grid.append(v)
-        k += 1
     return tuple(grid)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -81,15 +75,18 @@ class ExperimentConfig:
     reps: int = 100
     estimators: tuple[str, ...] = ("mle", "soft_threshold")
     seed: int = 0
-    output: str | None = None
 
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise InvalidParameterError(f"unknown regime {self.regime!r}")
-        if self.reps < 1:
-            raise InvalidParameterError(f"reps must be >= 1, got {self.reps}")
+        if not (_is_integer(self.reps) and self.reps >= 1):
+            raise InvalidParameterError(f"reps must be an integer >= 1, got {self.reps!r}")
+        if not _is_integer(self.seed):
+            raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
         if len(self.d_grid) == 0:
             raise InvalidParameterError("d_grid must be nonempty")
+        if not all(_is_integer(d) and d >= 1 for d in self.d_grid):
+            raise InvalidParameterError(f"d_grid must hold integers >= 1, got {list(self.d_grid)}")
         if any(b <= a for a, b in zip(self.d_grid, self.d_grid[1:])):
             raise InvalidParameterError("d_grid must be strictly increasing")
         for kind in self.estimators:
@@ -106,8 +103,12 @@ class ExperimentConfig:
             raise InvalidParameterError(f"radius must be positive, got {self.radius}")
         if self.regime == "fig2b" and not (1.0 < self.p < 2.0):
             raise InvalidParameterError("fig2b requires a norm index in (1, 2)")
+        if self.regime == "fig2b" and self.d_grid[0] < 2:
+            raise InvalidParameterError("fig2b requires every d >= 2")
         if "soft_threshold" in self.estimators and not (0.0 < self.p < 2.0):
             raise InvalidParameterError("soft_threshold requires a norm index in (0, 2)")
+        if not (self.p > 0):
+            raise InvalidParameterError(f"p must be positive, got {self.p}")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -156,8 +157,7 @@ class ExperimentConfig:
         return self.radius * unit
 
     def fingerprint(self) -> str:
-        payload = {k: v for k, v in self.to_dict().items() if k != "output"}
-        blob = json.dumps(payload, sort_keys=True).encode()
+        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.blake2b(blob, digest_size=6).hexdigest()
 
 
@@ -291,10 +291,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
                                       radius=config.radius))
         for d in config.d_grid
     }
-    result = ExperimentResult(config, config.fingerprint(), tuple(rows), control)
-    if config.output is not None:
-        write_csv(result, Path(config.output))
-    return result
+    return ExperimentResult(config, config.fingerprint(), tuple(rows), control)
 
 
 CSV_COLUMNS = ("experiment_id", "regime", "p", "d", "sigma", "estimator",

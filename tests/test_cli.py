@@ -271,3 +271,28 @@ def test_simulate_from_config(tmp_path, capsys):
     assert code == 2
     assert "soft_threshold" in err
     assert not csv_out.exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"p": 0},
+    {"p": "1.5"},
+    {"d_grid": 20},
+    {"sigma_rule": 0.5},
+    {"d_grid": [0, 20]},
+    {"d_grid": [10.5, 20]},
+    {"reps": 2.5},
+    {"seed": 1.5},
+    {"regime": "fig2b", "sigma_rule": "flat", "d_grid": [1, 20]},
+    {"output": "out.csv"},  # the CSV path is the --out option, not a config key
+])
+def test_simulate_malformed_config_exit_2(tmp_path, monkeypatch, capsys, change):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"regime": "custom", "p": 1.5, "d_grid": [10, 20], "sigma_rule": [0.5, 0.4],
+           "reps": 2, "estimators": ["zero"], "seed": 9}
+    cfg.update(change)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "config error" in err

@@ -41,13 +41,6 @@ def test_st_lambda_values():
     assert st_lambda(0.1, 100, 1.5) == pytest.approx(ST_LAMBDA_FIXTURE, rel=1e-12)
 
 
-def test_st_lambda_variant_without_e():
-    # the variant drops the e factor and clamps earlier
-    assert st_lambda(0.1, 100, 1.5, include_e=False) == pytest.approx(
-        math.sqrt(2 * 0.01 * math.log(100 * 0.1**1.5)), rel=1e-12)
-    assert st_lambda(0.05, 2, 1.0, include_e=False) == 0.0  # d*sigma**p < 1
-
-
 def test_st_lambda_validation():
     with pytest.raises(InvalidParameterError):
         st_lambda(0.0, 10, 1.5)

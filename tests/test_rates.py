@@ -1,4 +1,8 @@
+import csv
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,3 +189,17 @@ def test_example_scalings_formulas():
         example_scalings("other", 100)
     with pytest.raises(InvalidParameterError):
         example_scalings("log_subopt", 100, delta=1.5)
+
+
+def test_regime_map_script_smoke(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "regime_map.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--d", "100", "--p-grid", "4",
+                                      "--sigma-grid", "3"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(script), run_name="__main__")
+    assert done.value.code == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == ["p", "sigma", "control_value", "lower_bound", "upper_bound",
+                       "label", "subinterval"]
+    assert len(rows) == 1 + 4 * 3
+    assert {row[5] for row in rows[1:]} <= {label.value for label in RegimeLabel}
