@@ -12,8 +12,6 @@ from .oracles import CheckReport, brute_force_projection, run_suite
 from .projection import (
     LpBall,
     ProjectionResult,
-    dual_sum,
-    find_lambda_star,
     kkt_residual,
     lp_norm,
     project,
@@ -31,7 +29,6 @@ from .rates import (
     example_scalings,
     rate_bounds,
 )
-from .shrinkage import ShrinkageQuery, prox_power, psi_solve, soft_threshold_scalar
 from .simulate import (
     ExperimentConfig,
     ExperimentResult,
@@ -58,17 +55,14 @@ __all__ = [
     "RegimeReport",
     "RiskEstimate",
     "SampleReduction",
-    "ShrinkageQuery",
     "TrialKey",
     "brute_force_projection",
     "classify_regime",
     "control_function",
     "default_d_grid",
-    "dual_sum",
     "estimate",
     "estimate_risk",
     "example_scalings",
-    "find_lambda_star",
     "fit_log_slope",
     "flat_sparse_instance",
     "kkt_residual",
@@ -77,14 +71,11 @@ __all__ = [
     "project_clip",
     "project_many",
     "project_top_s",
-    "prox_power",
-    "psi_solve",
     "rate_bounds",
     "reduce_samples",
     "run_experiment",
     "run_suite",
     "sample_observation",
-    "soft_threshold_scalar",
     "sparsity_scaling",
     "spike_instance",
     "st_lambda",

@@ -95,17 +95,6 @@ class LpBall:
             if not (self.radius > 0):
                 raise InvalidParameterError(f"radius must be positive, got {self.radius}")
 
-    @property
-    def conjugate(self) -> float:
-        """Holder conjugate q with 1/p + 1/q = 1; pairs (1, inf) and (inf, 1)."""
-        if self.p == 1:
-            return math.inf
-        if self.p == math.inf:
-            return 1.0
-        if self.p > 1:
-            return self.p / (self.p - 1.0)
-        raise InvalidParameterError(f"conjugate undefined for p = {self.p}")
-
     def contains(self, y: np.ndarray) -> bool:
         """Whether ``y`` lies in the set, up to ``||y||_p <= r * (1 + 1e-9)``."""
         y = np.asarray(y, dtype=float)
@@ -174,21 +163,6 @@ def project_clip(r: float, y: np.ndarray) -> np.ndarray:
     return np.sign(y) * np.minimum(np.abs(y), r)
 
 
-def dual_sum(lam: float, y: np.ndarray, p: float, radius: float = 1.0,
-             tol: float = DEFAULT_TOL) -> float:
-    """Sum of shrunk magnitudes to the p-th power at multiplier ``lam``.
-
-    Continuous and strictly decreasing in ``lam``; equals ``||y/r||_p**p`` at
-    ``lam = 0`` and tends to 0 as ``lam`` grows.
-    """
-    if not (p > 1):
-        raise InvalidParameterError(f"dual_sum requires p > 1, got {p}")
-    if lam < 0:
-        raise InvalidParameterError(f"lam must be nonnegative, got {lam}")
-    t = np.abs(np.asarray(y, dtype=float)) / radius
-    return _dual_sums(p, [lam], t[None], tol)[0][0]
-
-
 def _dual_sums(p: float, lam: list, T: np.ndarray, tol: float):
     """Dual sums of the rows of ``T`` at multipliers ``lam``, minus their slopes, and psi.
 
@@ -248,30 +222,6 @@ def _find_lambda_star(p: float, T: np.ndarray, gap_tol: float):
             lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
         if all(iterations):
             return lam, psi, iterations
-
-
-def find_lambda_star(y: np.ndarray, p: float, radius: float = 1.0,
-                     tol: float = LAMBDA_GAP_TOL) -> float:
-    """Multiplier at which the dual sum hits 1, searched below the dual norm.
-
-    ``||y/r||_q`` (``q`` the conjugate index) bounds the root from above.
-    Newton steps on ``log dual_sum`` start there, against ``lam`` or, where
-    that leaves the bracket, ``log lam``; bisection where both would.
-
-    Requires ``p > 1`` and an infeasible input (``||y/r||_p > 1``); feasible
-    inputs never reach this search (the projection returns them with a zero
-    multiplier).  The result satisfies ``|f| * max(1, lam / max(1, max|y|/r)) <= tol``,
-    ``f = dual_sum(lam) - 1``, unless the bracket collapses to relative width 1e-14.
-    Raises ``NonFiniteInputError`` where a magnitude ``|y|/r`` is not finite.
-    """
-    if not (p > 1):
-        raise InvalidParameterError(f"find_lambda_star requires p > 1, got {p}")
-    t = np.abs(np.asarray(y, dtype=float)) / radius
-    if not np.all(np.isfinite(t)):
-        raise NonFiniteInputError("non-finite magnitudes in multiplier search")
-    if lp_norm(t, p) <= 1.0:
-        raise InvalidParameterError("input lies inside the ball; multiplier is 0")
-    return _find_lambda_star(p, t[None], tol)[0][0]
 
 
 def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float) -> list:
@@ -631,7 +581,8 @@ def project(ball: LpBall, y: np.ndarray, tol: float = LAMBDA_GAP_TOL) -> Project
     prefix-support structure in the module docstring, with a weak-duality
     gap; it keeps a prefix of ``y`` with multiplier 0 or lies on the
     boundary.  ``tol`` controls the outer multiplier search for p > 1.
-    Raises ``InvalidParameterError`` where ``max|y|/r`` overflows.
+    Raises ``InvalidParameterError`` unless ``0 < tol < inf``, and where
+    ``max|y|/r`` overflows.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size != ball.dim:
@@ -661,6 +612,8 @@ def project_many(ball: LpBall, Y: np.ndarray,
 
 def _project_rows(ball: LpBall, Y: np.ndarray, tol: float) -> list[ProjectionResult]:
     """The projections of the rows of ``Y``, as ``project_many`` documents them."""
+    if not (0.0 < tol < math.inf):
+        raise InvalidParameterError(f"tol must be positive and finite, got {tol!r}")
     if not np.all(np.isfinite(Y)):
         raise NonFiniteInputError("input vector contains non-finite entries")
     p, r = ball.p, ball.radius

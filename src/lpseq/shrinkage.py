@@ -11,8 +11,6 @@ toward zero so that sparsity patterns are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameterError
@@ -37,48 +35,6 @@ ROOT_STEPS = 60
 ROOT_FLOOR = 8.0
 ROOT_FLOOR_STEP = 8
 EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class ShrinkageQuery:
-    """One shrinkage problem: solve ``psi + lam * psi**(p-1) = t``.
-
-    Parameters
-    ----------
-    p : float
-        Norm index, ``p > 0``.
-    lam : float
-        Multiplier, ``lam >= 0`` (dimensionless).
-    t : float
-        Target magnitude, ``t >= 0``.
-    tol : float
-        Absolute residual tolerance, ``tol > 0``.  Where the residual's
-        rounding floor ``ROOT_FLOOR*eps*t*(1 + |log t|)`` is larger (``t``
-        above about 100), the root stops at that floor instead, after at
-        least ``ROOT_FLOOR_STEP`` Newton steps.
-    """
-
-    p: float
-    lam: float
-    t: float
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if not (self.p > 0):
-            raise InvalidParameterError(f"p must be positive, got {self.p}")
-        if not (self.lam >= 0):
-            raise InvalidParameterError(f"lam must be nonnegative, got {self.lam}")
-        if not (self.t >= 0):
-            raise InvalidParameterError(f"t must be nonnegative, got {self.t}")
-        if not (self.tol > 0):
-            raise InvalidParameterError(f"tol must be positive, got {self.tol}")
-
-
-def soft_threshold_scalar(t: float, lam: float) -> float:
-    """Shrink ``t`` toward zero by ``lam``: ``sign(t) * max(|t| - lam, 0)``."""
-    if lam < 0:
-        raise InvalidParameterError(f"lam must be nonnegative, got {lam}")
-    return float(np.sign(t) * max(abs(t) - lam, 0.0))
 
 
 def soft_threshold(y: np.ndarray, lam: float) -> np.ndarray:
@@ -130,7 +86,7 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
         root = np.where(np.isinf(root), 2.0 * np.sqrt(lam_arr) * np.sqrt(t), root)
         return _flush(2.0 * t / (1.0 + root))
     if p < 1.0:
-        raise InvalidParameterError("psi_many requires p >= 1; use prox for p < 1")
+        raise InvalidParameterError("psi_many requires p >= 1; use prox_power_many for p < 1")
     out = np.array(t, dtype=float, copy=True)
     active = (t > 0) & (lam_arr > 0)
     out[active] = np.minimum(_branch_root(p, lam_arr[active], t[active], True, tol), t[active])
@@ -171,20 +127,6 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float) ->
     return x
 
 
-def psi_solve(query: ShrinkageQuery) -> float:
-    """Solve ``psi + lam*psi**(p-1) = t`` for the unique ``psi`` in [0, t].
-
-    Requires ``p >= 1`` (the uniqueness regime; ``p = 1`` is the soft
-    threshold, ``p = 2`` the linear shrinkage ``t/(1+lam)``).  Returns ``psi``
-    with residual at most ``query.tol``; ``psi = t`` when ``lam = 0``.
-    """
-    if query.p < 1.0:
-        raise InvalidParameterError(
-            f"psi_solve requires p >= 1, got p={query.p}; use prox_power"
-        )
-    return float(psi_many(query.p, query.lam, np.array([query.t]), query.tol)[0])
-
-
 # --- p < 1: branch structure of x + lam * x**(p-1) = t -----------------------
 #
 # For p in (0, 1) the map g(x) = x + lam*x**(p-1) decreases from +inf to a
@@ -211,7 +153,7 @@ def prox_jump_lambda(p: float, t) -> np.ndarray:
         return (t - x) * x ** (1.0 - p)
 
 
-def branch_roots(p: float, lam, t, upper, tol: float = DEFAULT_TOL) -> np.ndarray:
+def branch_roots(p: float, lam, t, upper) -> np.ndarray:
     """Roots of ``x + lam*x**(p-1) = t`` on the chosen branch, p < 1, for ``lam >= 0``.
 
     ``lam``, ``t``, and the boolean ``upper`` broadcast together; True picks
@@ -220,7 +162,7 @@ def branch_roots(p: float, lam, t, upper, tol: float = DEFAULT_TOL) -> np.ndarra
     root falls and the lower root rises with ``lam`` until both meet at
     ``(1-p)/(2-p)*t`` at ``branch_vanish_lambda(p, t)``; from there on both
     are held at that meeting point, so both are monotone and never NaN.
-    Live roots have residual at most ``max(tol, ROOT_FLOOR*eps*t*(1 + |log t|))``,
+    Live roots have residual at most ``max(DEFAULT_TOL, ROOT_FLOOR*eps*t*(1 + |log t|))``,
     as in :func:`psi_many`.
     """
     t = np.asarray(t, dtype=float)
@@ -229,7 +171,7 @@ def branch_roots(p: float, lam, t, upper, tol: float = DEFAULT_TOL) -> np.ndarra
         branch_vanish_lambda(p, t))  # on t before broadcasting: once per magnitude
     out = np.where(lam > 0, (1.0 - p) / (2.0 - p) * t, np.where(upper, t, 0.0))
     live = (lam > 0) & (lam < vanish)
-    out[live] = _branch_root(p, lam[live], t[live], upper[live], tol)
+    out[live] = _branch_root(p, lam[live], t[live], upper[live], DEFAULT_TOL)
     return out
 
 
@@ -243,26 +185,21 @@ def power_objective(p: float, lam, t, x) -> np.ndarray:
     return 0.5 * (x - t) ** 2 + pen
 
 
-def prox_power_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
+def prox_power_many(p: float, lam, t) -> np.ndarray:
     """Elementwise prox of ``x -> (lam/p)*x**p`` at magnitudes ``t >= 0``.
 
+    Each element is the global minimizer of ``(x - t)**2/2 + (lam/p)*x**p``
+    over ``x >= 0``: the :func:`psi_many` root for ``p >= 1``; for ``p in
+    (0, 1)`` the better of zero and the upper root, ties going to zero.
     ``lam`` broadcasts against ``t``, so a whole multiplier grid can be
     evaluated in one call.
     """
     if p >= 1.0:
-        return psi_many(p, lam, t, tol)
+        return psi_many(p, lam, t)
     # the objective's slope g(x) - t is positive on (0, lower root), and
     # everywhere past the branch point, so there neither the lower root nor
     # the meeting point beats zero; only the upper root competes with it
-    upper = branch_roots(p, lam, t, True, tol)
+    upper = branch_roots(p, lam, t, True)
     take = power_objective(p, lam, t, upper) < power_objective(p, lam, t, 0.0)
     return _flush(np.where(take, upper, 0.0))  # strict: ties stay at zero
 
-
-def prox_power(query: ShrinkageQuery) -> float:
-    """Global minimizer of ``(x - t)**2/2 + (lam/p) * x**p`` over ``x >= 0``.
-
-    Identical to :func:`psi_solve` for ``p >= 1``.  For ``p in (0, 1)`` zero
-    and the upper root of the fixed point are compared; ties go to zero.
-    """
-    return float(prox_power_many(query.p, query.lam, np.array([query.t]), query.tol)[0])

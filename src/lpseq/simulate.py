@@ -62,9 +62,10 @@ class ExperimentConfig:
     """Run description; serializable as a flat JSON object.
 
     ``sigma_rule`` is ``"spike"`` (``sigma = d**(1/p-1)``), ``"flat"``
-    (``sigma = d**(-1/2)``), or an explicit list aligned with ``d_grid``.
-    The ``custom`` regime requires an explicit list and uses the spike
-    signal.
+    (``sigma = d**(-1/2)``), or an explicit list of positive finite sigmas
+    aligned with ``d_grid``.  The ``custom`` regime requires an explicit list
+    and uses the spike signal.  ``estimators`` names distinct kinds, at least
+    one, since each (d, kind) pair is one cell with its own id.
     """
 
     regime: str = "fig2a"
@@ -89,6 +90,9 @@ class ExperimentConfig:
             raise InvalidParameterError(f"d_grid must hold integers >= 1, got {list(self.d_grid)}")
         if any(b <= a for a, b in zip(self.d_grid, self.d_grid[1:])):
             raise InvalidParameterError("d_grid must be strictly increasing")
+        if not self.estimators or len(set(self.estimators)) != len(self.estimators):
+            raise InvalidParameterError(
+                f"estimators must be nonempty and distinct, got {list(self.estimators)}")
         for kind in self.estimators:
             if kind not in ESTIMATOR_KINDS:
                 raise InvalidParameterError(f"unknown estimator kind {kind!r}")
@@ -99,8 +103,11 @@ class ExperimentConfig:
                 raise InvalidParameterError("custom regime requires an explicit sigma list")
         elif len(self.sigma_rule) != len(self.d_grid):
             raise InvalidParameterError("explicit sigma list must align with d_grid")
-        if not (self.radius > 0):
-            raise InvalidParameterError(f"radius must be positive, got {self.radius}")
+        elif not all(0.0 < sigma < math.inf for sigma in self.sigma_rule):
+            raise InvalidParameterError(
+                f"explicit sigmas must be positive and finite, got {list(self.sigma_rule)}")
+        if not (0.0 < self.radius < math.inf):
+            raise InvalidParameterError(f"radius must be positive and finite, got {self.radius}")
         if self.regime == "fig2b" and not (1.0 < self.p < 2.0):
             raise InvalidParameterError("fig2b requires a norm index in (1, 2)")
         if self.regime == "fig2b" and self.d_grid[0] < 2:

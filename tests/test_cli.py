@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import warnings
 
@@ -157,6 +158,16 @@ def test_project_solver_diagnostic_exit_3(capsys):
     assert "diagnostic" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_project_tol_must_be_positive_and_finite(capsys, tol):
+    # inf would stop the search after one evaluation, off the ball; nan would
+    # turn off the exit-3 rule; 0 or -1 would flag every correct point
+    code, out, err = run_cli(capsys, "project", "--p", "1.5", "--input", "2,2", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
+
+
 def test_project_near_one_flushed_zero_exit_0(capsys):
     for extra in (["--input", "2,1,0.5"], ["--radius", "3", "--input", "6,3,1.5"]):
         code, out, _ = run_cli(capsys, "project", "--p", "1.000001", *extra)
@@ -284,6 +295,11 @@ def test_simulate_from_config(tmp_path, capsys):
     {"seed": 1.5},
     {"regime": "fig2b", "sigma_rule": "flat", "d_grid": [1, 20]},
     {"output": "out.csv"},  # the CSV path is the --out option, not a config key
+    {"radius": math.inf},
+    {"sigma_rule": [0.5, math.inf]},
+    {"sigma_rule": [0.5, 0.0]},
+    {"estimators": []},
+    {"estimators": ["zero", "zero"]},  # two cells with one id
 ])
 def test_simulate_malformed_config_exit_2(tmp_path, monkeypatch, capsys, change):
     monkeypatch.chdir(tmp_path)

@@ -14,8 +14,6 @@ from lpseq.errors import (
 from lpseq.projection import (
     LpBall,
     ProjectionResult,
-    dual_sum,
-    find_lambda_star,
     kkt_residual,
     lp_norm,
     project,
@@ -23,7 +21,7 @@ from lpseq.projection import (
     project_many,
     project_top_s,
 )
-from lpseq.shrinkage import power_objective, prox_jump_lambda, prox_power_many
+from lpseq.shrinkage import power_objective, prox_jump_lambda, prox_power_many, psi_many
 
 # closed forms recomputed independently (mpmath): 2 c**1.5 = 1 and the
 # stationarity identity lam = (2 - c)/sqrt(c)
@@ -48,15 +46,6 @@ def test_ball_validation():
         LpBall(p=2.0, dim=3, radius=1.0, sparsity=1)
     with pytest.raises(InvalidParameterError):
         LpBall(p=-1.0, dim=3, radius=1.0)
-
-
-def test_conjugate_pairs():
-    assert LpBall(p=2.0, dim=1, radius=1.0).conjugate == 2.0
-    assert LpBall(p=1.5, dim=1, radius=1.0).conjugate == 3.0
-    assert LpBall(p=1.0, dim=1, radius=1.0).conjugate == math.inf
-    assert LpBall(p=math.inf, dim=1, radius=1.0).conjugate == 1.0
-    with pytest.raises(InvalidParameterError):
-        LpBall(p=0.5, dim=1, radius=1.0).conjugate
 
 
 def test_project_radial_p2():
@@ -92,10 +81,14 @@ def test_project_input_validation():
     ball = LpBall(p=2.0, dim=2, radius=1.0)
     with pytest.raises(DimensionMismatchError):
         project(ball, np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(NonFiniteInputError):
-        project(ball, np.array([1.0, np.nan]))
-    with pytest.raises(NonFiniteInputError):
-        project(ball, np.array([1.0, np.inf]))
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInputError):
+            project(ball, np.array([1.0, value]))
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(InvalidParameterError, match="tol"):
+            project(ball, np.array([3.0, 4.0]), tol=tol)
+        with pytest.raises(InvalidParameterError, match="tol"):
+            project_many(ball, np.array([[3.0, 4.0]]), tol=tol)
 
 
 def test_top_s_examples():
@@ -121,22 +114,20 @@ def test_clip_examples():
 
 
 def test_dual_sum_examples():
+    # the dual sum sum(psi**p) at multipliers 0, 1 and 1e8, one per row
     y = np.array([2.0, 0.0])
-    assert dual_sum(0.0, y, 2.0, 1.0) == pytest.approx(lp_norm(y, 2.0) ** 2)
-    assert dual_sum(1.0, y, 2.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert dual_sum(1e8, y, 2.0, 1.0) < 1e-3
-    with pytest.raises(InvalidParameterError):
-        dual_sum(1.0, y, 1.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        dual_sum(-1.0, y, 2.0, 1.0)
+    sums = np.sum(psi_many(2.0, np.array([[0.0], [1.0], [1e8]]), y) ** 2.0, axis=1)
+    assert sums[0] == pytest.approx(lp_norm(y, 2.0) ** 2)
+    assert sums[1] == pytest.approx(1.0, abs=1e-12)
+    assert sums[2] < 1e-3
 
 
 def test_dual_sum_strictly_decreasing():
     rng = np.random.default_rng(0)
     y = rng.standard_normal(20) * 2
     lams = np.linspace(0.0, 12.0, 60)
-    vals = [dual_sum(lam, y, 1.6, 1.0) for lam in lams]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
+    vals = np.sum(psi_many(1.6, lams[:, None], np.abs(y)) ** 1.6, axis=1)
+    assert np.all(np.diff(vals) < 0)
 
 
 def test_lambda_star_via_project():
@@ -145,24 +136,7 @@ def test_lambda_star_via_project():
     assert res.multiplier == pytest.approx(1.0, abs=1e-9)
     res = project(LpBall(p=1.5, dim=2, radius=1.0), np.array([2.0, 2.0]))
     assert res.multiplier == pytest.approx((2 - 2 ** (-2 / 3)) / 2 ** (-1 / 3), rel=1e-9)
-    assert abs(dual_sum(res.multiplier, np.array([2.0, 2.0]), 1.5, 1.0) - 1) <= 1e-9
-
-
-def test_find_lambda_star_direct():
-    assert find_lambda_star(np.array([2.0, 0.0]), 2.0) == pytest.approx(1.0, abs=1e-9)
-    lam = find_lambda_star(np.array([2.0, 2.0]), 1.5)
-    assert lam == pytest.approx(LAM_SYMMETRIC, rel=1e-9)
-    assert abs(dual_sum(lam, np.array([2.0, 2.0]), 1.5) - 1.0) <= 1e-9
-    with pytest.raises(InvalidParameterError):
-        find_lambda_star(np.array([0.1, 0.1]), 2.0)  # already feasible
-    with pytest.raises(InvalidParameterError):
-        find_lambda_star(np.array([2.0, 2.0]), 1.0)  # p must exceed 1
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_find_lambda_star_rejects_non_finite_input(value):
-    with pytest.raises(NonFiniteInputError):
-        find_lambda_star(np.array([2.0, value]), 1.5)
+    assert abs(np.sum(psi_many(1.5, res.multiplier, [2.0, 2.0]) ** 1.5) - 1) <= 1e-9
 
 
 def test_kkt_residual_consistency_and_sensitivity():

@@ -5,17 +5,13 @@ from hypothesis import strategies as st
 
 from lpseq.errors import InvalidParameterError
 from lpseq.shrinkage import (
-    ShrinkageQuery,
     branch_roots,
     branch_vanish_lambda,
     power_objective,
     prox_jump_lambda,
-    prox_power,
     prox_power_many,
     psi_many,
-    psi_solve,
     soft_threshold,
-    soft_threshold_scalar,
 )
 
 # independently computed to 1e-12 by a 200-step bisection (mpmath, 40 digits)
@@ -25,33 +21,25 @@ JUMP_T_HALF = 2.3811015779522992
 
 
 def test_psi_closed_form_examples():
-    assert psi_solve(ShrinkageQuery(2.0, 1.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
-    assert psi_solve(ShrinkageQuery(1.5, 1.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
-    assert psi_solve(ShrinkageQuery(3.0, 2.0, 3.0)) == pytest.approx(1.0, abs=1e-12)
+    assert psi_many(2.0, 1.0, [2.0])[0] == pytest.approx(1.0, abs=1e-12)
+    assert psi_many(1.5, 1.0, [2.0])[0] == pytest.approx(1.0, abs=1e-12)
+    assert psi_many(3.0, 2.0, [3.0])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_psi_derived_fixture():
-    assert psi_solve(ShrinkageQuery(1.5, 0.5, 1.0)) == pytest.approx(PSI_15_05_1, abs=1e-12)
+    assert psi_many(1.5, 0.5, [1.0])[0] == pytest.approx(PSI_15_05_1, abs=1e-12)
 
 
 def test_psi_edge_cases():
-    assert psi_solve(ShrinkageQuery(1.7, 0.0, 3.0)) == 3.0
-    assert psi_solve(ShrinkageQuery(1.7, 2.0, 0.0)) == 0.0
-    assert psi_solve(ShrinkageQuery(1.0, 2.0, 5.0)) == 3.0
-    assert psi_solve(ShrinkageQuery(1.0, 2.0, 1.0)) == 0.0
+    assert psi_many(1.7, 0.0, [3.0])[0] == 3.0
+    assert psi_many(1.7, 2.0, [0.0])[0] == 0.0
+    assert psi_many(1.0, 2.0, [5.0])[0] == 3.0
+    assert psi_many(1.0, 2.0, [1.0])[0] == 0.0
 
 
 def test_psi_invalid_parameters():
     with pytest.raises(InvalidParameterError):
-        ShrinkageQuery(0.0, 1.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        ShrinkageQuery(1.5, -1.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        ShrinkageQuery(1.5, 1.0, -1.0)
-    with pytest.raises(InvalidParameterError):
-        ShrinkageQuery(1.5, 1.0, 1.0, tol=0.0)
-    with pytest.raises(InvalidParameterError):
-        psi_solve(ShrinkageQuery(0.5, 1.0, 1.0))
+        psi_many(0.5, 1.0, [1.0])
 
 
 @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 1.8, 2.0, 2.6, 3.0, 4.5, 50.0])
@@ -84,30 +72,28 @@ def test_psi_monotone_in_t_and_lam(p):
 def test_psi_near_one_matches_soft_threshold(lam, t):
     if t <= lam:
         return
-    psi = psi_solve(ShrinkageQuery(1.0 + 1e-9, lam, t))
-    assert abs(psi - soft_threshold_scalar(t, lam)) <= 1e-6
+    psi = psi_many(1.0 + 1e-9, lam, [t])[0]
+    assert abs(psi - soft_threshold([t], lam)[0]) <= 1e-6
 
 
 def test_soft_threshold_examples():
-    assert soft_threshold_scalar(3.0, 1.0) == 2.0
-    assert soft_threshold_scalar(-0.5, 1.0) == 0.0
-    assert soft_threshold_scalar(0.0, 5.0) == 0.0
-    np.testing.assert_allclose(soft_threshold(np.array([3.0, -0.5, 0.0]), 1.0),
-                               [2.0, 0.0, 0.0])
+    np.testing.assert_array_equal(soft_threshold(np.array([3.0, -0.5, 0.0]), 1.0),
+                                  [2.0, 0.0, 0.0])
+    assert soft_threshold([0.0], 5.0)[0] == 0.0
     with pytest.raises(InvalidParameterError):
-        soft_threshold_scalar(1.0, -0.1)
+        soft_threshold([1.0], -0.1)
 
 
 def test_prox_trivial_cases():
-    assert prox_power(ShrinkageQuery(0.5, 7.0, 0.0)) == 0.0
-    assert prox_power(ShrinkageQuery(0.5, 0.0, 3.0)) == 3.0
+    assert prox_power_many(0.5, 7.0, [0.0])[0] == 0.0
+    assert prox_power_many(0.5, 0.0, [3.0])[0] == 3.0
     # p >= 1 identical to the fixed-point solve
-    assert prox_power(ShrinkageQuery(1.5, 0.5, 1.0)) == pytest.approx(PSI_15_05_1, abs=1e-12)
+    assert prox_power_many(1.5, 0.5, [1.0])[0] == pytest.approx(PSI_15_05_1, abs=1e-12)
 
 
 def test_prox_jump_threshold_both_sides():
-    below = prox_power(ShrinkageQuery(0.5, 1.0, JUMP_T_HALF - 1e-6))
-    above = prox_power(ShrinkageQuery(0.5, 1.0, JUMP_T_HALF + 1e-6))
+    below = prox_power_many(0.5, 1.0, [JUMP_T_HALF - 1e-6])[0]
+    above = prox_power_many(0.5, 1.0, [JUMP_T_HALF + 1e-6])[0]
     assert below == 0.0
     assert above == pytest.approx(2.0 * JUMP_T_HALF / 3.0, rel=1e-4)
     # the dense-grid oracle agrees on both sides
@@ -126,7 +112,7 @@ def test_prox_global_optimality_against_grid():
     t = 10.0 ** rng.uniform(-2, 1.0, size=n)
     grid = np.linspace(0.0, 1.0, 10001)
     for i in range(n):
-        x = prox_power(ShrinkageQuery(float(p[i]), float(lam[i]), float(t[i])))
+        x = prox_power_many(float(p[i]), float(lam[i]), [float(t[i])])[0]
         fx = float(power_objective(p[i], lam[i], t[i], np.array([x]))[0])
         gvals = power_objective(p[i], lam[i], t[i], grid * t[i])
         assert fx <= float(gvals.min()) + 1e-9
@@ -137,7 +123,7 @@ def test_prox_tie_prefers_zero():
     t = JUMP_T_HALF
     x_tie = 2.0 * t / 3.0
     lam = float((t - x_tie) * x_tie**0.5)
-    assert prox_power(ShrinkageQuery(0.5, lam, t)) == 0.0
+    assert prox_power_many(0.5, lam, [t])[0] == 0.0
 
 
 def test_branch_helpers_consistency():
