@@ -5,7 +5,10 @@ characterization: each output magnitude solves ``psi + lam*psi**(p-1) = |y_i|``
 at the common multiplier ``lam*`` that makes the shrunk vector exactly
 feasible.  Newton steps on the log of the strictly decreasing dual sum start at
 the dual norm ``||y/r||_q`` (``q = p/(p-1)``), an upper bound on ``lam*``, with
-bisection where a step leaves the bracket.  ``p = 1`` uses exact sort-and-threshold
+bisection where a step leaves the bracket.  Where ``psi`` has no closed form,
+each dual-sum evaluation after the first starts its inner Newton roots at the
+tangent of the previous ones (the nested zero-finding of Liu & Ye, 2010, with
+the inner solve continued).  ``p = 1`` uses exact sort-and-threshold
 water filling, ``p = 0`` keeps the largest magnitudes, ``p = inf`` clips.
 For p in (0, 1) the problem is nonconvex; its global minimizer keeps a prefix of
 the sorted magnitudes, at most the last kept one on the lower root of the fixed
@@ -23,9 +26,10 @@ General radii are handled by solving on the unit ball after rescaling
 ``project`` does.  For p > 1 one multiplier search runs on the whole block:
 each of its dual-sum evaluations is one vectorized call over the whole block,
 while every row keeps its bracket and Newton step in plain floats, so it takes
-the iterates it would alone, and a row that has stopped keeps its multiplier
-until the last one stops.  A block thus costs its slowest row's evaluations
-times its rows.  ``project`` runs that search on one row.
+the iterates it would alone, its warm starts come from its own previous
+roots, and a row that has stopped keeps its multiplier and the ``psi`` of the
+evaluation where it stopped; it is not recomputed.  A block thus costs its
+slowest row's evaluations times its rows.  ``project`` runs that search on one row.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteInputError
 from .shrinkage import (
+    CLOSED_FORMS,
     DEFAULT_TOL,
     FLUSH_TOL,
     branch_roots,
@@ -163,24 +168,28 @@ def project_clip(r: float, y: np.ndarray) -> np.ndarray:
     return np.sign(y) * np.minimum(np.abs(y), r)
 
 
-def _dual_sums(p: float, lam: list, T: np.ndarray, tol: float):
-    """Dual sums of the rows of ``T`` at multipliers ``lam``, minus their slopes, and psi.
+def _dual_sums(p: float, lam: list, T: np.ndarray, tol: float, start=None):
+    """Dual sums of the rows of ``T`` at multipliers ``lam``, minus their slopes, psi and dpsi.
 
-    The sums and the (nonnegative) minus slopes come back as lists.
+    ``dpsi = -dpsi/dlam`` (0 where ``psi = 0``); with ``pw = psi**(p-1)`` the
+    sum is ``sum(psi*pw)`` and minus its slope ``p*sum(pw*dpsi)``, one power per
+    element.  ``start`` goes to ``psi_many``.  The sums and the (nonnegative)
+    minus slopes come back as lists.
     """
     lam = _lam_column(lam)
-    psi = psi_many(p, lam, T, tol)
-    value = np.sum(psi**p, axis=1)
+    psi = psi_many(p, lam, T, tol, start)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pw = psi ** (p - 1.0)
-        denom = 1.0 + lam * (p - 1.0) * psi ** (p - 2.0)  # inf at psi = 0, p < 2
-        fall = np.sum(p * pw * pw / denom, axis=1)
-    return value.tolist(), fall.tolist(), psi
+        dpsi = np.where(psi > 0, psi * pw / (psi + lam * (p - 1.0) * pw), 0.0)
+        value = np.sum(psi * pw, axis=1)
+        fall = p * np.sum(pw * dpsi, axis=1)
+    return value.tolist(), fall.tolist(), psi, dpsi
 
 
 def _lam_column(lam: list):
-    """Row multipliers as a column against an ``(n, d)`` block; a lone one as a
-    scalar, which numpy broadcasts faster and to the same values."""
+    """Per-row values, such as multipliers, as a column against an ``(n, d)``
+    block; a lone one as a scalar, which numpy broadcasts faster and to the
+    same values."""
     return lam[0] if len(lam) == 1 else np.array(lam)[:, None]
 
 
@@ -192,16 +201,22 @@ def _find_lambda_star(p: float, T: np.ndarray, gap_tol: float):
     top, against ``lam`` (near linear for a barely infeasible ``t``); one that
     passes ``lo`` is redone against ``log lam`` (near slope ``-q`` far out).
     One call of ``_dual_sums`` evaluates the whole block; each row's bracket
-    and step are plain floats, so it takes the iterates it would alone.  A row
-    that has stopped keeps its multiplier, so its ``psi`` comes out the same at
-    every later step, and a block costs its slowest row's evaluations times its rows.
+    and step are plain floats, so it takes the iterates it would alone.  Outside
+    ``CLOSED_FORMS`` each evaluation after the first starts its roots at the
+    log-log tangent of the row's previous ones,
+    ``log psi - log(lam_new/lam_old) * lam_old*dpsi/psi``.  A row that has
+    stopped keeps its multiplier and the ``psi`` of the evaluation where it
+    stopped (a later one would repeat it only up to rounding), so a block
+    costs its slowest row's evaluations times its rows.
     """
     inner_tol = min(gap_tol / (10 * p), DEFAULT_TOL)  # psi's error moves the sum p-fold
     slack_unit = [max(1.0, m) for m in np.max(T, axis=1).tolist()]  # slackness is lam*|f|/this
     hi = _lp_norms(T, p / (p - 1.0))
     lo, lam, iterations = [0.0] * len(hi), hi[:], [0] * len(hi)
+    kept, start = np.empty_like(T), None
     for step_count in range(1, 201):
-        values, falls, psi = _dual_sums(p, lam, T, inner_tol)
+        values, falls, psi, dpsi = _dual_sums(p, lam, T, inner_tol, start)
+        previous = lam[:]
         for i, (value, fall) in enumerate(zip(values, falls)):
             if iterations[i]:
                 continue
@@ -209,6 +224,7 @@ def _find_lambda_star(p: float, T: np.ndarray, gap_tol: float):
             if (abs(f) * max(1.0, lam_i / slack_unit[i]) <= gap_tol
                     or (hi[i] - lo[i]) <= 1e-14 * (1.0 + lam_i) or step_count == 200):
                 iterations[i] = step_count
+                kept[i] = psi[i]
                 continue
             if f > 0:
                 lo[i] = lam_i
@@ -221,7 +237,11 @@ def _find_lambda_star(p: float, T: np.ndarray, gap_tol: float):
                 newton = lam_i * math.exp(step)
             lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
         if all(iterations):
-            return lam, psi, iterations
+            return lam, kept, iterations
+        if p not in CLOSED_FORMS:
+            shift = _lam_column([old * math.log(new / old) for new, old in zip(lam, previous)])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                start = np.log(psi) - shift * dpsi / psi  # nan at psi = 0: a cold start
 
 
 def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float) -> list:

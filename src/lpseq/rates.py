@@ -71,8 +71,8 @@ class RateQuery:
         if self.p == 0:
             if self.sparsity is None or not (1 <= self.sparsity <= self.d):
                 raise InvalidParameterError("p = 0 requires sparsity in [1, d]")
-        elif not (self.radius > 0):
-            raise InvalidParameterError(f"radius must be positive, got {self.radius}")
+        elif not (0.0 < self.radius < math.inf):
+            raise InvalidParameterError(f"radius must be positive and finite, got {self.radius}")
 
     @property
     def effective_sigma(self) -> float:

@@ -35,6 +35,11 @@ ROOT_STEPS = 60
 ROOT_FLOOR = 8.0
 ROOT_FLOOR_STEP = 8
 EPS = float(np.finfo(float).eps)
+LOG2 = float(np.log(2.0))
+
+# Indices at which psi_many has a closed form; the others take Newton steps
+# that the p > 1 multiplier search warm-starts.
+CLOSED_FORMS = frozenset({1.0, 1.5, 2.0, 3.0})
 
 
 def soft_threshold(y: np.ndarray, lam: float) -> np.ndarray:
@@ -50,7 +55,7 @@ def _flush(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarray:
     """Elementwise positive solution of ``psi + lam*psi**(p-1) = t``, p >= 1.
 
     ``lam`` may be a scalar or an array broadcastable against ``t``.  The
@@ -58,11 +63,21 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``|psi + lam*psi**(p-1) - t| <= max(tol, ROOT_FLOOR*eps*t*(1 + |log t|))``,
     the second term being the residual's rounding floor at large ``t``
     (reached from ``ROOT_FLOOR_STEP`` Newton steps on).
-    Closed forms are used for ``p in {1, 1.5, 2, 3}``; other indices take
-    Newton steps in ``log psi`` that fall monotonically to the root.
+    Closed forms are used for ``p`` in ``CLOSED_FORMS``, which ignore
+    ``start``; other indices take Newton steps in ``log psi``.  They begin at
+    ``start`` where it is given: guesses of ``log psi`` broadcastable against
+    ``t``, such as the log-roots at a nearby ``lam``, clamped into the bracket
+    of :func:`_branch_root`, NaN taken as its cold start.
     """
     lam_arr, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(t, dtype=float))
+    if p not in CLOSED_FORMS:
+        if p < 1.0:
+            raise InvalidParameterError("psi_many requires p >= 1; use prox_power_many for p < 1")
+        lam = np.asarray(lam, dtype=float)  # unbroadcast, so a column of lams costs one log each
+        with np.errstate(divide="ignore", invalid="ignore"):  # where t or lam is 0, psi = t
+            x = _branch_root(p, lam, t, True, tol, start)
+        return _flush(np.where((t > 0) & (lam > 0), np.minimum(x, t), t))
     if p == 1.0:
         return _flush(np.maximum(t - lam_arr, 0.0))
     if p == 2.0:
@@ -79,36 +94,35 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL) -> np.ndarray:
                                 np.hypot(lam_arr, 2.0 * np.sqrt(t)))
         u = 2.0 * t / (lam_arr + root)
         return _flush(u * u)
-    if p == 3.0:
-        with np.errstate(over="ignore"):
-            root = np.sqrt(1.0 + 4.0 * lam_arr * t)
-        # where 4*lam*t overflows, the 1 beside it is below rounding
-        root = np.where(np.isinf(root), 2.0 * np.sqrt(lam_arr) * np.sqrt(t), root)
-        return _flush(2.0 * t / (1.0 + root))
-    if p < 1.0:
-        raise InvalidParameterError("psi_many requires p >= 1; use prox_power_many for p < 1")
-    out = np.array(t, dtype=float, copy=True)
-    active = (t > 0) & (lam_arr > 0)
-    out[active] = np.minimum(_branch_root(p, lam_arr[active], t[active], True, tol), t[active])
-    return _flush(out)
+    with np.errstate(over="ignore"):  # p == 3
+        root = np.sqrt(1.0 + 4.0 * lam_arr * t)
+    # where 4*lam*t overflows, the 1 beside it is below rounding
+    root = np.where(np.isinf(root), 2.0 * np.sqrt(lam_arr) * np.sqrt(t), root)
+    return _flush(2.0 * t / (1.0 + root))
 
 
-def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float) -> np.ndarray:
+def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float,
+                 start=None) -> np.ndarray:
     """Root of ``x + lam*x**(p-1) = t`` on one branch, for ``lam, t > 0``.
 
     Newton's method in ``s = log x``: ``f(s) = e**s + lam*e**((p-1)*s) - t``
     is convex, so steps from a start with ``f >= 0`` move monotonically to the
-    root on that side and never overshoot.  Each start puts one term at ``t``.
-    For p < 1 the root must exist; iterates stay on their branch's side of the
-    turning point ``x_arg``, so a root lost to rounding there comes back as
-    ``x_arg``.  An element stops once ``|f| <= tol``, or from step
+    root on that side and never overshoot.  Each cold start puts one term at
+    ``t``.  For p > 1 the root lies between that cold start and the floor
+    where the larger term is ``t/2`` (``f <= 0``); ``start`` is clamped into
+    them (NaN to the cold start), and a step from below the root overshoots
+    once, onto the monotone side, clipped to the cold start.  For p < 1 the
+    root must exist, ``start`` is not used, and iterates stay on their
+    branch's side of the turning point ``x_arg``, so a root lost to rounding
+    there comes back as ``x_arg``.  An element stops once ``|f| <= tol``, or from step
     ``ROOT_FLOOR_STEP`` on once ``|f|`` is within the rounding floor
     ``ROOT_FLOOR*eps*t*(1 + |log t|)``, whatever its batch.
     """
     log_t = np.log(t)
     s_pow = (np.log(lam) - log_t) / (1.0 - p)  # where lam*x**(p-1) = t
     if p > 1:
-        s, lo, hi = np.minimum(log_t, s_pow), -np.inf, np.inf
+        lo, hi = np.minimum(log_t - LOG2, s_pow - LOG2 / (p - 1.0)), np.minimum(log_t, s_pow)
+        s = hi if start is None else np.fmax(np.fmin(start, hi), lo)  # NaN: hi
     else:
         s_arg = np.log(lam * (1.0 - p)) / (2.0 - p)
         s = np.where(upper, log_t, s_pow)

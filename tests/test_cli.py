@@ -103,6 +103,14 @@ def test_rates_invalid_exit_2(capsys):
     assert code == 2
 
 
+def test_rates_radius_must_be_finite(capsys):
+    code, out, err = run_cli(capsys, "rates", "--p", "1.5", "--d", "100", "--sigma", "0.1",
+                             "--radius", "inf")
+    assert code == 2
+    assert out == ""
+    assert "radius must be positive and finite" in err
+
+
 def test_verify_suite_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--suite", "monotone", "--seed", "7")
     code2, out2, _ = run_cli(capsys, "verify", "--suite", "monotone", "--seed", "7")
@@ -136,6 +144,17 @@ def test_reproduce_smoke(tmp_path, capsys):
     # each cell reports its solver health on stderr
     done = [line for line in err.splitlines() if "cell done" in line]
     assert len(done) == 2 and "est=mle kkt_max=" in done[0] and "iterations_max=" in done[0]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_reproduce_seed_out_of_range_exit_2(tmp_path, capsys, seed):
+    out_dir = tmp_path / "fig"
+    code, out, err = run_cli(capsys, "reproduce", "--figure", "2a", "--max-d", "100",
+                             "--reps", "1", "--seed", seed, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert "seed must be an integer in [0, 2**64)" in err
+    assert not out_dir.exists()
 
 
 def test_reproduce_resumes_from_cursor(tmp_path, capsys):
@@ -300,6 +319,8 @@ def test_simulate_from_config(tmp_path, capsys):
     {"sigma_rule": [0.5, 0.0]},
     {"estimators": []},
     {"estimators": ["zero", "zero"]},  # two cells with one id
+    {"seed": -1},  # the Philox key takes seeds mod 2**64: -1 would draw as 2**64 - 1
+    {"seed": 2**64},
 ])
 def test_simulate_malformed_config_exit_2(tmp_path, monkeypatch, capsys, change):
     monkeypatch.chdir(tmp_path)

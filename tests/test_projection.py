@@ -609,3 +609,49 @@ def test_project_many_validation():
     assert project_many(ball, np.empty((0, 3))) == []
     with pytest.raises(InvalidParameterError, match="overflows"):
         project_many(LpBall(p=1.5, dim=2, radius=1e-300), np.array([[0.1, 0.1], [1e10, 1.0]]))
+
+
+def test_project_warm_starts_inner_roots(monkeypatch):
+    # from its second dual-sum evaluation on, a p = 1.3 projection starts its
+    # roots at the tangent of the previous ones: next to the root, so the
+    # kernel takes fewer Newton steps than from the cold start
+    import lpseq.projection as projection
+    import lpseq.shrinkage as shrinkage
+
+    p, d = 1.3, 1000
+    ball = LpBall(p=p, dim=d, radius=1.0)
+    y = np.random.default_rng(41).standard_normal(d)
+    calls, exps = [], []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            exps.append(1)
+            return np.exp(x)
+
+    def run(keep_start):
+        calls.clear()
+        exps.clear()
+
+        def spy(p, lam, t, tol, start=None):
+            calls.append((lam, t, start))
+            return psi_many(p, lam, t, tol, start if keep_start else None)
+
+        with monkeypatch.context() as m:
+            m.setattr(projection, "psi_many", spy)
+            m.setattr(shrinkage, "np", CountingNumpy())
+            res = project(ball, y)
+        return res, len(exps)
+
+    cold, cold_exps = run(False)
+    warm, warm_exps = run(True)
+    assert warm.iterations == cold.iterations == len(calls) >= 3
+    assert calls[0][2] is None
+    for lam, t, start in calls[1:]:
+        x = np.exp(start)
+        assert np.median(np.abs(x + lam * x ** (p - 1.0) - t) / t) <= 1e-6
+    assert warm_exps <= 0.7 * cold_exps
+    assert warm.kkt_residual <= 1e-9
+    np.testing.assert_allclose(warm.point, cold.point, rtol=1e-9, atol=1e-15)

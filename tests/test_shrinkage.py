@@ -54,6 +54,23 @@ def test_psi_residual_on_random_grid(p):
     assert resid.max() <= 1e-11
 
 
+@pytest.mark.parametrize("p", [1.05, 1.3, 1.7, 2.6, 4.5, 50.0])
+def test_psi_start_anywhere_meets_residual(p):
+    # a start at the root, far on either side of it, or not finite at all
+    # still gives a root in [0, t] within the residual bound above
+    rng = np.random.default_rng(8)
+    t = 10.0 ** rng.uniform(-6, 2, size=300)
+    lam = 10.0 ** rng.uniform(-6, 3, size=300)
+    at_root = np.log(psi_many(p, lam, t))
+    for start in (at_root, at_root - 30.0, at_root + 30.0,
+                  np.full(300, np.nan), np.full(300, -np.inf), np.full(300, np.inf)):
+        psi = psi_many(p, lam, t, 1e-12, start)
+        resid = np.abs(psi + lam * psi ** (p - 1.0) - t)
+        assert np.all(psi >= 0)
+        assert np.all(psi <= t + 1e-15)
+        assert resid.max() <= 1e-11
+
+
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])
 def test_psi_monotone_in_t_and_lam(p):
     rng = np.random.default_rng(3)

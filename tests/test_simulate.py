@@ -64,6 +64,16 @@ def test_config_validation():
     assert small_config(p=2.5, estimators=("mle",)).p == 2.5
 
 
+def test_config_seed_range():
+    # the Philox key holds a seed mod 2**64, so a seed outside [0, 2**64)
+    # would repeat another seed's draws under its own experiment id
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            small_config(seed=seed)
+    assert small_config(seed=0).seed == 0
+    assert small_config(seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = small_config()
     path = tmp_path / "cfg.json"
