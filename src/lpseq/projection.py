@@ -169,12 +169,12 @@ def project_clip(r: float, y: np.ndarray) -> np.ndarray:
 
 
 def _dual_sums(p: float, lam: list, T: np.ndarray, tol: float, start=None):
-    """Dual sums of the rows of ``T`` at multipliers ``lam``, minus their slopes, psi and dpsi.
+    """Dual sums of the rows of ``T`` at multipliers ``lam``, minus their slopes, psi, dpsi.
 
-    ``dpsi = -dpsi/dlam`` (0 where ``psi = 0``); with ``pw = psi**(p-1)`` the
-    sum is ``sum(psi*pw)`` and minus its slope ``p*sum(pw*dpsi)``, one power per
-    element.  ``start`` goes to ``psi_many``.  The sums and the (nonnegative)
-    minus slopes come back as lists.
+    ``dpsi`` is ``-d psi/d lam`` (0 where ``psi = 0``).  With ``pw = psi**(p-1)``,
+    the one power taken per element, the sum is ``sum(psi*pw)`` and minus its
+    slope ``p*sum(pw*dpsi)``.  ``start`` goes to ``psi_many``.  The sums and the
+    (nonnegative) minus slopes come back as lists.
     """
     lam = _lam_column(lam)
     psi = psi_many(p, lam, T, tol, start)

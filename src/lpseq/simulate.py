@@ -83,7 +83,8 @@ class ExperimentConfig:
         if not (_is_integer(self.reps) and self.reps >= 1):
             raise InvalidParameterError(f"reps must be an integer >= 1, got {self.reps!r}")
         if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):  # the Philox key's range
-            raise InvalidParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+            raise InvalidParameterError(
+                f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if len(self.d_grid) == 0:
             raise InvalidParameterError("d_grid must be nonempty")
         if not all(_is_integer(d) and d >= 1 for d in self.d_grid):
