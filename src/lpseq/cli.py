@@ -22,6 +22,7 @@ from . import oracles, simulate
 from .errors import InvalidParameterError
 from .projection import LpBall, project
 from .rates import RateQuery, classify_regime
+from .rng import check_seed
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -202,6 +203,11 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    try:
+        check_seed(args.seed)
+    except InvalidParameterError as exc:
+        _log(f"[lpseq] parameter error: {exc}")
+        return EXIT_PARSE
     _echo_config("verify", {"suite": args.suite, "seed": args.seed})
     all_pass = True
     for name in oracles.SUITES if args.suite == "all" else [args.suite]:

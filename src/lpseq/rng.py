@@ -10,10 +10,24 @@ word, giving each one 2**64 blocks of headroom.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 _MASK64 = (1 << 64) - 1
+
+
+def check_seed(seed) -> None:
+    """Raise ``InvalidParameterError`` unless ``seed`` is an integer in ``[0, 2**64)``.
+
+    That is the range of the Philox key word it becomes; a seed outside it
+    would alias one inside.
+    """
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+            and 0 <= seed <= _MASK64):
+        raise InvalidParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def label_key(label: str) -> int:
@@ -22,7 +36,8 @@ def label_key(label: str) -> int:
 
 
 def keyed_generator(seed: int, label: str, trial: int = 0) -> np.random.Generator:
-    """Philox generator for one (seed, label, trial) triple."""
-    key = np.array([seed & _MASK64, label_key(label)], dtype=np.uint64)
+    """Philox generator for one (seed, label, trial) triple; ``seed`` as :func:`check_seed` requires."""
+    check_seed(seed)
+    key = np.array([seed, label_key(label)], dtype=np.uint64)
     counter = np.array([0, 0, trial & _MASK64, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))

@@ -64,10 +64,12 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarr
     the second term being the residual's rounding floor at large ``t``
     (reached from ``ROOT_FLOOR_STEP`` Newton steps on).
     Closed forms are used for ``p`` in ``CLOSED_FORMS``, which ignore
-    ``start``; other indices take Newton steps in ``log psi``.  They begin at
-    ``start`` where it is given: guesses of ``log psi`` broadcastable against
-    ``t``, such as the log-roots at a nearby ``lam``, clamped into the bracket
-    of :func:`_branch_root`, NaN taken as its cold start.
+    ``start``; at 1.5, 2 and 3 they are those of :func:`_closed_terms`, whose
+    powers and slopes the p > 1 multiplier search sums directly.  Other
+    indices take Newton steps in ``log psi``.  They begin at ``start`` where
+    it is given: guesses of ``log psi`` broadcastable against ``t``, such as
+    the log-roots at a nearby ``lam``, clamped into the bracket of
+    :func:`_branch_root`, NaN taken as its cold start.
     """
     lam_arr, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(t, dtype=float))
@@ -80,25 +82,45 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarr
         return _flush(np.where((t > 0) & (lam > 0), np.minimum(x, t), t))
     if p == 1.0:
         return _flush(np.maximum(t - lam_arr, 0.0))
-    if p == 2.0:
-        return _flush(t / (1.0 + lam_arr))
-    if p == 1.5:
-        # quadratic in sqrt(psi); conjugate form avoids cancellation.  lam*lam
-        # overflows once lam passes 1.3e154, where hypot takes over (chosen per
-        # element, so a result does not depend on the other lams of its call)
-        if (lam if np.isscalar(lam) else np.max(lam)) < 1e150:
-            root = np.sqrt(lam_arr * lam_arr + 4.0 * t)
-        else:
-            with np.errstate(over="ignore"):
-                root = np.where(lam_arr < 1e150, np.sqrt(lam_arr * lam_arr + 4.0 * t),
-                                np.hypot(lam_arr, 2.0 * np.sqrt(t)))
-        u = 2.0 * t / (lam_arr + root)
-        return _flush(u * u)
-    with np.errstate(over="ignore"):  # p == 3
-        root = np.sqrt(1.0 + 4.0 * lam_arr * t)
-    # where 4*lam*t overflows, the 1 beside it is below rounding
-    root = np.where(np.isinf(root), 2.0 * np.sqrt(lam_arr) * np.sqrt(t), root)
-    return _flush(2.0 * t / (1.0 + root))
+    return _closed_terms(p, lam, t)[0]
+
+
+def _closed_terms(p: float, lam, t):
+    """``psi``, ``psi**p`` and ``-d(psi**p)/dlam`` at a closed-form index p in {1.5, 2, 3}.
+
+    ``lam > 0`` broadcasts against ``t >= 0``; a column of multipliers is
+    squared before it is broadcast.  Each term comes from the closed form's
+    own intermediates, with ``-d psi/dlam = psi**(p-1)/(1 + lam*(p-1)*psi**(p-2))``:
+    at p = 1.5, with ``u = sqrt(psi)`` the root of ``u*u + lam*u = t`` and
+    ``root = sqrt(lam*lam + 4t) = 2u + lam``, the power is ``psi*u`` and the
+    slope ``3*power/root``; at p = 2 ``2*power/(1 + lam)``; at p = 3, with
+    ``root = sqrt(1 + 4*lam*t) = 1 + 2*lam*psi``, ``3*psi*power/root``.  A
+    flushed ``psi`` has power and slope 0.
+    """
+    lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):  # powers past double range are inf
+        if p == 2.0:
+            psi = _flush(t / (1.0 + lam))
+            power = psi * psi
+            return psi, power, 2.0 * power / (1.0 + lam)
+        if p == 1.5:
+            # quadratic in sqrt(psi); conjugate form avoids cancellation.  lam*lam
+            # overflows once lam passes 1.3e154, where hypot takes over (chosen per
+            # element, so a result does not depend on the other lams of its call)
+            root = np.sqrt(lam * lam + 4.0 * t)
+            if np.max(lam) >= 1e150:
+                root = np.where(lam < 1e150, root, np.hypot(lam, 2.0 * np.sqrt(t)))
+            u = 2.0 * t / (lam + root)
+            psi = _flush(u * u)
+            power = psi * u
+            # root >= lam > 0, also where lam*lam underflows at t = 0
+            return psi, power, 3.0 * power / np.maximum(root, lam)
+        root = np.sqrt(1.0 + 4.0 * lam * t)  # p == 3
+        if np.max(root) == np.inf:  # where 4*lam*t overflows, the 1 beside it is below rounding
+            root = np.where(np.isinf(root), 2.0 * np.sqrt(lam) * np.sqrt(t), root)
+        psi = _flush(2.0 * t / (1.0 + root))
+        power = psi * psi * psi
+        return psi, power, 3.0 * psi * power / root
 
 
 def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float,

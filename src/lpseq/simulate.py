@@ -34,7 +34,7 @@ from .estimators import ESTIMATOR_KINDS, EstimatorSpec, estimate
 from .instances import sparsity_scaling, spike_instance
 from .projection import LpBall, project_many
 from .rates import RateQuery, control_function
-from .rng import keyed_generator
+from .rng import check_seed, keyed_generator
 
 REGIMES = ("fig2a", "fig2b", "custom")
 
@@ -82,9 +82,7 @@ class ExperimentConfig:
             raise InvalidParameterError(f"unknown regime {self.regime!r}")
         if not (_is_integer(self.reps) and self.reps >= 1):
             raise InvalidParameterError(f"reps must be an integer >= 1, got {self.reps!r}")
-        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):  # the Philox key's range
-            raise InvalidParameterError(
-                f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        check_seed(self.seed)
         if len(self.d_grid) == 0:
             raise InvalidParameterError("d_grid must be nonempty")
         if not all(_is_integer(d) and d >= 1 for d in self.d_grid):

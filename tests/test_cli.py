@@ -157,6 +157,14 @@ def test_reproduce_seed_out_of_range_exit_2(tmp_path, capsys, seed):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_seed_out_of_range_exit_2(capsys, seed):
+    code, out, err = run_cli(capsys, "verify", "--suite", "kkt", "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert "seed must be an integer in [0, 2**64)" in err
+
+
 def test_reproduce_resumes_from_cursor(tmp_path, capsys):
     out_dir = tmp_path / "fig"
     run_cli(capsys, "reproduce", "--figure", "2b",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lpseq.errors import InvalidParameterError
 from lpseq.shrinkage import (
+    _closed_terms,
     branch_roots,
     branch_vanish_lambda,
     power_objective,
@@ -69,6 +70,35 @@ def test_psi_start_anywhere_meets_residual(p):
         assert np.all(psi >= 0)
         assert np.all(psi <= t + 1e-15)
         assert resid.max() <= 1e-11
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_closed_terms_match_power_and_generic_slope(p):
+    # multipliers on both sides of the p = 1.5 hypot switch (1e150), magnitudes
+    # that flush, and products 4*lam*t that overflow the p = 3 root
+    lams = np.array([1e-300, 1.0, 1e149, 1e151, 1e300])
+    t = np.array([0.0, 1e-305, 1e-150, 1e-5, 1.0, 7.5, 1e150, 1e300])
+    psi, power, slope = _closed_terms(p, lams[:, None], t)
+    np.testing.assert_array_equal(psi_many(p, lams[:, None], t), psi)
+    for k, lam in enumerate(lams):  # a scalar multiplier gives its row of the block
+        for alone, in_block in zip(_closed_terms(p, lam, t), (psi, power, slope)):
+            np.testing.assert_array_equal(alone, in_block[k])
+    # the slope the dual sum takes outside CLOSED_FORMS: p*psi**(p-1)*dpsi
+    lam = lams[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pw = psi ** (p - 1.0)
+        dpsi = np.where(psi > 0, psi * pw / (psi + lam * (p - 1.0) * pw), 0.0)
+        generic = p * pw * dpsi
+        exact = psi**p
+    assert not np.any(np.isnan(psi) | np.isnan(power) | np.isnan(slope))
+    assert np.all(power[psi == 0] == 0) and np.all(slope[psi == 0] == 0)
+    # below the normal range only absolute agreement is possible
+    tiny = np.finfo(float).tiny
+    np.testing.assert_allclose(power, exact, rtol=1e-13, atol=tiny)
+    # where the generic form overflows (inf/inf), the true slope is past double range
+    finite = np.isfinite(generic)
+    np.testing.assert_allclose(slope[finite], generic[finite], rtol=1e-13, atol=tiny)
+    assert np.all(slope[~finite] == np.inf)
 
 
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])

@@ -294,12 +294,15 @@ def test_estimate_accepts_a_block():
 @pytest.mark.parametrize("regime, p, sigma_rule, reps", [
     ("fig2a", 1.5, "spike", 16),  # the fig2a benchmark workload at seed 0
     ("fig2b", 1.3, "flat", 4),  # the fig2b_p13 benchmark workload at seed 0
+    ("fig2a", 2.0, "spike", 16),  # the other closed-form indices
+    ("fig2a", 3.0, "spike", 16),
 ])
 def test_benchmark_cells_meet_the_kkt_rule(regime, p, sigma_rule, reps):
     # Every trial's p > 1 projection meets the CLI's 10 * tol rule (1e-9 at the
     # default tol), the rule the benchmark's traced run applies per trial.
+    estimators = ("mle", "soft_threshold") if p < 2 else ("mle",)  # soft_threshold needs p < 2
     cfg = ExperimentConfig(regime=regime, p=p, sigma_rule=sigma_rule, reps=reps,
-                           estimators=("mle", "soft_threshold"), seed=0)
+                           estimators=estimators, seed=0)
     mle = [r for r in run_experiment(cfg).rows if r.estimator == "mle"]
     assert [r.d for r in mle] == list(cfg.d_grid)
     for row in mle:
