@@ -255,14 +255,16 @@ def _find_lambda_star(p: float, T: np.ndarray, gap_tol: float):
 def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float) -> list:
     """KKT residual of each row in unit-ball coordinates: ``T = |Y|/r``, ``M = |X|/r``."""
     lam_c = _lam_column(lam)
-    nz = M > 0
     with np.errstate(all="ignore"):
+        pw = M ** (p - 1.0)
         # a zero output needs a zero input, up to what a magnitude below the
-        # flush threshold s explains: s + lam*s**(p-1); for p < 1 it needs none
+        # flush threshold s explains: s + lam*s**(p-1); for p < 1 it needs none.
+        # Where that leaves a negative term, the slackness below (>= 0) wins.
         floor = FLUSH_TOL + lam_c * FLUSH_TOL ** (p - 1.0) if p >= 1 else np.inf
-        stat = np.where(nz, np.abs(T - M - lam_c * M ** (p - 1.0)), np.maximum(T - floor, 0.0))
+        stat = np.where(M > 0, np.abs(T - M - lam_c * pw), T - floor)
+        powers = M * pw if p >= 1 else M**p  # for p < 1, 0*inf at zeros
     stat = np.max(stat / np.maximum(1.0, T), axis=1).tolist()
-    sums, tops = np.sum(_power(M, p), axis=1).tolist(), np.max(T, axis=1).tolist()
+    sums, tops = np.sum(powers, axis=1).tolist(), np.max(T, axis=1).tolist()
     return [max(st, abs(lam_i * (s - 1.0)) / max(1.0, top))
             for st, lam_i, s, top in zip(stat, lam, sums, tops)]
 
@@ -301,7 +303,7 @@ def _power(X: np.ndarray, p: float) -> np.ndarray:
     power costs two to three times as much (numpy squares at 2 itself)."""
     if p == 1.5:
         return X * np.sqrt(X)
-    return X * X * X if p == 3.0 else X**p
+    return np.square(X) * X if p == 3.0 else X**p
 
 
 def _inside_unit(T: np.ndarray, p: float) -> list:

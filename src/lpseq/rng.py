@@ -25,8 +25,8 @@ def check_seed(seed) -> None:
     That is the range of the Philox key word it becomes; a seed outside it
     would alias one inside.
     """
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
-            and 0 <= seed <= _MASK64):
+    if (isinstance(seed, bool) or not isinstance(seed, (int, numbers.Integral))
+            or not 0 <= seed <= _MASK64):
         raise InvalidParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 

@@ -51,7 +51,8 @@ def soft_threshold(y: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _flush(x: np.ndarray) -> np.ndarray:
-    x[np.abs(x) < FLUSH_TOL] = 0.0
+    """Zero the magnitudes ``x >= 0`` below ``FLUSH_TOL``, in place."""
+    x[x < FLUSH_TOL] = 0.0
     return x
 
 
@@ -88,38 +89,40 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarr
 def _closed_terms(p: float, lam, t):
     """``psi``, ``psi**p`` and ``-d(psi**p)/dlam`` at a closed-form index p in {1.5, 2, 3}.
 
-    ``lam > 0`` broadcasts against ``t >= 0``; a column of multipliers is
-    squared before it is broadcast.  Each term comes from the closed form's
-    own intermediates, with ``-d psi/dlam = psi**(p-1)/(1 + lam*(p-1)*psi**(p-2))``:
-    at p = 1.5, with ``u = sqrt(psi)`` the root of ``u*u + lam*u = t`` and
-    ``root = sqrt(lam*lam + 4t) = 2u + lam``, the power is ``psi*u`` and the
-    slope ``3*power/root``; at p = 2 ``2*power/(1 + lam)``; at p = 3, with
-    ``root = sqrt(1 + 4*lam*t) = 1 + 2*lam*psi``, ``3*psi*power/root``.  A
-    flushed ``psi`` has power and slope 0.
+    ``lam > 0`` broadcasts against ``t >= 0``; multipliers are scaled and
+    squared before they are broadcast, so a column of them costs one operation
+    per row.  Each term comes from the closed form's own intermediates, with
+    ``-d psi/dlam = psi**(p-1)/(1 + lam*(p-1)*psi**(p-2))``.  At p = 1.5,
+    ``u = sqrt(psi)`` solves ``u*u + lam*u = t``: with ``h = lam/2`` and
+    ``root = sqrt(h*h + t) = u + h``, ``u = t/(h + root)`` (the conjugate
+    form, free of cancellation), the power is ``psi*u`` and the slope
+    ``1.5*power/root``.  At p = 2 the slope is ``2*power/(1 + lam)``; at p = 3,
+    with ``root = sqrt(1 + 4*lam*t) = 1 + 2*lam*psi``, ``3*psi*power/root``.
+    A flushed ``psi`` has power and slope 0.
     """
     lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):  # powers past double range are inf
         if p == 2.0:
             psi = _flush(t / (1.0 + lam))
-            power = psi * psi
-            return psi, power, 2.0 * power / (1.0 + lam)
+            power = np.square(psi)
+            return psi, power, power * (2.0 / (1.0 + lam))
         if p == 1.5:
-            # quadratic in sqrt(psi); conjugate form avoids cancellation.  lam*lam
-            # overflows once lam passes 1.3e154, where hypot takes over (chosen per
-            # element, so a result does not depend on the other lams of its call)
-            root = np.sqrt(lam * lam + 4.0 * t)
-            if np.max(lam) >= 1e150:
-                root = np.where(lam < 1e150, root, np.hypot(lam, 2.0 * np.sqrt(t)))
-            u = 2.0 * t / (lam + root)
-            psi = _flush(u * u)
+            # h*h overflows once lam passes 2.6e154, where hypot takes over (chosen
+            # per element, so a result does not depend on the other lams of its call)
+            h = 0.5 * lam
+            root = np.sqrt(h * h + t)
+            if lam.max() >= 1e150:
+                root = np.where(lam < 1e150, root, np.hypot(h, np.sqrt(t)))
+            u = t / (h + root)
+            psi = _flush(np.square(u))
             power = psi * u
-            # root >= lam > 0, also where lam*lam underflows at t = 0
-            return psi, power, 3.0 * power / np.maximum(root, lam)
+            # root >= h > 0, also where h*h underflows at t = 0
+            return psi, power, 1.5 * power / np.maximum(root, h)
         root = np.sqrt(1.0 + 4.0 * lam * t)  # p == 3
-        if np.max(root) == np.inf:  # where 4*lam*t overflows, the 1 beside it is below rounding
+        if np.isinf(root).any():  # where 4*lam*t overflows, the 1 beside it is below rounding
             root = np.where(np.isinf(root), 2.0 * np.sqrt(lam) * np.sqrt(t), root)
         psi = _flush(2.0 * t / (1.0 + root))
-        power = psi * psi * psi
+        power = np.square(psi) * psi
         return psi, power, 3.0 * psi * power / root
 
 
