@@ -9,6 +9,7 @@ from lpseq.errors import DimensionMismatchError, InvalidParameterError
 from lpseq.estimators import EstimatorSpec, estimate
 from lpseq.instances import spike_instance
 from lpseq.projection import LpBall, project
+from lpseq.rng import keyed_generator
 from lpseq.simulate import (
     BLOCK_ELEMENTS,
     ExperimentConfig,
@@ -65,11 +66,14 @@ def test_config_validation():
 
 
 def test_config_seed_range():
-    # the Philox key holds a seed mod 2**64, so a seed outside [0, 2**64)
-    # would repeat another seed's draws under its own experiment id
+    # the Philox key holds 64 bits, so a seed outside [0, 2**64) would repeat
+    # another seed's draws under its own experiment id; the generator itself
+    # rejects it too, for callers such as the oracles that pass no config
     for seed in (-1, 2**64):
         with pytest.raises(InvalidParameterError, match="seed"):
             small_config(seed=seed)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            keyed_generator(seed, "cell")
     assert small_config(seed=0).seed == 0
     assert small_config(seed=2**64 - 1).seed == 2**64 - 1
 
