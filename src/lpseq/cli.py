@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracles, simulate
 from .errors import InvalidParameterError
-from .projection import LpBall, project
+from .projection import LAMBDA_GAP_TOL, LpBall, project
 from .rates import RateQuery, classify_regime
 from .rng import check_seed
 
@@ -71,17 +71,16 @@ def _cmd_project(args) -> int:
         _log(f"[lpseq] parameter error: {exc}")
         return EXIT_PARSE
     _echo_config("project", {"p": args.p, "radius": args.radius,
-                             "sparsity": args.sparsity, "dim": int(y.size),
-                             "tol": args.tol})
-    result = project(ball, y, tol=args.tol)
+                             "sparsity": args.sparsity, "dim": int(y.size)})
+    result = project(ball, y)
     print("point:", ",".join(repr(float(v)) for v in result.point))
     print("multiplier:", repr(result.multiplier))
     print("kkt_residual:", repr(result.kkt_residual))
     print("iterations:", result.iterations)
     if result.duality_gap is not None:
         print("duality_gap:", repr(result.duality_gap))
-    if result.kkt_residual > 10 * args.tol:
-        _log("[lpseq] solver diagnostic failure: kkt residual exceeds 10 * tol")
+    if result.kkt_residual > 10 * LAMBDA_GAP_TOL:
+        _log(f"[lpseq] solver diagnostic failure: kkt residual exceeds {10 * LAMBDA_GAP_TOL:g}")
         return EXIT_SOLVER
     return EXIT_OK
 
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sparsity", type=int, default=None)
     pr.add_argument("--input", required=True,
                     help="comma/space separated values, or a file path")
-    pr.add_argument("--tol", type=float, default=1e-10)
     pr.set_defaults(func=_cmd_project)
 
     ra = sub.add_parser("rates", help="minimax rate control value and regime label")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .shrinkage import soft_threshold
 
 EstimatorKind = Literal["mle", "soft_threshold", "zero", "identity"]
 
-ESTIMATOR_KINDS = ("mle", "soft_threshold", "zero", "identity")
+ESTIMATOR_KINDS = get_args(EstimatorKind)
 
 
 @dataclass(frozen=True)

@@ -171,7 +171,7 @@ def project_clip(r: float, y: np.ndarray) -> np.ndarray:
     return np.sign(y) * np.minimum(np.abs(y), r)
 
 
-def _dual_sums(p: float, lam: list, T: np.ndarray, tol: float, start=None):
+def _dual_sums(p: float, lam: list, T: np.ndarray, start=None):
     """Dual sums of the rows of ``T`` at multipliers ``lam``, minus their slopes, psi, dpsi.
 
     At p in ``CLOSED_FORMS`` the sum of ``psi**p`` and minus its slope come
@@ -185,7 +185,9 @@ def _dual_sums(p: float, lam: list, T: np.ndarray, tol: float, start=None):
     if p in CLOSED_FORMS:
         psi, power, fall = _closed_terms(p, lam, T)
         return np.sum(power, axis=1).tolist(), np.sum(fall, axis=1).tolist(), psi, None
-    psi = psi_many(p, lam, T, tol, start)
+    # psi's error moves the sum p-fold; tol and start go positionally, as the
+    # traced benchmark's psi_many counter takes no keywords
+    psi = psi_many(p, lam, T, min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL), start)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pw = psi ** (p - 1.0)
         dpsi = np.where(psi > 0, psi * pw / (psi + lam * (p - 1.0) * pw), 0.0)
@@ -201,7 +203,7 @@ def _lam_column(lam: list):
     return lam[0] if len(lam) == 1 else np.array(lam)[:, None]
 
 
-def _find_lambda_star(p: float, T: np.ndarray, gap_tol: float):
+def _find_lambda_star(p: float, T: np.ndarray):
     """``(lam, psi, evaluations)`` per row of ``T``: dual sum 1 at ``lam``, given ||t||_p > 1.
 
     ``psi <= (t/lam)**(1/(p-1))`` bounds the dual sum by ``(||t||_q/lam)**q``,
@@ -217,19 +219,18 @@ def _find_lambda_star(p: float, T: np.ndarray, gap_tol: float):
     stopped (a later one would repeat it only up to rounding), so a block
     costs its slowest row's evaluations times its rows.
     """
-    inner_tol = min(gap_tol / (10 * p), DEFAULT_TOL)  # psi's error moves the sum p-fold
     slack_unit = [max(1.0, m) for m in np.max(T, axis=1).tolist()]  # slackness is lam*|f|/this
     hi = _lp_norms(T, p / (p - 1.0))
     lo, lam, iterations = [0.0] * len(hi), hi[:], [0] * len(hi)
     kept, start = np.empty_like(T), None
     for step_count in range(1, 201):
-        values, falls, psi, dpsi = _dual_sums(p, lam, T, inner_tol, start)
+        values, falls, psi, dpsi = _dual_sums(p, lam, T, start)
         previous = lam[:]
         for i, (value, fall) in enumerate(zip(values, falls)):
             if iterations[i]:
                 continue
             lam_i, f = lam[i], value - 1.0
-            if (abs(f) * max(1.0, lam_i / slack_unit[i]) <= gap_tol
+            if (abs(f) * max(1.0, lam_i / slack_unit[i]) <= LAMBDA_GAP_TOL
                     or (hi[i] - lo[i]) <= 1e-14 * (1.0 + lam_i) or step_count == 200):
                 iterations[i] = step_count
                 kept[i] = psi[i]
@@ -612,29 +613,28 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
     return x, best[2] * scale ** (2.0 - p), gap, evals + dual_evals
 
 
-def project(ball: LpBall, y: np.ndarray, tol: float = LAMBDA_GAP_TOL) -> ProjectionResult:
+def project(ball: LpBall, y: np.ndarray) -> ProjectionResult:
     """Euclidean projection of ``y`` onto the ball.
 
     Unique minimizer for p >= 1.  For p in (0, 1) a global minimizer, by the
     prefix-support structure in the module docstring, with a weak-duality
     gap; it keeps a prefix of ``y`` with multiplier 0 or lies on the
-    boundary.  ``tol`` controls the outer multiplier search for p > 1.
-    Raises ``InvalidParameterError`` unless ``0 < tol < inf``, and where
-    ``max|y|/r`` overflows.
+    boundary.  For p > 1 the multiplier search stops at ``LAMBDA_GAP_TOL``.
+    Raises ``InvalidParameterError`` where ``max|y|/r`` overflows, and for
+    p < 1 where ``(max|y|/r)**(2-p)``, the multiplier's unit, does.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size != ball.dim:
         raise DimensionMismatchError(
             f"expected a vector of length {ball.dim}, got shape {y.shape}"
         )
-    return _project_rows(ball, y[None], tol)[0]
+    return _project_rows(ball, y[None])[0]
 
 
-def project_many(ball: LpBall, Y: np.ndarray,
-                 tol: float = LAMBDA_GAP_TOL) -> list[ProjectionResult]:
+def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
     """:func:`project` applied to each row of the ``(n, d)`` block ``Y``.
 
-    Row ``i`` of the result equals ``project(ball, Y[i], tol)`` bit for bit.
+    Row ``i`` of the result equals ``project(ball, Y[i])`` bit for bit.
     For p > 1 one multiplier search runs on the whole block, so each of its
     dual-sum evaluations is one vectorized call over the whole block, and the
     block costs its slowest row's evaluations times its rows; p = 1 and p < 1
@@ -645,13 +645,11 @@ def project_many(ball: LpBall, Y: np.ndarray,
         raise DimensionMismatchError(
             f"expected an (n, {ball.dim}) block, got shape {Y.shape}"
         )
-    return _project_rows(ball, Y, tol)
+    return _project_rows(ball, Y)
 
 
-def _project_rows(ball: LpBall, Y: np.ndarray, tol: float) -> list[ProjectionResult]:
+def _project_rows(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
     """The projections of the rows of ``Y``, as ``project_many`` documents them."""
-    if not (0.0 < tol < math.inf):
-        raise InvalidParameterError(f"tol must be positive and finite, got {tol!r}")
     if not np.all(np.isfinite(Y)):
         raise NonFiniteInputError("input vector contains non-finite entries")
     p, r = ball.p, ball.radius
@@ -664,8 +662,9 @@ def _project_rows(ball: LpBall, Y: np.ndarray, tol: float) -> list[ProjectionRes
 
     with np.errstate(over="ignore"):
         T = np.abs(Y) / r
-    if not np.isfinite(np.max(T)):
-        raise InvalidParameterError(f"max|y|/r overflows at radius {r!r}")
+        unit = np.max(T) ** (2.0 - p if p < 1 else 1.0)  # p < 1 multipliers are in this unit
+    if not np.isfinite(unit):
+        raise InvalidParameterError(f"max|y|/r (its power 2-p at p < 1) overflows at radius {r!r}")
     feasible_gap = 0.0 if p < 1 else None
     results = [ProjectionResult(y.copy(), 0.0, 0.0, 0, feasible_gap) if inside else None
                for inside, y in zip(_inside_unit(T, p), Y)]
@@ -677,7 +676,7 @@ def _project_rows(ball: LpBall, Y: np.ndarray, tol: float) -> list[ProjectionRes
 
     gaps = [None] * len(outside)
     if p > 1:
-        lams, mags, iters = _find_lambda_star(p, T, tol)
+        lams, mags, iters = _find_lambda_star(p, T)
     else:
         mags, lams, iters = np.empty_like(T), [0.0] * len(outside), [0] * len(outside)
         for k, t in enumerate(T):

@@ -83,7 +83,8 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarr
         return _flush(np.where((t > 0) & (lam > 0), np.minimum(x, t), t))
     if p == 1.0:
         return _flush(np.maximum(t - lam_arr, 0.0))
-    return _closed_terms(p, lam, t)[0]
+    with np.errstate(invalid="ignore"):  # 0/0 at p = 1.5, lam = t = 0
+        return _flush(np.where(lam_arr == 0, t, _closed_terms(p, lam, t)[0]))
 
 
 def _closed_terms(p: float, lam, t):

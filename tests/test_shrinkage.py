@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,11 @@ def test_psi_edge_cases():
     assert psi_many(1.7, 2.0, [0.0])[0] == 0.0
     assert psi_many(1.0, 2.0, [5.0])[0] == 3.0
     assert psi_many(1.0, 2.0, [1.0])[0] == 0.0
+    # lam = 0 leaves t as is at the closed forms too, with no 0/0 at t = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1.5, 2.0, 3.0):
+            np.testing.assert_array_equal(psi_many(p, 0.0, [0.0, 2.0]), [0.0, 2.0])
 
 
 def test_psi_invalid_parameters():

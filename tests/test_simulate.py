@@ -302,8 +302,8 @@ def test_estimate_accepts_a_block():
     ("fig2a", 3.0, "spike", 16),
 ])
 def test_benchmark_cells_meet_the_kkt_rule(regime, p, sigma_rule, reps):
-    # Every trial's p > 1 projection meets the CLI's 10 * tol rule (1e-9 at the
-    # default tol), the rule the benchmark's traced run applies per trial.
+    # Every trial's p > 1 projection meets the CLI's exit-3 rule, KKT residual at
+    # most 10 * LAMBDA_GAP_TOL = 1e-9, which the benchmark's traced run applies per trial.
     estimators = ("mle", "soft_threshold") if p < 2 else ("mle",)  # soft_threshold needs p < 2
     cfg = ExperimentConfig(regime=regime, p=p, sigma_rule=sigma_rule, reps=reps,
                            estimators=estimators, seed=0)
