@@ -3,14 +3,16 @@
 For p > 1 the projection is computed from its coordinatewise dual
 characterization: each output magnitude solves ``psi + lam*psi**(p-1) = |y_i|``
 at the common multiplier ``lam*`` that makes the shrunk vector exactly
-feasible.  Newton steps on the log of the strictly decreasing dual sum start at
-the dual norm ``||y/r||_q`` (``q = p/(p-1)``), an upper bound on ``lam*``, with
-bisection where a step leaves the bracket (the nested zero-finding of Liu &
-Ye, 2010).  At the closed-form indices p in {1.5, 2, 3} the dual sum and its
-slope come from the closed form's own terms, and the block's power sums take
-exact products.  Elsewhere each dual-sum evaluation after the first starts its
-inner Newton roots at the tangent of the previous ones, continuing the inner
-solve.  ``p = 1`` uses exact sort-and-threshold
+feasible.  Newton steps on ``S**(-1/q) - 1``, ``S`` the strictly decreasing
+dual sum and ``q = p/(p-1)``, start at the dual norm ``||y/r||_q``, an upper
+bound on ``lam*``; where the roots follow their power law in ``lam`` that
+target is linear, exactly so at p = 2.  Bisection takes over where a step
+leaves the bracket (the nested zero-finding of Liu & Ye, 2010).  At the
+closed-form indices p in {1.5, 2, 3} the dual sum and its slope come from the
+closed form's own terms, and the block's power sums take exact products.
+Elsewhere each dual-sum evaluation after the first starts its inner Newton
+roots at the second-order log-log tangent of the previous ones, continuing
+the inner solve.  ``p = 1`` uses exact sort-and-threshold
 water filling, ``p = 0`` keeps the largest magnitudes, ``p = inf`` clips.
 For p in (0, 1) the problem is nonconvex; its global minimizer keeps a prefix of
 the sorted magnitudes, at most the last kept one on the lower root of the fixed
@@ -206,21 +208,26 @@ def _lam_column(lam: list):
 def _find_lambda_star(p: float, T: np.ndarray):
     """``(lam, psi, evaluations)`` per row of ``T``: dual sum 1 at ``lam``, given ||t||_p > 1.
 
-    ``psi <= (t/lam)**(1/(p-1))`` bounds the dual sum by ``(||t||_q/lam)**q``,
-    so ``[0, ||t||_q]`` brackets the root.  Newton steps on its log start at the
-    top, against ``lam`` (near linear for a barely infeasible ``t``); one that
-    passes ``lo`` is redone against ``log lam`` (near slope ``-q`` far out).
-    One call of ``_dual_sums`` evaluates the whole block; each row's bracket
-    and step are plain floats, so it takes the iterates it would alone.  Outside
-    ``CLOSED_FORMS`` each evaluation after the first starts its roots at the
-    log-log tangent of the row's previous ones,
-    ``log psi - log(lam_new/lam_old) * lam_old*dpsi/psi``.  A row that has
-    stopped keeps its multiplier and the ``psi`` of the evaluation where it
-    stopped (a later one would repeat it only up to rounding), so a block
+    ``psi <= (t/lam)**(1/(p-1))`` bounds the dual sum ``S`` by
+    ``(||t||_q/lam)**q``, so ``[0, ||t||_q]`` brackets the root.  Newton steps
+    on ``S**(-1/q) - 1``, ``lam + q*S*expm1(log(S)/q)/(-S')``, start at the top:
+    where the roots follow the power law ``psi ~ (t/lam)**(1/(p-1))`` this
+    target is linear in ``lam``, and at p = 2, ``(1 + lam)/||t||_2 - 1``, it is
+    linear everywhere, so one step lands.  A step that passes ``lo`` is redone
+    on ``log S`` against ``log lam``, and bisection takes over where both leave
+    the bracket.  One call of ``_dual_sums`` evaluates the whole block; each
+    row's bracket and step are plain floats, so it takes the iterates it would
+    alone.  Outside ``CLOSED_FORMS`` each evaluation after the first starts its
+    roots at the second-order log-log tangent of the row's previous ones: with
+    ``D = log(lam_new/lam_old)`` and ``w = lam_old*dpsi/psi``,
+    ``log psi - D*w - D**2/2 * w*(1 - (p-2)*w)*(1 - (p-1)*w)``.  A row that
+    has stopped keeps its multiplier and the ``psi`` of the evaluation where
+    it stopped (a later one would repeat it only up to rounding), so a block
     costs its slowest row's evaluations times its rows.
     """
     slack_unit = [max(1.0, m) for m in np.max(T, axis=1).tolist()]  # slackness is lam*|f|/this
-    hi = _lp_norms(T, p / (p - 1.0))
+    q = p / (p - 1.0)
+    hi = _lp_norms(T, q)
     lo, lam, iterations = [0.0] * len(hi), hi[:], [0] * len(hi)
     kept, start = np.empty_like(T), None
     for step_count in range(1, 201):
@@ -239,18 +246,23 @@ def _find_lambda_star(p: float, T: np.ndarray):
                 lo[i] = lam_i
             else:
                 hi[i] = lam_i
-            step = (math.log(value) * value / (lam_i * fall)
-                    if value > 0 and lam_i * fall > 0 else math.nan)
-            newton = lam_i * (1.0 + step)
-            if newton <= lo[i]:  # past lo against lam: redo against log lam
-                newton = lam_i * math.exp(step)
+            newton = math.nan
+            if value > 0 and lam_i * fall > 0:
+                log_value = math.log(value)
+                # S**(1/q) - 1 by expm1, exact also where q is huge (p near 1)
+                newton = lam_i + q * value * math.expm1(log_value / q) / fall
+                if newton <= lo[i]:  # past lo: redo log S against log lam
+                    newton = lam_i * math.exp(log_value * value / (lam_i * fall))
             lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
         if all(iterations):
             return lam, kept, iterations
         if p not in CLOSED_FORMS:
-            shift = _lam_column([old * math.log(new / old) for new, old in zip(lam, previous)])
+            log_ratio = _lam_column([math.log(new / old) for new, old in zip(lam, previous)])
             with np.errstate(divide="ignore", invalid="ignore"):
-                start = np.log(psi) - shift * dpsi / psi  # nan at psi = 0: a cold start
+                # -d log psi/d log lam; nan at psi = 0: a cold start
+                w = _lam_column(previous) * dpsi / psi
+                curve = w * (1.0 - (p - 2.0) * w) * (1.0 - (p - 1.0) * w)
+                start = np.log(psi) - log_ratio * w - (0.5 * log_ratio * log_ratio) * curve
 
 
 def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float) -> list:

@@ -1,10 +1,12 @@
 """Seeded Monte Carlo risk estimation and the two-figure experiment runner.
 
 A run is a grid of cells, one per (dimension, estimator) pair.  Each cell
-draws ``reps`` observations ``Y = theta_star + sigma * xi`` from its own
-counter-based stream, applies the estimator, and records the empirical mean
-squared error with its standard error.  The ``fig2a`` regime pairs the spike
-signal with ``sigma = d**(1/p - 1)``; ``fig2b`` pairs a flat k-sparse
+draws ``reps`` observations ``Y = theta_star + sigma * xi``, trial ``k`` from
+the counter-based stream keyed on (seed, cell, k), all of a cell's trials from
+one generator rewound to each trial's counter, applies the estimator, and
+records the empirical mean squared error with its standard error.  The
+``fig2a`` regime pairs the spike signal with ``sigma = d**(1/p - 1)``;
+``fig2b`` pairs a flat k-sparse
 boundary signal with ``sigma = d**(-1/2)``, where k follows the order-level
 sparsity balance (about sqrt(d) at that noise rule) -- the choice that
 reproduces the reference risk curves -- clamped away from the trivial
@@ -12,7 +14,8 @@ extremes.  Cells are independent, so a run may be resumed cell by cell
 without affecting the numbers.  Within a cell the draws are stacked into
 blocks of at most ``BLOCK_ELEMENTS`` elements, each estimated in one call, so
 an ``mle`` cell makes one batched projection per block; the numbers equal
-those of one ``estimate`` call per trial, bit for bit.
+those of one ``sample_observation`` and one ``estimate`` call per trial, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .estimators import ESTIMATOR_KINDS, EstimatorSpec, estimate
 from .instances import sparsity_scaling, spike_instance
 from .projection import LpBall, project_many
 from .rates import RateQuery, control_function
-from .rng import check_seed, keyed_generator
+from .rng import check_seed, keyed_generator, trial_streams
 
 REGIMES = ("fig2a", "fig2b", "custom")
 
@@ -212,21 +215,29 @@ def estimate_risk(spec: EstimatorSpec, theta_star: np.ndarray, sigma: float,
                   reps: int, seed: int, cell_id: str = "cell") -> RiskEstimate:
     """Empirical mean and standard error of the squared estimation error.
 
-    Each trial draws from its own keyed stream; the draws are stacked into
-    blocks of at most ``BLOCK_ELEMENTS`` elements, each estimated in one call,
-    and the errors are taken row by row, so the result equals a loop of
-    single-trial ``estimate`` calls bit for bit.
+    Each trial draws from its own keyed stream, the cell's one generator
+    rewound to the trial (:func:`rng.trial_streams`), into a row of a block
+    of at most ``BLOCK_ELEMENTS`` elements, which is scaled by ``sigma`` and
+    shifted by ``theta_star`` in place: the doubles of
+    :func:`sample_observation`.  Each block is estimated in one call and the
+    errors are taken row by row, so the result equals a loop of
+    single-trial ``sample_observation`` and ``estimate`` calls bit for bit.
     """
     if reps < 1:
         raise InvalidParameterError(f"reps must be >= 1, got {reps}")
+    if not (sigma > 0):
+        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     errors = np.empty(reps)
     kkt, iterations = 0.0, 0
     rows = max(1, BLOCK_ELEMENTS // theta_star.size)
+    stream = trial_streams(seed, cell_id)
     for start in range(0, reps, rows):
         trials = range(start, min(start + rows, reps))
         Y = np.empty((len(trials), theta_star.size))
         for k, trial in enumerate(trials):
-            Y[k] = sample_observation(theta_star, sigma, TrialKey(seed, cell_id, trial))
+            stream(trial).standard_normal(out=Y[k])
+        Y *= sigma
+        Y += theta_star
         try:
             if spec.kind == "mle":
                 results = project_many(spec.ball, Y)

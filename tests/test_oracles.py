@@ -100,18 +100,20 @@ def test_phi_witness_below_two_dim_supremum():
     rng = np.random.default_rng(6)
     p, eps = 0.5, 0.8
     s = int(math.ceil(eps ** (-2 * p / (2 - p))))
+    # the grid and its feasible points do not depend on the draw
+    grid = np.linspace(-2 ** (1 / p), 2 ** (1 / p), 1601)
+    step = grid[1] - grid[0]
+    xx, yy = np.meshgrid(grid, grid)
+    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    ok = (np.abs(pts) ** p).sum(axis=1) <= 2.0
+    if s < 2:
+        ok &= (pts != 0).sum(axis=1) <= s
+    ok &= (pts**2).sum(axis=1) <= eps**2
+    feasible = pts[ok]
     for _ in range(20):
         xi = rng.standard_normal(2)
         witness = phi_lower_witness(xi, p, eps)
-        grid = np.linspace(-2 ** (1 / p), 2 ** (1 / p), 1601)
-        step = grid[1] - grid[0]
-        xx, yy = np.meshgrid(grid, grid)
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        ok = (np.abs(pts) ** p).sum(axis=1) <= 2.0
-        if s < 2:
-            ok &= (pts != 0).sum(axis=1) <= s
-        ok &= (pts**2).sum(axis=1) <= eps**2
-        sup = np.max(pts[ok] @ xi)
+        sup = np.max(feasible @ xi)
         # the grid undershoots the true supremum by at most ~|xi| * step
         assert sup >= witness - 2.0 * float(np.linalg.norm(xi)) * step
 

@@ -147,6 +147,25 @@ def test_find_lambda_star_direct():
     assert project(LpBall(p=2.0, dim=2, radius=1.0), np.array([0.1, 0.1])).multiplier == 0.0
 
 
+def test_p2_search_lands_in_one_step():
+    # at p = 2 the search's target S**(-1/2) - 1 = (1 + lam)/||t||_2 - 1 is
+    # linear, so its first Newton step lands on lam = ||t||_2 - 1 and the
+    # second evaluation confirms it
+    rng = np.random.default_rng(61)
+    for d in (1, 2, 10, 1000):
+        for scale in (1e-3, 1.0, 1e3):
+            y = scale * rng.standard_normal(d)
+            r = float(np.linalg.norm(y)) * rng.uniform(0.05, 0.6)  # ||t||_2 >= 1.6
+            Y = np.stack([y, -2.0 * y, y[::-1]])
+            for row, res in zip(Y, project_many(LpBall(p=2.0, dim=d, radius=r), Y)):
+                t = np.abs(row) / r
+                lam = float(np.linalg.norm(t)) - 1.0
+                assert res.iterations == 2
+                assert res.multiplier == pytest.approx(lam, rel=1e-14, abs=0)
+                np.testing.assert_allclose(np.abs(res.point) / r, t / (1.0 + lam),
+                                           rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_find_lambda_star_rejects_non_finite_input(value):
     # project checks the input before the p > 1 multiplier search sees it

@@ -304,13 +304,16 @@ def test_estimate_accepts_a_block():
 def test_benchmark_cells_meet_the_kkt_rule(regime, p, sigma_rule, reps):
     # Every trial's p > 1 projection meets the CLI's exit-3 rule, KKT residual at
     # most 10 * LAMBDA_GAP_TOL = 1e-9, which the benchmark's traced run applies per trial.
+    # No block takes more dual-sum evaluations than these: the search's target
+    # S**(-1/q) - 1 is near linear in lam, exactly so at p = 2.
+    evaluations = {1.5: 4, 1.3: 5, 2.0: 2, 3.0: 8}[p]
     estimators = ("mle", "soft_threshold") if p < 2 else ("mle",)  # soft_threshold needs p < 2
     cfg = ExperimentConfig(regime=regime, p=p, sigma_rule=sigma_rule, reps=reps,
                            estimators=estimators, seed=0)
     mle = [r for r in run_experiment(cfg).rows if r.estimator == "mle"]
     assert [r.d for r in mle] == list(cfg.d_grid)
     for row in mle:
-        assert row.kkt_residual_max <= 1e-9 and row.iterations_max > 0, row
+        assert row.kkt_residual_max <= 1e-9 and 0 < row.iterations_max <= evaluations, row
 
 
 def test_health_stays_out_of_csv_and_old_rows_load():
@@ -324,3 +327,4 @@ def test_health_stays_out_of_csv_and_old_rows_load():
            if k not in ("kkt_residual_max", "iterations_max")}
     row = RiskEstimate(**old)
     assert (row.kkt_residual_max, row.iterations_max) == (0.0, 0)
+
