@@ -327,4 +327,3 @@ def test_health_stays_out_of_csv_and_old_rows_load():
            if k not in ("kkt_residual_max", "iterations_max")}
     row = RiskEstimate(**old)
     assert (row.kkt_residual_max, row.iterations_max) == (0.0, 0)
-
