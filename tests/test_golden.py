@@ -1,13 +1,14 @@
 """Reruns the golden outputs under ``tests/data/golden`` in-process.
 
 ``scripts/make_golden.py`` wrote them: two ``lpseq reproduce`` runs and
-README's three ``lpseq project`` examples.  Every CSV column but ``mse_mean``
+README's four ``lpseq project`` examples.  Every CSV column but ``mse_mean``
 and ``mse_stderr`` must match exactly; those two, every number in
 ``slopes.json`` (the slopes and the anchored reference curve follow from the
 means), and the projected points and multipliers must match to ``REL``
-relative.  A projection's ``kkt_residual`` is a rounding-level certificate,
-held to ``10 * LAMBDA_GAP_TOL`` absolute, and its ``iterations`` count is
-solver work, not output, so it is not compared.
+relative.  A projection's ``kkt_residual`` and, for p < 1, its
+``duality_gap`` are rounding-level certificates, held to
+``10 * LAMBDA_GAP_TOL`` absolute, and its ``iterations`` count is solver
+work, not output, so it is not compared.
 """
 
 import csv
@@ -78,4 +79,6 @@ def test_project_example_matches_golden(example, capsys):
     assert len(got_point) == len(want_point)
     assert all(close(float(a), float(b)) for a, b in zip(got_point, want_point)), got
     assert close(float(got["multiplier"]), float(want["multiplier"])), got
-    assert abs(float(got["kkt_residual"]) - float(want["kkt_residual"])) <= 10 * LAMBDA_GAP_TOL
+    for certificate in ("kkt_residual", "duality_gap"):
+        if certificate in want:
+            assert abs(float(got[certificate]) - float(want[certificate])) <= 10 * LAMBDA_GAP_TOL
