@@ -21,7 +21,8 @@ a multiplier grid brackets each size's roots, Newton steps solve the cells
 where the power sum is monotone, and only cells where it may turn are split.
 Its weak-duality gap is to the exact maximum of the concave dual: the prox
 jump multipliers split the dual into smooth pieces, a bisection over them finds
-the piece where the slope changes sign, and Newton steps find its root there.
+the piece where the slope changes sign, and Newton steps find its root there;
+a first probe at the primal multiplier is the maximum at a zero gap.
 
 General radii are handled by solving on the unit ball after rescaling
 ``y / r`` and mapping the solution back.
@@ -359,10 +360,13 @@ def _prefix_points(p: float, lam: np.ndarray, ts: np.ndarray, js: np.ndarray,
     ``lam`` of the two power sums; ``cand`` is the objective scaled onto the
     boundary, ``dev`` the power sum's distance.
     """
-    U = branch_roots(p, lam[:, None], ts[:int(js.max())], True)
-    last_t = ts[js - 1]
-    last = np.where(low, branch_roots(p, lam[:, None], last_t, False),
-                    np.take_along_axis(U, js - 1, axis=1))
+    # one call: the head's upper roots, then each last one on its branch
+    width, last_t = int(js.max()), ts[js - 1]
+    heads = (lam.size, width)
+    roots = branch_roots(p, lam[:, None],
+                         np.concatenate([np.broadcast_to(ts[:width], heads), last_t], axis=1),
+                         np.concatenate([np.ones(heads, dtype=bool), ~low], axis=1))
+    U, last = roots[:, :width], roots[:, width:]
     zero = np.zeros((lam.size, 1))
 
     def head(v):  # sums over the first j - 1 columns
@@ -449,7 +453,7 @@ def _cell_roots(p: float, ts: np.ndarray, budget: float, a: np.ndarray, b: np.nd
     return lam, x, evals
 
 
-def _weak_dual_max(p: float, ts: np.ndarray, budget: float):
+def _weak_dual_max(p: float, ts: np.ndarray, budget: float, primal=None):
     """``(max D, evaluations)`` of the weak dual for magnitudes ``ts`` sorted descending.
 
     ``D(lam) = sum_i min(phi_i, 0) - lam*budget/p`` is concave, ``phi_i`` the
@@ -457,56 +461,77 @@ def _weak_dual_max(p: float, ts: np.ndarray, budget: float):
     Coordinate i is live (``phi_i < 0``) below ``prox_jump_lambda(p, t_i)``,
     which falls along ``ts``, so the live set is a prefix, and on a piece
     between jumps ``p*D' = sum_live U**p - budget`` is smooth and falling.
-    A bisection over the jumps, galloping from the largest, finds the piece
-    where the slope changes sign: the maximum is at its lower jump if the
-    slope is negative just past it, else at the slope's root, found by Newton
-    steps (``dU/dlam = -U**(p-1) / (1 + lam*(p-1)*U**(p-2))``) from the secant
-    point of the piece's ends, with bisection where one leaves the bracket.
-    They stop once ``|D'|`` times the bracket width, which by concavity bounds
-    how far ``D`` is below its maximum, or times the Newton step, which
-    estimates it, is 1e-16 of ``|D|``.  Every
-    ``D`` is a weak dual value, so an inexact root only loosens the gap.
+    The first probe is at the primal multiplier ``lam`` of ``primal = (lam,
+    x)`` where the point ``x`` (units of ``ts``) may minimize the Lagrangian,
+    as a zero gap needs: its support is the prefix live there, its last entry
+    on the upper root.  Where the stop rule below holds there, that is the
+    maximum; else the slope's sign makes ``lam`` one end of the search.  A
+    bisection over the jumps, galloping away from that end (else up from the
+    largest jump), finds the piece where the slope changes sign: the maximum
+    is at its lower end if the slope is negative just past it, else at the
+    slope's root, found by Newton steps (``dU/dlam = -U**(p-1) / (1 +
+    lam*(p-1)*U**(p-2))``) from the secant point of the piece's ends, with
+    bisection where one leaves the bracket.  They stop once ``|D'|`` times
+    the bracket width, which by concavity bounds how far ``D`` is below its
+    maximum, or times the Newton step, which estimates it, is 1e-16 of
+    ``|D|``.  Every ``D`` is a weak dual value, so an inexact root only
+    loosens the gap; the largest one probed is returned.
     """
     jumps = prox_jump_lambda(p, ts)
     n = int(np.count_nonzero(jumps > 0))
-    evals = 0
+    evals, dual = 0, -math.inf
 
     def probe(lam, k):  # p*D' on the live prefix k, D, and the roots
-        nonlocal evals
+        nonlocal evals, dual
         evals += 1
         U = branch_roots(p, lam, ts[:k], True)
         Up = U**p
         phi = np.minimum(U * (0.5 * U - ts[:k]) + (lam / p) * Up, 0.0)
-        return float(np.sum(Up)) - budget, float(np.sum(phi)) - lam / p * budget, U, Up
+        value = float(np.sum(phi)) - lam / p * budget
+        dual = max(dual, value)
+        return float(np.sum(Up)) - budget, value, U, Up
+
+    def newton(lam, at):  # the Newton step on p*D', and whether the stop rule holds at lam
+        h, value, U, Up = at
+        step = lam - h / (-p * float(np.sum(Up * Up / (U * U + lam * (p - 1.0) * Up))))
+        return step, abs(h) * abs(step - lam) <= 1e-16 * p * abs(value)
 
     # at jumps[m] the slope from the left, over prefix m + 1, rises with m;
     # find bad + 1 = good with it negative at bad (+inf at -1), >= 0 at good
-    # (lam = 0 at n, where every coordinate counts)
-    bad, good, m, at_good = -1, n, 0, None
+    # (lam = 0 at n, where every coordinate counts); a and b are their multipliers
+    bad, good, at_bad, at_good, base = -1, n, None, None, -1
+    lam, x = primal or (0.0, ())
+    kept = len(x)
+    if 0 < kept == np.count_nonzero(jumps > lam) and x[-1] >= (1 - p) / (2 - p) * ts[kept - 1]:
+        at = probe(lam, kept)
+        if newton(lam, at)[1]:
+            return dual, evals
+        if at[0] >= 0:  # the maximum is past lam, at or below jumps[kept - 1]
+            good, at_good, a, base = kept, at, lam, kept
+        else:
+            bad, at_bad, b, base = kept - 1, at, lam, kept - 1
+    m = base - 1 if good == base else base + 1
     while good - bad > 1:
         at = probe(float(jumps[m]), m + 1)
         if at[0] >= 0:
-            good, at_good = m, at
+            good, at_good, a = m, at, float(jumps[m])
         else:
-            bad, at_bad = m, at
-        m = 2 * m + 1 if good == n and 2 * m + 1 < n else (bad + good) // 2
+            bad, at_bad, b = m, at, float(jumps[m])
+        gallop = 2 * m - base  # twice as far from base, while the far end is open
+        m = gallop if (good == n or bad == -1) and bad < gallop < good else (bad + good) // 2
     if at_good is None:
-        at_good = probe(0.0, ts.size)
-    _, dual, _, Up = at_good
-    h_a = float(np.sum(Up[:good])) - budget  # the slope just past the jump, over prefix good
+        a, at_good = 0.0, probe(0.0, ts.size)
+    h_a = float(np.sum(at_good[3][:good])) - budget  # the slope just past a, over prefix good
     if good == 0 or h_a <= 0:  # falls just past the jump: a kink
         return dual, evals
 
-    a, b = (float(jumps[good]) if good < n else 0.0), float(jumps[bad])
     lam = a + h_a * (b - a) / (h_a - at_bad[0])  # the secant of the piece's ends
     for _ in range(100):
         lam = lam if a < lam < b else 0.5 * (a + b)
-        h, value, U, Up = probe(lam, good)
-        dual = max(dual, value)
-        a, b = (lam, b) if h > 0 else (a, lam)
-        dh = -p * float(np.sum(Up * Up / (U * U + lam * (p - 1.0) * Up)))
-        step = lam - h / dh
-        if abs(h) * min(b - a, abs(step - lam)) <= 1e-16 * p * abs(value) or b - a <= 1e-15 * b:
+        at = probe(lam, good)
+        a, b = (lam, b) if at[0] > 0 else (a, lam)
+        step, done = newton(lam, at)
+        if done or abs(at[0]) * (b - a) <= 1e-16 * p * abs(at[1]) or b - a <= 1e-15 * b:
             break
         lam = step
     return dual, evals
@@ -617,7 +642,7 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
             js = np.repeat(a[5].astype(int), QUASI_SPLIT - 1)[:, None]
             low = np.repeat(a[6] > 0, QUASI_SPLIT - 1)[:, None]
 
-    dual, dual_evals = _weak_dual_max(p, ts, budget)
+    dual, dual_evals = _weak_dual_max(p, ts, budget, (best[2], best[1]))
     x = np.zeros_like(t)
     kept = order[:best[1].size]
     x[kept] = t[kept] if k0 > 0 and best[1] is prefix else best[1] * scale  # as is: exact

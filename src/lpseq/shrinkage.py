@@ -5,8 +5,8 @@ point ``psi + lam * psi**(p-1) = t`` for a magnitude ``t >= 0``.  Its solution
 is the proximal operator of ``x -> (lam/p) * x**p`` evaluated at ``t``: a
 nonlinear shrinkage of ``t`` toward zero.  For ``p >= 1`` the positive
 solution is unique; for ``p in (0, 1)`` the equation can have two positive
-roots and the prox is chosen by comparing objective values, with ties broken
-toward zero so that sparsity patterns are deterministic.
+roots, which ``branch_roots`` returns branch by branch for the p < 1
+projection to compare.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarr
                                      np.asarray(t, dtype=float))
     if p not in CLOSED_FORMS:
         if p < 1.0:
-            raise InvalidParameterError("psi_many requires p >= 1; use prox_power_many for p < 1")
+            raise InvalidParameterError("psi_many requires p >= 1; use branch_roots for p < 1")
         lam = np.asarray(lam, dtype=float)  # unbroadcast, so a column of lams costs one log each
         with np.errstate(divide="ignore", invalid="ignore"):  # where t or lam is 0, psi = t
             x = _branch_root(p, lam, t, True, tol, start)
@@ -161,9 +161,10 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float,
             if step == ROOT_FLOOR_STEP:
                 tol = np.maximum(tol, ROOT_FLOOR * EPS * t * (1.0 + np.abs(log_t)))
             open_ = np.abs(f) > tol
-            if not np.any(open_):
+            if not open_.any():
                 break
-            s = np.where(open_, np.clip(s - f / (x + (p - 1.0) * pw), lo, hi), s)
+            # minimum(maximum()) is np.clip's arithmetic without its wrapper's overhead
+            s = np.where(open_, np.minimum(np.maximum(s - f / (x + (p - 1.0) * pw), lo), hi), s)
     return x
 
 
@@ -213,33 +214,3 @@ def branch_roots(p: float, lam, t, upper) -> np.ndarray:
     live = (lam > 0) & (lam < vanish)
     out[live] = _branch_root(p, lam[live], t[live], upper[live], DEFAULT_TOL)
     return out
-
-
-def power_objective(p: float, lam, t, x) -> np.ndarray:
-    """Prox objective ``(x-t)**2/2 + (lam/p) * x**p`` at magnitude ``x >= 0``."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    with np.errstate(invalid="ignore"):
-        pen = np.where(x > 0, (lam / p) * x ** p, 0.0)
-    return 0.5 * (x - t) ** 2 + pen
-
-
-def prox_power_many(p: float, lam, t) -> np.ndarray:
-    """Elementwise prox of ``x -> (lam/p)*x**p`` at magnitudes ``t >= 0``.
-
-    Each element is the global minimizer of ``(x - t)**2/2 + (lam/p)*x**p``
-    over ``x >= 0``: the :func:`psi_many` root for ``p >= 1``; for ``p in
-    (0, 1)`` the better of zero and the upper root, ties going to zero.
-    ``lam`` broadcasts against ``t``, so a whole multiplier grid can be
-    evaluated in one call.
-    """
-    if p >= 1.0:
-        return psi_many(p, lam, t)
-    # the objective's slope g(x) - t is positive on (0, lower root), and
-    # everywhere past the branch point, so there neither the lower root nor
-    # the meeting point beats zero; only the upper root competes with it
-    upper = branch_roots(p, lam, t, True)
-    take = power_objective(p, lam, t, upper) < power_objective(p, lam, t, 0.0)
-    return _flush(np.where(take, upper, 0.0))  # strict: ties stay at zero
-

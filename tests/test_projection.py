@@ -22,7 +22,8 @@ from lpseq.projection import (
     project_top_s,
     _find_lambda_star,
 )
-from lpseq.shrinkage import power_objective, prox_jump_lambda, prox_power_many, psi_many
+from lpseq.shrinkage import prox_jump_lambda, psi_many
+from prox_reference import power_objective, prox_power_many
 
 # closed forms recomputed independently (mpmath): 2 c**1.5 = 1 and the
 # stationarity identity lam = (2 - c)/sqrt(c)
@@ -486,6 +487,41 @@ def test_quasinorm_dual_max_at_jump(y):
     res = _assert_certificate(p, y, 1.0)
     dual = 0.5 * float(np.sum(y**2)) - jump / p
     assert _objective(res.point, y) - res.duality_gap == pytest.approx(dual, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_quasinorm_weak_dual_warm_start(p, monkeypatch):
+    # the weak dual's first probe is at the primal multiplier: where the gap
+    # is zero that is the maximum and the only evaluation; every gap is the
+    # cold search's up to rounding
+    import lpseq.projection as projection
+
+    weak_dual_max, evals = projection._weak_dual_max, []
+
+    def warm(*args):
+        dual = weak_dual_max(*args)
+        evals.append(dual[1])
+        return dual
+
+    def cold(p, ts, budget, primal):
+        return weak_dual_max(p, ts, budget)
+
+    d, zero_gaps = 200, 0
+    ball = LpBall(p=p, dim=d, radius=1.0)
+    rng = np.random.default_rng(3)
+    for _ in range(24):
+        y = np.eye(1, d)[0] + d**-0.5 * rng.standard_normal(d)
+        evals.clear()
+        monkeypatch.setattr(projection, "_weak_dual_max", warm)
+        res = project(ball, y)
+        monkeypatch.setattr(projection, "_weak_dual_max", cold)
+        gap = project(ball, y).duality_gap
+        objective = _objective(res.point, y)
+        assert abs(res.duality_gap - gap) <= 1e-15 * objective
+        if gap <= 1e-15 * objective:
+            zero_gaps += 1
+            assert evals == [1]
+    assert zero_gaps >= 4
 
 
 def test_quasinorm_dual_certificate_large_dim():

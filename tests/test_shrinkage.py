@@ -10,12 +10,11 @@ from lpseq.shrinkage import (
     _closed_terms,
     branch_roots,
     branch_vanish_lambda,
-    power_objective,
     prox_jump_lambda,
-    prox_power_many,
     psi_many,
     soft_threshold,
 )
+from prox_reference import power_objective, prox_power_many
 
 # independently computed to 1e-12 by a 200-step bisection (mpmath, 40 digits)
 PSI_15_05_1 = 0.6096117967977924
@@ -217,6 +216,22 @@ def test_branch_roots_residual_existence_and_monotonicity(p):
     # the p < 1 projection's certified pruning relies on this monotonicity
     assert np.max(np.diff(upper, axis=0)) <= 0
     assert np.min(np.diff(lower, axis=0)) >= 0
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.9])
+def test_branch_roots_mixed_mask_matches_one_branch_calls(p):
+    # the p < 1 solver takes upper and lower roots from one call with a mixed
+    # mask; each must come out bit for bit as from a call on its branch alone
+    rng = np.random.default_rng(29)
+    t = 10.0 ** rng.uniform(-3, 2, size=25)
+    vanish = branch_vanish_lambda(p, t)
+    lam = np.concatenate([[0.0], np.geomspace(1e-6, 2.0, 30) * vanish.max()])[:, None]
+    upper = rng.random((lam.size, t.size)) < 0.5
+    mixed = branch_roots(p, lam, t, upper)
+    alone = np.where(upper, branch_roots(p, lam, t, True), branch_roots(p, lam, t, False))
+    np.testing.assert_array_equal(mixed, alone)
+    live = (lam > 0) & (lam < vanish)
+    assert live.any() and (lam >= vanish).any()  # roots, and meeting points held past vanish
 
 
 def test_flush_to_zero():
