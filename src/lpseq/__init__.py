@@ -12,7 +12,6 @@ from .oracles import CheckReport, brute_force_projection, run_suite
 from .projection import (
     LpBall,
     ProjectionResult,
-    kkt_residual,
     lp_norm,
     project,
     project_clip,
@@ -65,7 +64,6 @@ __all__ = [
     "example_scalings",
     "fit_log_slope",
     "flat_sparse_instance",
-    "kkt_residual",
     "lp_norm",
     "project",
     "project_clip",

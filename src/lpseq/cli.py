@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -39,12 +38,6 @@ def _echo_config(name: str, payload: dict) -> None:
     _log(f"[lpseq] {name} config: {json.dumps(payload, sort_keys=True)}")
 
 
-def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _parse_vector(text: str) -> np.ndarray:
     candidate = Path(text)
     if candidate.exists() and candidate.is_file():
@@ -58,18 +51,14 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _cmd_project(args) -> int:
-    try:
-        p = _parse_p(args.p)
-        y = _parse_vector(args.input)
-        if p == 0:
-            if args.sparsity is None:
-                raise InvalidParameterError("--p 0 requires --sparsity")
-            ball = LpBall(p=0.0, dim=y.size, sparsity=args.sparsity)
-        else:
-            ball = LpBall(p=p, dim=y.size, radius=args.radius)
-    except ValueError as exc:
-        _log(f"[lpseq] parameter error: {exc}")
-        return EXIT_PARSE
+    p = float(args.p)
+    y = _parse_vector(args.input)
+    if p == 0:
+        if args.sparsity is None:
+            raise InvalidParameterError("--p 0 requires --sparsity")
+        ball = LpBall(p=0.0, dim=y.size, sparsity=args.sparsity)
+    else:
+        ball = LpBall(p=p, dim=y.size, radius=args.radius)
     _echo_config("project", {"p": args.p, "radius": args.radius,
                              "sparsity": args.sparsity, "dim": int(y.size)})
     result = project(ball, y)
@@ -86,13 +75,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    try:
-        p = _parse_p(args.p)
-        query = RateQuery(p=p, d=args.d, sigma=args.sigma, radius=args.radius,
-                          sparsity=args.sparsity, n=args.n, tau=args.tau)
-    except ValueError as exc:
-        _log(f"[lpseq] parameter error: {exc}")
-        return EXIT_PARSE
+    query = RateQuery(p=float(args.p), d=args.d, sigma=args.sigma, radius=args.radius,
+                      sparsity=args.sparsity, n=args.n, tau=args.tau)
     _echo_config("rates", {"p": args.p, "d": args.d, "sigma": args.sigma,
                            "radius": args.radius, "n": args.n, "tau": args.tau,
                            "sparsity": args.sparsity})
@@ -162,24 +146,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    regime = {"2a": "fig2a", "2b": "fig2b"}.get(args.figure)
-    if regime is None:
-        _log(f"[lpseq] unknown figure {args.figure!r}")
-        return EXIT_PARSE
-    try:
-        config = simulate.ExperimentConfig(
-            regime=regime,
-            p=1.5,
-            radius=1.0,
-            d_grid=simulate.default_d_grid(max_d=args.max_d),
-            sigma_rule="spike" if regime == "fig2a" else "flat",
-            reps=args.reps,
-            estimators=("mle", "soft_threshold"),
-            seed=args.seed,
-        )
-    except InvalidParameterError as exc:
-        _log(f"[lpseq] parameter error: {exc}")
-        return EXIT_PARSE
+    regime = f"fig{args.figure}"  # argparse allows only 2a and 2b
+    config = simulate.ExperimentConfig(
+        regime=regime,
+        p=1.5,
+        radius=1.0,
+        d_grid=simulate.default_d_grid(max_d=args.max_d),
+        sigma_rule="spike" if regime == "fig2a" else "flat",
+        reps=args.reps,
+        estimators=("mle", "soft_threshold"),
+        seed=args.seed,
+    )
     _echo_config("reproduce", config.to_dict())
     out_dir = Path(args.out)
     try:
@@ -202,11 +179,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        check_seed(args.seed)
-    except InvalidParameterError as exc:
-        _log(f"[lpseq] parameter error: {exc}")
-        return EXIT_PARSE
+    check_seed(args.seed)
     _echo_config("verify", {"suite": args.suite, "seed": args.seed})
     all_pass = True
     for name in oracles.SUITES if args.suite == "all" else [args.suite]:

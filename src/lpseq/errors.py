@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check behind them."""
+
+import numbers
 
 
 class InvalidParameterError(ValueError):
@@ -11,3 +13,8 @@ class DimensionMismatchError(ValueError):
 
 class NonFiniteInputError(ValueError):
     """An input contains NaN or infinity."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer (numpy's included) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

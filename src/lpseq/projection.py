@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteInputError
+from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteInputError, is_integer
 from .shrinkage import (
     CLOSED_FORMS,
     DEFAULT_TOL,
@@ -56,7 +56,7 @@ from .shrinkage import (
     psi_many,
 )
 
-# Feasibility slack on the p-th power sum; keeps ||x||_p <= r*(1 + 1e-9).
+# Feasibility slack on the p-th power sum; keeps ||x||_p <= r*(1 + 1e-9) for p >= 0.1.
 SUM_FEAS_TOL = 1e-10
 
 # Outer multiplier search stops at this dual-sum gap (also on the KKT slackness
@@ -89,6 +89,10 @@ class LpBall:
     sparsity: int | None = None
 
     def __post_init__(self):
+        for name in ("dim", "sparsity"):
+            value = getattr(self, name)
+            if value is not None and not is_integer(value):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise InvalidParameterError(f"dim must be >= 1, got {self.dim}")
         if self.p < 0 or math.isnan(self.p):
@@ -106,22 +110,16 @@ class LpBall:
             if not (self.radius > 0):
                 raise InvalidParameterError(f"radius must be positive, got {self.radius}")
 
-    def contains(self, y: np.ndarray) -> bool:
-        """Whether ``y`` lies in the set, up to ``||y||_p <= r * (1 + 1e-9)``."""
-        y = np.asarray(y, dtype=float)
-        if self.p == 0:
-            return int(np.count_nonzero(y)) <= self.sparsity
-        return lp_norm(y, self.p) <= self.radius * (1.0 + 1e-9)
-
 
 def lp_norm(x: np.ndarray, p: float) -> float:
     """(Quasi)norm ||x||_p; number of nonzeros when p = 0."""
-    x = np.asarray(x, dtype=float)
+    x = np.abs(np.asarray(x, dtype=float))
     if p == 0:
         return float(np.count_nonzero(x))
-    if p == math.inf:
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    return _lp_norms(np.abs(x).reshape(1, -1), p)[0] if x.size else 0.0
+    top = float(np.max(x)) if x.size else 0.0
+    if p == math.inf or top == math.inf:
+        return top
+    return _lp_norms(x.reshape(1, -1), p)[0]
 
 
 @dataclass
@@ -281,25 +279,6 @@ def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float) -> list:
     sums, tops = np.sum(powers, axis=1).tolist(), np.max(T, axis=1).tolist()
     return [max(st, abs(lam_i * (s - 1.0)) / max(1.0, top))
             for st, lam_i, s, top in zip(stat, lam, sums, tops)]
-
-
-def kkt_residual(y: np.ndarray, result: ProjectionResult, p: float,
-                 radius: float = 1.0) -> float:
-    """Scale-free KKT residual of ``result``, as ``ProjectionResult`` defines it.
-
-    On the unit ball, stationarity is relative to ``max(1, |y_i|/r)`` for each
-    coordinate and the two-sided slackness to ``max(1, max|y|/r)``.  Raises
-    ``InvalidParameterError`` where the multiplier has no finite unit-ball value:
-    where it is infinite, or zero for an input outside the ball, which only an
-    underflowed ``r**(2-p)`` gives.
-    """
-    if not (p > 1):
-        raise InvalidParameterError(f"kkt_residual requires p > 1, got {p}")
-    t = np.abs(np.asarray(y, float)) / radius
-    lam = _rescaled(result.multiplier, radius, p - 2.0)
-    if not math.isfinite(lam) or (lam == 0 and not _inside_unit(t[None], p)[0]):
-        raise InvalidParameterError("multiplier outside double range; see result.kkt_residual")
-    return _kkt_pieces(t[None], np.abs(result.point)[None] / radius, [lam], p)[0]
 
 
 def _lp_norms(T: np.ndarray, p: float) -> list:
@@ -665,7 +644,7 @@ def project(ball: LpBall, y: np.ndarray) -> ProjectionResult:
         raise DimensionMismatchError(
             f"expected a vector of length {ball.dim}, got shape {y.shape}"
         )
-    return _project_rows(ball, y[None])[0]
+    return project_many(ball, y[None])[0]
 
 
 def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
@@ -682,11 +661,6 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
         raise DimensionMismatchError(
             f"expected an (n, {ball.dim}) block, got shape {Y.shape}"
         )
-    return _project_rows(ball, Y)
-
-
-def _project_rows(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
-    """The projections of the rows of ``Y``, as ``project_many`` documents them."""
     if not np.all(np.isfinite(Y)):
         raise NonFiniteInputError("input vector contains non-finite entries")
     p, r = ball.p, ball.radius

@@ -13,11 +13,10 @@ which gives the same draws without building a generator per trial.
 from __future__ import annotations
 
 import hashlib
-import numbers
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -28,8 +27,7 @@ def check_seed(seed) -> None:
     That is the range of the Philox key word it becomes; a seed outside it
     would alias one inside.
     """
-    if (isinstance(seed, bool) or not isinstance(seed, (int, numbers.Integral))
-            or not 0 <= seed <= _MASK64):
+    if not (is_integer(seed) and 0 <= seed <= _MASK64):
         raise InvalidParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 

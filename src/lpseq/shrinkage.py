@@ -144,8 +144,8 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float,
     ``ROOT_FLOOR_STEP`` on once ``|f|`` is within the rounding floor
     ``ROOT_FLOOR*eps*t*(1 + |log t|)``, whatever its batch.
     """
-    log_t = np.log(t)
-    s_pow = (np.log(lam) - log_t) / (1.0 - p)  # where lam*x**(p-1) = t
+    log_t, log_lam = np.log(t), np.log(lam)
+    s_pow = (log_lam - log_t) / (1.0 - p)  # where lam*x**(p-1) = t
     if p > 1:
         lo, hi = np.minimum(log_t - LOG2, s_pow - LOG2 / (p - 1.0)), np.minimum(log_t, s_pow)
         s = hi if start is None else np.fmax(np.fmin(start, hi), lo)  # NaN: hi
@@ -153,10 +153,16 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float,
         s_arg = np.log(lam * (1.0 - p)) / (2.0 - p)
         s = np.where(upper, log_t, s_pow)
         lo, hi = np.where(upper, s_arg, s_pow), np.where(upper, log_t, s_arg)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # where exp((p-1)*s) can pass double range before a tiny lam scales it
+    # back, the power is one exp of the summed logs
+    wide = (p - 1.0) * (hi if p > 1 else lo) > 700.0
+    guard = wide.any()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(ROOT_STEPS):
             x = np.exp(s)
             pw = lam * np.exp((p - 1.0) * s)
+            if guard:
+                pw = np.where(wide, np.exp(log_lam + (p - 1.0) * s), pw)
             f = x + pw - t
             if step == ROOT_FLOOR_STEP:
                 tol = np.maximum(tol, ROOT_FLOOR * EPS * t * (1.0 + np.abs(log_t)))

@@ -25,14 +25,13 @@ import hashlib
 import io
 import json
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_integer
 from .estimators import ESTIMATOR_KINDS, EstimatorSpec, estimate
 from .instances import sparsity_scaling, spike_instance
 from .projection import LpBall, project_many
@@ -54,10 +53,6 @@ def default_d_grid(max_d: int = DEFAULT_MAX_D) -> tuple[int, ...]:
     while (v := int(math.floor(10 ** (2.0 + 8.0 * len(grid) / 39.0)))) <= max_d:
         grid.append(v)
     return tuple(grid)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -83,12 +78,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise InvalidParameterError(f"unknown regime {self.regime!r}")
-        if not (_is_integer(self.reps) and self.reps >= 1):
+        if not (is_integer(self.reps) and self.reps >= 1):
             raise InvalidParameterError(f"reps must be an integer >= 1, got {self.reps!r}")
         check_seed(self.seed)
         if len(self.d_grid) == 0:
             raise InvalidParameterError("d_grid must be nonempty")
-        if not all(_is_integer(d) and d >= 1 for d in self.d_grid):
+        if not all(is_integer(d) and d >= 1 for d in self.d_grid):
             raise InvalidParameterError(f"d_grid must hold integers >= 1, got {list(self.d_grid)}")
         if any(b <= a for a, b in zip(self.d_grid, self.d_grid[1:])):
             raise InvalidParameterError("d_grid must be strictly increasing")

@@ -60,11 +60,12 @@ def test_project_p0_sparsity(capsys):
 
 
 def test_project_p_inf(capsys):
-    code, out, _ = run_cli(capsys, "project", "--p", "inf", "--radius", "1",
-                           "--input", "2,-0.5")
-    assert code == 0
-    point = np.array([float(v) for v in parse_kv(out)["point"].split(",")])
-    np.testing.assert_array_equal(point, [1.0, -0.5])
+    for p in ("inf", "Infinity", " INF "):
+        code, out, _ = run_cli(capsys, "project", "--p", p, "--radius", "1",
+                               "--input", "2,-0.5")
+        assert code == 0
+        point = np.array([float(v) for v in parse_kv(out)["point"].split(",")])
+        np.testing.assert_array_equal(point, [1.0, -0.5])
 
 
 def test_project_reads_file(tmp_path, capsys):

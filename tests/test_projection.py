@@ -13,14 +13,13 @@ from lpseq.errors import (
 )
 from lpseq.projection import (
     LpBall,
-    ProjectionResult,
-    kkt_residual,
     lp_norm,
     project,
     project_clip,
     project_many,
     project_top_s,
     _find_lambda_star,
+    _kkt_pieces,
 )
 from lpseq.shrinkage import prox_jump_lambda, psi_many
 from prox_reference import power_objective, prox_power_many
@@ -48,6 +47,13 @@ def test_ball_validation():
         LpBall(p=2.0, dim=3, radius=1.0, sparsity=1)
     with pytest.raises(InvalidParameterError):
         LpBall(p=-1.0, dim=3, radius=1.0)
+    # dim and sparsity are integers (numpy's too), not floats, bools or strings
+    for bad in (2.5, True, "3"):
+        with pytest.raises(InvalidParameterError):
+            LpBall(p=1.5, dim=bad, radius=1.0)
+        with pytest.raises(InvalidParameterError):
+            LpBall(p=0.0, dim=3, sparsity=bad)
+    assert LpBall(p=0.0, dim=np.int64(3), sparsity=np.int64(1)).sparsity == 1
 
 
 def test_project_radial_p2():
@@ -178,27 +184,23 @@ def test_kkt_residual_consistency_and_sensitivity():
     ball = LpBall(p=1.5, dim=2, radius=1.0)
     y = np.array([2.0, 2.0])
     res = project(ball, y)
-    assert kkt_residual(y, res, 1.5, 1.0) <= 1e-9
-    bumped = ProjectionResult(res.point + np.array([1e-3, 0.0]), res.multiplier,
-                              0.0, res.iterations)
-    assert kkt_residual(y, bumped, 1.5, 1.0) >= 1e-4
+    # at r = 1 the unit-ball terms are the magnitudes and the multiplier itself
+    T, lam = np.abs(y)[None], [res.multiplier]
+    assert _kkt_pieces(T, np.abs(res.point)[None], lam, 1.5) == [res.kkt_residual]
+    assert res.kkt_residual <= 1e-9
+    bumped = np.abs(res.point + np.array([1e-3, 0.0]))[None]
+    assert _kkt_pieces(T, bumped, lam, 1.5)[0] >= 1e-4
     # at p = 2 a zero output for a nonzero input is charged in full
     y = np.array([2.0, 0.5])
     res = project(LpBall(p=2.0, dim=2, radius=1.0), y)
-    zeroed = ProjectionResult(np.array([res.point[0], 0.0]), res.multiplier, 0.0, 0)
-    assert kkt_residual(y, zeroed, 2.0, 1.0) >= 0.5 * (1 - 1e-12)
-    with pytest.raises(InvalidParameterError):
-        kkt_residual(y, res, 1.0, 1.0)
-    # r**(2-p) overflows: the multiplier is inf and has no unit-ball value
+    zeroed = np.array([[abs(res.point[0]), 0.0]])
+    assert _kkt_pieces(np.abs(y)[None], zeroed, [res.multiplier], 2.0)[0] >= 0.5 * (1 - 1e-12)
+    # r**(2-p) overflows: the multiplier is inf, the unit-ball residual still holds
     res = project(LpBall(p=1e4, dim=1, radius=0.5), np.array([5.0]))
     assert res.multiplier == math.inf and res.kkt_residual <= 1e-9
-    with pytest.raises(InvalidParameterError):
-        kkt_residual(np.array([5.0]), res, 1e4, 0.5)
     # r**(2-p) underflows: a zero multiplier for an input outside the ball
     res = project(LpBall(p=1e4, dim=1, radius=3.0), np.array([5.0]))
     assert res.multiplier == 0.0 and res.kkt_residual <= 1e-9
-    with pytest.raises(InvalidParameterError):
-        kkt_residual(np.array([5.0]), res, 1e4, 3.0)
 
 
 def test_kkt_residual_solver_contract():
@@ -323,7 +325,9 @@ def test_lp_norm_scale_safe(p, c):
     rng = np.random.default_rng(53)
     for x in (np.array([3.0, 4.0]), rng.standard_normal(7)):
         assert lp_norm(c * x, p) == pytest.approx(c * lp_norm(x, p), rel=1e-12, abs=0)
-    assert LpBall(p=p, dim=2, radius=5.0 * c).contains(c * np.array([3.0, 4.0])) == (p >= 2)
+    assert (lp_norm(c * np.array([3.0, 4.0]), p) <= 5.0 * c * (1.0 + 1e-9)) == (p >= 2)
+    # an infinite entry has an infinite norm, as at p = inf
+    assert lp_norm(np.array([-math.inf, c]), p) == math.inf
 
 
 def test_quasinorm_gap_reported():

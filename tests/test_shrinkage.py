@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -42,6 +43,13 @@ def test_psi_edge_cases():
         warnings.simplefilter("error")
         for p in (1.5, 2.0, 3.0):
             np.testing.assert_array_equal(psi_many(p, 0.0, [0.0, 2.0]), [0.0, 2.0])
+        # lam*exp((p-1)*log t) passes double range before the tiny lam scales
+        # it back; the root is finite all the same
+        for p, lam, t in ((2.5, 1e-300, 1e300), (10.0, 1e-300, 1e150)):
+            psi = psi_many(p, lam, [t])[0]
+            assert 0 < psi <= t
+            power = math.exp(math.log(lam) + (p - 1.0) * math.log(psi))
+            assert abs(psi + power - t) <= 1e-12 * t
 
 
 def test_psi_invalid_parameters():
@@ -216,6 +224,9 @@ def test_branch_roots_residual_existence_and_monotonicity(p):
     # the p < 1 projection's certified pruning relies on this monotonicity
     assert np.max(np.diff(upper, axis=0)) <= 0
     assert np.min(np.diff(lower, axis=0)) >= 0
+    # at lam = 1e-310 the lower root's lam*x**(p-1) passes double range before
+    # lam scales it back; the root is below double range, not NaN
+    assert 0.0 <= branch_roots(p, 1e-310, [1.0], False)[0] <= 1e-300
 
 
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.9])

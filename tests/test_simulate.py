@@ -190,19 +190,6 @@ def test_run_experiment_resume_skips_completed(monkeypatch):
     assert seen == []
 
 
-def test_run_experiment_resumed_csv_is_complete():
-    # an interrupted run leaves a prefix of the cells; resuming runs the rest
-    cfg = small_config()
-    full = run_experiment(cfg)
-    ids = cell_ids(cfg)
-    half = dict(list(zip(ids, full.rows))[:2])
-    seen = []
-    resumed = run_experiment(cfg, completed=half,
-                             on_cell_done=lambda cid, row: seen.append(cid))
-    assert seen == ids[2:]
-    assert rows_to_csv(resumed) == rows_to_csv(full)
-
-
 def test_run_experiment_threads_must_be_one():
     with pytest.raises(InvalidParameterError, match="threads"):
         run_experiment(small_config(), threads=2)
