@@ -12,8 +12,11 @@ closed-form indices p in {1.5, 2, 3} the dual sum and its slope come from the
 closed form's own terms, and the block's power sums take exact products.
 Elsewhere each dual-sum evaluation after the first starts its inner Newton
 roots at the second-order log-log tangent of the previous ones, continuing
-the inner solve.  ``p = 1`` uses exact sort-and-threshold
-water filling, ``p = 0`` keeps the largest magnitudes, ``p = inf`` clips.
+the inner solve, and takes ``log psi`` and ``psi**(p-1)`` from that solve's
+last Newton pass, against ``log(|y|/r)`` taken once per search; it takes no
+``log`` or ``pow`` of its own except on roots flushed to 0 or clamped to
+``|y|/r``.  ``p = 1`` uses exact sort-and-threshold water filling, ``p = 0``
+keeps the largest magnitudes, ``p = inf`` clips.
 For p in (0, 1) the problem is nonconvex; its global minimizer keeps a prefix of
 the sorted magnitudes, at most the last kept one on the lower root of the fixed
 point, and one solver enumerates every prefix size under both branch patterns:
@@ -50,10 +53,11 @@ from .shrinkage import (
     DEFAULT_TOL,
     FLUSH_TOL,
     _closed_terms,
+    _root_terms,
     branch_roots,
     branch_vanish_lambda,
     prox_jump_lambda,
-    psi_many,
+    psi_many,  # not called here; the traced benchmark wraps this name
 )
 
 # Feasibility slack on the p-th power sum; keeps ||x||_p <= r*(1 + 1e-9) for p >= 0.1.
@@ -117,7 +121,7 @@ def lp_norm(x: np.ndarray, p: float) -> float:
     if p == 0:
         return float(np.count_nonzero(x))
     top = float(np.max(x)) if x.size else 0.0
-    if p == math.inf or top == math.inf:
+    if p == math.inf or not 0.0 < top < math.inf:  # empty, zero, infinite or NaN
         return top
     return _lp_norms(x.reshape(1, -1), p)[0]
 
@@ -172,29 +176,31 @@ def project_clip(r: float, y: np.ndarray) -> np.ndarray:
     return np.sign(y) * np.minimum(np.abs(y), r)
 
 
-def _dual_sums(p: float, lam: list, T: np.ndarray, start=None):
-    """Dual sums of the rows of ``T`` at multipliers ``lam``, minus their slopes, psi, dpsi.
+def _dual_sums(p: float, lam: list, T: np.ndarray, log_T, start):
+    """Dual sums of the rows of ``T`` at ``lam``, minus their slopes, psi, log psi, dpsi.
 
     At p in ``CLOSED_FORMS`` the sum of ``psi**p`` and minus its slope come
-    from the closed form's own terms, ``_closed_terms``, and ``dpsi`` is None.
-    Elsewhere ``dpsi`` is ``-d psi/d lam`` (0 where ``psi = 0``): with
-    ``pw = psi**(p-1)``, the one power taken per element, the sum is
-    ``sum(psi*pw)`` and minus its slope ``p*sum(pw*dpsi)``; ``start`` goes to
-    ``psi_many``.  The sums and the (nonnegative) minus slopes come back as lists.
+    from the closed form's own terms, ``_closed_terms``, and ``log psi`` and
+    ``dpsi`` are None.  Elsewhere ``_root_terms`` solves for ``psi`` against
+    ``log_T = np.log(T)`` from ``start`` and returns ``log psi`` and
+    ``pw = psi**(p-1)`` from its last Newton pass; ``dpsi`` is ``-d psi/d lam``
+    (0 where ``psi = 0``), the sum is ``sum(psi*pw)`` and minus its slope
+    ``p*sum(pw*dpsi)``.  The sums and the (nonnegative) minus slopes come back
+    as lists.
     """
     lam = _lam_column(lam)
     if p in CLOSED_FORMS:
         psi, power, fall = _closed_terms(p, lam, T)
-        return np.sum(power, axis=1).tolist(), np.sum(fall, axis=1).tolist(), psi, None
-    # psi's error moves the sum p-fold; tol and start go positionally, as the
-    # traced benchmark's psi_many counter takes no keywords
-    psi = psi_many(p, lam, T, min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL), start)
+        return np.sum(power, axis=1).tolist(), np.sum(fall, axis=1).tolist(), psi, None, None
+    # psi's error moves the sum p-fold
+    psi, log_psi, pw = _root_terms(p, lam, T, log_T, min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL),
+                                   start)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pw = psi ** (p - 1.0)
-        dpsi = np.where(psi > 0, psi * pw / (psi + lam * (p - 1.0) * pw), 0.0)
-        value = np.sum(psi * pw, axis=1)
+        power = psi * pw
+        dpsi = np.where(psi > 0, power / (psi + lam * (p - 1.0) * pw), 0.0)
+        value = np.sum(power, axis=1)
         fall = p * np.sum(pw * dpsi, axis=1)
-    return value.tolist(), fall.tolist(), psi, dpsi
+    return value.tolist(), fall.tolist(), psi, log_psi, dpsi
 
 
 def _lam_column(lam: list):
@@ -216,8 +222,9 @@ def _find_lambda_star(p: float, T: np.ndarray):
     on ``log S`` against ``log lam``, and bisection takes over where both leave
     the bracket.  One call of ``_dual_sums`` evaluates the whole block; each
     row's bracket and step are plain floats, so it takes the iterates it would
-    alone.  Outside ``CLOSED_FORMS`` each evaluation after the first starts its
-    roots at the second-order log-log tangent of the row's previous ones: with
+    alone.  Outside ``CLOSED_FORMS`` ``log T`` is taken once, here, and each
+    evaluation after the first starts its roots at the second-order log-log
+    tangent of the row's previous ones, ``log psi`` from their Newton pass: with
     ``D = log(lam_new/lam_old)`` and ``w = lam_old*dpsi/psi``,
     ``log psi - D*w - D**2/2 * w*(1 - (p-2)*w)*(1 - (p-1)*w)``.  A row that
     has stopped keeps its multiplier and the ``psi`` of the evaluation where
@@ -228,9 +235,12 @@ def _find_lambda_star(p: float, T: np.ndarray):
     q = p / (p - 1.0)
     hi = _lp_norms(T, q)
     lo, lam, iterations = [0.0] * len(hi), hi[:], [0] * len(hi)
-    kept, start = np.empty_like(T), None
+    kept, start, log_T = np.empty_like(T), None, None
+    if p not in CLOSED_FORMS:
+        with np.errstate(divide="ignore"):  # log 0 = -inf, where psi = t = 0
+            log_T = np.log(T)
     for step_count in range(1, 201):
-        values, falls, psi, dpsi = _dual_sums(p, lam, T, start)
+        values, falls, psi, log_psi, dpsi = _dual_sums(p, lam, T, log_T, start)
         previous = lam[:]
         for i, (value, fall) in enumerate(zip(values, falls)):
             if iterations[i]:
@@ -261,7 +271,7 @@ def _find_lambda_star(p: float, T: np.ndarray):
                 # -d log psi/d log lam; nan at psi = 0: a cold start
                 w = _lam_column(previous) * dpsi / psi
                 curve = w * (1.0 - (p - 2.0) * w) * (1.0 - (p - 1.0) * w)
-                start = np.log(psi) - log_ratio * w - (0.5 * log_ratio * log_ratio) * curve
+                start = log_psi - log_ratio * w - (0.5 * log_ratio * log_ratio) * curve
 
 
 def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float) -> list:

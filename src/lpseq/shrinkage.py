@@ -44,7 +44,7 @@ CLOSED_FORMS = frozenset({1.0, 1.5, 2.0, 3.0})
 
 def soft_threshold(y: np.ndarray, lam: float) -> np.ndarray:
     """Coordinatewise soft threshold of an array."""
-    if lam < 0:
+    if not lam >= 0:  # also NaN
         raise InvalidParameterError(f"lam must be nonnegative, got {lam}")
     y = np.asarray(y, dtype=float)
     return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
@@ -59,8 +59,9 @@ def _flush(x: np.ndarray) -> np.ndarray:
 def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarray:
     """Elementwise positive solution of ``psi + lam*psi**(p-1) = t``, p >= 1.
 
-    ``lam`` may be a scalar or an array broadcastable against ``t``.  The
-    returned psi lies in ``[0, t]`` and satisfies
+    ``lam`` may be a scalar or an array broadcastable against ``t``; both
+    must be at least 0, or ``InvalidParameterError`` is raised (also for NaN).
+    The returned psi lies in ``[0, t]`` and satisfies
     ``|psi + lam*psi**(p-1) - t| <= max(tol, ROOT_FLOOR*eps*t*(1 + |log t|))``,
     the second term being the residual's rounding floor at large ``t``
     (reached from ``ROOT_FLOOR_STEP`` Newton steps on).
@@ -74,13 +75,14 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarr
     """
     lam_arr, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(t, dtype=float))
+    if not ((lam_arr >= 0).all() and (t >= 0).all()):  # also NaN
+        raise InvalidParameterError("psi_many requires lam >= 0 and t >= 0")
     if p not in CLOSED_FORMS:
         if p < 1.0:
             raise InvalidParameterError("psi_many requires p >= 1; use branch_roots for p < 1")
-        lam = np.asarray(lam, dtype=float)  # unbroadcast, so a column of lams costs one log each
-        with np.errstate(divide="ignore", invalid="ignore"):  # where t or lam is 0, psi = t
-            x = _branch_root(p, lam, t, True, tol, start)
-        return _flush(np.where((t > 0) & (lam > 0), np.minimum(x, t), t))
+        with np.errstate(divide="ignore"):  # log 0 = -inf, where psi = t = 0
+            log_t = np.log(t)
+        return _root_terms(p, np.asarray(lam, dtype=float), t, log_t, tol, start)[0]
     if p == 1.0:
         return _flush(np.maximum(t - lam_arr, 0.0))
     with np.errstate(invalid="ignore"):  # 0/0 at p = 1.5, lam = t = 0
@@ -127,9 +129,36 @@ def _closed_terms(p: float, lam, t):
         return psi, power, 3.0 * psi * power / root
 
 
-def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float,
-                 start=None) -> np.ndarray:
+def _root_terms(p: float, lam, t: np.ndarray, log_t: np.ndarray, tol: float, start=None):
+    """``psi``, ``log psi`` and ``psi**(p-1)`` of :func:`psi_many` at a generic p > 1.
+
+    ``lam >= 0`` is a scalar or an array broadcastable against ``t >= 0``, left
+    unbroadcast so a column of multipliers costs one log each, and ``log_t`` is
+    ``np.log(t)``, which a caller that solves against the same ``t`` many times
+    takes once.  ``tol`` and ``start`` are as in :func:`psi_many`, whose ``psi``
+    this returns bit for bit.  The logarithm and the power are those of the last
+    Newton pass, ``s`` and ``exp((p-1)*s)``; only where ``psi`` is not that
+    pass's ``exp(s)`` (flushed to 0, clamped to ``t``, or ``t`` itself at a
+    zero ``t`` or ``lam``) are they taken from ``psi`` by ``log`` and ``pow``.
+    """
+    # where t or lam is 0, psi = t; a power past double range is inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x, log_psi, power = _branch_root(p, lam, t, log_t, True, tol, start)
+        psi = _flush(np.where((t > 0) & (lam > 0), np.minimum(x, t), t))
+        redo = (psi != x) | (psi == 0)  # x may have underflowed to psi = 0
+        if redo.any():
+            log_psi, power = np.asarray(log_psi), np.asarray(power)  # arrays also at 0-d
+            log_psi[redo] = np.log(psi[redo])
+            power[redo] = psi[redo] ** (p - 1.0)
+    return psi, log_psi, power
+
+
+def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, log_t: np.ndarray, upper,
+                 tol: float, start=None):
     """Root of ``x + lam*x**(p-1) = t`` on one branch, for ``lam, t > 0``.
+
+    Returns ``(x, s, exp((p-1)*s))`` of the last Newton pass, ``x = exp(s)``;
+    ``log_t`` is ``np.log(t)``.
 
     Newton's method in ``s = log x``: ``f(s) = e**s + lam*e**((p-1)*s) - t``
     is convex, so steps from a start with ``f >= 0`` move monotonically to the
@@ -144,7 +173,7 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float,
     ``ROOT_FLOOR_STEP`` on once ``|f|`` is within the rounding floor
     ``ROOT_FLOOR*eps*t*(1 + |log t|)``, whatever its batch.
     """
-    log_t, log_lam = np.log(t), np.log(lam)
+    log_lam = np.log(lam)
     s_pow = (log_lam - log_t) / (1.0 - p)  # where lam*x**(p-1) = t
     if p > 1:
         lo, hi = np.minimum(log_t - LOG2, s_pow - LOG2 / (p - 1.0)), np.minimum(log_t, s_pow)
@@ -159,8 +188,9 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float,
     guard = wide.any()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(ROOT_STEPS):
-            x = np.exp(s)
-            pw = lam * np.exp((p - 1.0) * s)
+            x, at = np.exp(s), s  # s moves past x when the last step leaves it open
+            power = np.exp((p - 1.0) * s)
+            pw = lam * power
             if guard:
                 pw = np.where(wide, np.exp(log_lam + (p - 1.0) * s), pw)
             f = x + pw - t
@@ -171,7 +201,7 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper, tol: float,
                 break
             # minimum(maximum()) is np.clip's arithmetic without its wrapper's overhead
             s = np.where(open_, np.minimum(np.maximum(s - f / (x + (p - 1.0) * pw), lo), hi), s)
-    return x
+    return x, at, power
 
 
 # --- p < 1: branch structure of x + lam * x**(p-1) = t -----------------------
@@ -218,5 +248,6 @@ def branch_roots(p: float, lam, t, upper) -> np.ndarray:
         branch_vanish_lambda(p, t))  # on t before broadcasting: once per magnitude
     out = np.where(lam > 0, (1.0 - p) / (2.0 - p) * t, np.where(upper, t, 0.0))
     live = (lam > 0) & (lam < vanish)
-    out[live] = _branch_root(p, lam[live], t[live], upper[live], DEFAULT_TOL)
+    t_live = t[live]
+    out[live] = _branch_root(p, lam[live], t_live, np.log(t_live), upper[live], DEFAULT_TOL)[0]
     return out

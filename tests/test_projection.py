@@ -21,7 +21,7 @@ from lpseq.projection import (
     _find_lambda_star,
     _kkt_pieces,
 )
-from lpseq.shrinkage import prox_jump_lambda, psi_many
+from lpseq.shrinkage import _root_terms, prox_jump_lambda, psi_many
 from prox_reference import power_objective, prox_power_many
 
 # closed forms recomputed independently (mpmath): 2 c**1.5 = 1 and the
@@ -328,6 +328,9 @@ def test_lp_norm_scale_safe(p, c):
     assert (lp_norm(c * np.array([3.0, 4.0]), p) <= 5.0 * c * (1.0 + 1e-9)) == (p >= 2)
     # an infinite entry has an infinite norm, as at p = inf
     assert lp_norm(np.array([-math.inf, c]), p) == math.inf
+    # the empty vector has norm 0, and a NaN entry a NaN norm, as at p = inf
+    assert lp_norm(np.array([]), p) == 0.0
+    assert math.isnan(lp_norm(np.array([c, math.nan]), p))
 
 
 def test_quasinorm_gap_reported():
@@ -693,12 +696,12 @@ def test_project_warm_starts_inner_roots(monkeypatch):
         calls.clear()
         exps.clear()
 
-        def spy(p, lam, t, tol, start=None):
+        def spy(p, lam, t, log_t, tol, start=None):
             calls.append((lam, t, start))
-            return psi_many(p, lam, t, tol, start if keep_start else None)
+            return _root_terms(p, lam, t, log_t, tol, start if keep_start else None)
 
         with monkeypatch.context() as m:
-            m.setattr(projection, "psi_many", spy)
+            m.setattr(projection, "_root_terms", spy)
             m.setattr(shrinkage, "np", CountingNumpy())
             res = project(ball, y)
         return res, len(exps)

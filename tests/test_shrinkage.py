@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lpseq.errors import InvalidParameterError
 from lpseq.shrinkage import (
     _closed_terms,
+    _root_terms,
     branch_roots,
     branch_vanish_lambda,
     prox_jump_lambda,
@@ -55,6 +56,53 @@ def test_psi_edge_cases():
 def test_psi_invalid_parameters():
     with pytest.raises(InvalidParameterError):
         psi_many(0.5, 1.0, [1.0])
+    # a negative or NaN multiplier or magnitude has no root in [0, t]: at
+    # lam = -1 the closed forms gave 2.618 (p = 1.5) and 1/0 (p = 2), and
+    # p = 1.3 returned t
+    for p in (1.0, 1.3, 1.5, 2.0, 3.0, 4.5):
+        for lam, t in ((-1.0, [1.0]), (math.nan, [1.0]), ([[1.0], [-1e-300]], [1.0]),
+                       (1.0, [1.0, -1.0]), (1.0, [math.nan]), (0.0, [-0.5])):
+            with pytest.raises(InvalidParameterError):
+                psi_many(p, lam, t)
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1.1, 1.3, 1.7, 2.5, 4.0, 50.0, 1e4])
+def test_root_terms_match_psi_many_and_power_reference(p):
+    # the generic-p dual sum takes psi, log psi and psi**(p-1) from one
+    # kernel: psi is psi_many's bit for bit, and the power sum and slope built
+    # on the returned power match those built on pow(psi, p-1).  Both carry
+    # psi's rounding, which the power magnifies (p-1)-fold, so at p = 1e4 they
+    # agree to about p*eps (1e-12), and to 1e-13 up to p = 50.
+    rng = np.random.default_rng(31)
+    t = 10.0 ** rng.uniform(-6, 3, size=300)
+    t[:10] = 0.0
+    t[10:20] = 10.0 ** rng.uniform(-320, -301, size=10)  # flushed roots
+    lams = np.array([0.0, 1e-300, 1e-6, 0.3, 7.0, 1e5, 1e280])[:, None]
+    # rows guarded against the overflow of lam*exp((p-1)*s), as in test_psi_edge_cases
+    wide_t = np.array([[1e300], [1e150]])
+    blocks = ((lams, np.broadcast_to(t, (lams.size, t.size))), (np.full((2, 1), 1e-300), wide_t))
+    rtol = max(1e-13, 4.0 * p * np.finfo(float).eps)
+    for lam, T in blocks:
+        with np.errstate(divide="ignore"):
+            log_t, warm = np.log(T), np.log(psi_many(p, 1.5 * lam, T))
+        for start in (None, warm):
+            psi, log_psi, power = _root_terms(p, lam, T, log_t, 1e-12, start)
+            np.testing.assert_array_equal(psi, psi_many(p, lam, T, 1e-12, start))
+            with np.errstate(divide="ignore", over="ignore"):
+                ref_log, ref_power = np.log(psi), psi ** (p - 1.0)
+            np.testing.assert_allclose(log_psi, ref_log, rtol=4e-16, atol=4e-16)
+            # elementwise too, where the power passes double range (inf) and at psi = 0
+            np.testing.assert_allclose(power, ref_power, rtol=rtol, atol=0)
+
+            def sums(pw):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    dpsi = np.where(psi > 0, psi * pw / (psi + lam * (p - 1.0) * pw), 0.0)
+                    return np.sum(psi * pw, axis=1), p * np.sum(pw * dpsi, axis=1)
+
+            for got, ref in zip(sums(power), sums(ref_power)):
+                finite = np.isfinite(ref)
+                assert finite.any() or T is wide_t
+                np.testing.assert_allclose(got[finite], ref[finite], rtol=rtol, atol=0)
 
 
 @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 1.8, 2.0, 2.6, 3.0, 4.5, 50.0])
@@ -141,8 +189,9 @@ def test_soft_threshold_examples():
     np.testing.assert_array_equal(soft_threshold(np.array([3.0, -0.5, 0.0]), 1.0),
                                   [2.0, 0.0, 0.0])
     assert soft_threshold([0.0], 5.0)[0] == 0.0
-    with pytest.raises(InvalidParameterError):
-        soft_threshold([1.0], -0.1)
+    for lam in (-0.1, math.nan):
+        with pytest.raises(InvalidParameterError):
+            soft_threshold([1.0], lam)
 
 
 def test_prox_trivial_cases():
