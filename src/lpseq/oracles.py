@@ -70,22 +70,35 @@ def _objective(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum((x - y) ** 2))
 
 
-def _feasible_mask(points: np.ndarray, ball: LpBall) -> np.ndarray:
-    if ball.p == math.inf:
-        return np.max(np.abs(points), axis=1) <= ball.radius
-    powsum = np.sum(np.abs(points) ** ball.p, axis=1)
-    return powsum <= ball.radius**ball.p * (1 + 1e-12)
-
-
 def _grid_best(ball: LpBall, y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                npts: int) -> np.ndarray | None:
-    axes = [np.linspace(lo[i], hi[i], npts) for i in range(y.size)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, y.size)
-    ok = _feasible_mask(mesh, ball)
-    if not np.any(ok):
+    """The feasible point of the ``npts**d`` grid on ``[lo, hi]`` nearest ``y``, or None.
+
+    Each axis's terms (``|a|**p``, or ``|a| <= r`` at p = inf, and ``(a - y_i)**2``)
+    are taken once and summed, axis by axis, by broadcasting onto the mesh: the
+    point-by-point sums in the same order.  Ties go to the first point in the
+    mesh's row-major order.
+    """
+    d = y.size
+    axes = [np.linspace(lo[i], hi[i], npts) for i in range(d)]
+
+    def on_mesh(terms, combine):  # axis i varies along mesh dimension i
+        total = terms[0].reshape((-1,) + (1,) * (d - 1))
+        for i, term in enumerate(terms[1:], start=1):
+            total = combine(total, term.reshape((-1,) + (1,) * (d - 1 - i)))
+        return total
+
+    if ball.p == math.inf:
+        ok = on_mesh([np.abs(a) <= ball.radius for a in axes], np.logical_and)
+    else:
+        powsum = on_mesh([np.abs(a) ** ball.p for a in axes], np.add)
+        ok = powsum <= ball.radius**ball.p * (1 + 1e-12)
+    feasible = np.flatnonzero(ok)
+    if not feasible.size:
         return None
-    cand = mesh[ok]
-    return cand[np.argmin(np.sum((cand - y) ** 2, axis=1))]
+    dist = on_mesh([(a - y[i]) ** 2 for i, a in enumerate(axes)], np.add).ravel()
+    index = np.unravel_index(feasible[np.argmin(dist[feasible])], ok.shape)
+    return np.array([a[j] for a, j in zip(axes, index)])
 
 
 def _coordinate_bound(ball: LpBall, x: np.ndarray, i: int) -> float:

@@ -8,14 +8,17 @@ dual sum and ``q = p/(p-1)``, start at the dual norm ``||y/r||_q``, an upper
 bound on ``lam*``; where the roots follow their power law in ``lam`` that
 target is linear, exactly so at p = 2.  Bisection takes over where a step
 leaves the bracket (the nested zero-finding of Liu & Ye, 2010).  At the
-closed-form indices p in {1.5, 2, 3} the dual sum and its slope come from the
-closed form's own terms, and the block's power sums take exact products.
-Elsewhere each dual-sum evaluation after the first starts its inner Newton
-roots at the second-order log-log tangent of the previous ones, continuing
-the inner solve, and takes ``log psi`` and ``psi**(p-1)`` from that solve's
-last Newton pass, against ``log(|y|/r)`` taken once per search; it takes no
-``log`` or ``pow`` of its own except on roots flushed to 0 or clamped to
-``|y|/r``.  ``p = 1`` uses exact sort-and-threshold water filling, ``p = 0``
+closed-form indices p in {1.5, 2, 3} the dual sum and its slope are products
+of the closed form's own intermediates, each summed in one pass with no
+per-element power or slope array; psi is formed only for the rows that stop at
+an evaluation, and the slopes are summed only where some row steps on.  The
+block's norms take exact products there, summed in one pass, from each row's
+maximum and the block over it, taken once per block.  Elsewhere each dual-sum
+evaluation after the first starts its inner Newton roots at the second-order
+log-log tangent of the previous ones, continuing the inner solve, and takes
+``log psi`` and ``psi**(p-1)`` from that solve's last Newton pass, against
+``log(|y|/r)`` taken once per search; it takes no ``log`` or ``pow`` of its
+own except on roots flushed to 0 or clamped to ``|y|/r``.  ``p = 1`` uses exact sort-and-threshold water filling, ``p = 0``
 keeps the largest magnitudes, ``p = inf`` clips.
 For p in (0, 1) the problem is nonconvex; its global minimizer keeps a prefix of
 the sorted magnitudes, at most the last kept one on the lower root of the fixed
@@ -123,7 +126,7 @@ def lp_norm(x: np.ndarray, p: float) -> float:
     top = float(np.max(x)) if x.size else 0.0
     if p == math.inf or not 0.0 < top < math.inf:  # empty, zero, infinite or NaN
         return top
-    return _lp_norms(x.reshape(1, -1), p)[0]
+    return _lp_norms([top], x.reshape(1, -1) / top, p)[0]
 
 
 @dataclass
@@ -177,30 +180,32 @@ def project_clip(r: float, y: np.ndarray) -> np.ndarray:
 
 
 def _dual_sums(p: float, lam: list, T: np.ndarray, log_T, start):
-    """Dual sums of the rows of ``T`` at ``lam``, minus their slopes, psi, log psi, dpsi.
+    """Dual sums of the rows of ``T`` at ``lam``, with functions giving minus their slopes and psi.
 
-    At p in ``CLOSED_FORMS`` the sum of ``psi**p`` and minus its slope come
-    from the closed form's own terms, ``_closed_terms``, and ``log psi`` and
-    ``dpsi`` are None.  Elsewhere ``_root_terms`` solves for ``psi`` against
-    ``log_T = np.log(T)`` from ``start`` and returns ``log psi`` and
-    ``pw = psi**(p-1)`` from its last Newton pass; ``dpsi`` is ``-d psi/d lam``
-    (0 where ``psi = 0``), the sum is ``sum(psi*pw)`` and minus its slope
-    ``p*sum(pw*dpsi)``.  The sums and the (nonnegative) minus slopes come back
-    as lists.
+    Returns ``(sums, falls, psi, log_psi, dpsi)``: the sums as a list,
+    ``falls()`` the (nonnegative) minus slopes as a list, and ``psi(rows)``
+    psi on those rows (``...`` for all).  At p in ``CLOSED_FORMS`` they come
+    from the closed form's own intermediates, ``_closed_terms``, which sums
+    the slopes and forms psi only when asked, and ``log psi`` and ``dpsi``
+    are None.  Elsewhere ``_root_terms`` solves for ``psi`` against ``log_T =
+    np.log(T)`` from ``start`` and returns ``log psi`` and ``pw = psi**(p-1)``
+    from its last Newton pass; ``dpsi`` is ``-d psi/d lam`` (0 where ``psi =
+    0``), the sum is ``sum(psi*pw)`` and minus its slope ``p*sum(pw*dpsi)``.
     """
     lam = _lam_column(lam)
     if p in CLOSED_FORMS:
-        psi, power, fall = _closed_terms(p, lam, T)
-        return np.sum(power, axis=1).tolist(), np.sum(fall, axis=1).tolist(), psi, None, None
+        psi, sums, falls = _closed_terms(p, lam, T)
+        return sums().tolist(), lambda: falls().tolist(), psi, None, None
     # psi's error moves the sum p-fold
     psi, log_psi, pw = _root_terms(p, lam, T, log_T, min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL),
                                    start)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         power = psi * pw
-        dpsi = np.where(psi > 0, power / (psi + lam * (p - 1.0) * pw), 0.0)
-        value = np.sum(power, axis=1)
-        fall = p * np.sum(pw * dpsi, axis=1)
-    return value.tolist(), fall.tolist(), psi, log_psi, dpsi
+        dpsi = power / (psi + lam * (p - 1.0) * pw)
+        if not psi.min() > 0:  # decided once per call: 0/0 at psi = 0
+            dpsi = np.where(psi > 0, dpsi, 0.0)
+    return (np.einsum("ij->i", power).tolist(),
+            lambda: (p * np.einsum("ij,ij->i", pw, dpsi)).tolist(), psi.__getitem__, log_psi, dpsi)
 
 
 def _lam_column(lam: list):
@@ -210,9 +215,11 @@ def _lam_column(lam: list):
     return lam[0] if len(lam) == 1 else np.array(lam)[:, None]
 
 
-def _find_lambda_star(p: float, T: np.ndarray):
+def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     """``(lam, psi, evaluations)`` per row of ``T``: dual sum 1 at ``lam``, given ||t||_p > 1.
 
+    ``tops`` are the rows' maxima and ``scaled`` is ``T`` divided by them,
+    as :func:`project_many` takes them once per block.
     ``psi <= (t/lam)**(1/(p-1))`` bounds the dual sum ``S`` by
     ``(||t||_q/lam)**q``, so ``[0, ||t||_q]`` brackets the root.  Newton steps
     on ``S**(-1/q) - 1``, ``lam + q*S*expm1(log(S)/q)/(-S')``, start at the top:
@@ -222,18 +229,20 @@ def _find_lambda_star(p: float, T: np.ndarray):
     on ``log S`` against ``log lam``, and bisection takes over where both leave
     the bracket.  One call of ``_dual_sums`` evaluates the whole block; each
     row's bracket and step are plain floats, so it takes the iterates it would
-    alone.  Outside ``CLOSED_FORMS`` ``log T`` is taken once, here, and each
-    evaluation after the first starts its roots at the second-order log-log
-    tangent of the row's previous ones, ``log psi`` from their Newton pass: with
-    ``D = log(lam_new/lam_old)`` and ``w = lam_old*dpsi/psi``,
-    ``log psi - D*w - D**2/2 * w*(1 - (p-2)*w)*(1 - (p-1)*w)``.  A row that
-    has stopped keeps its multiplier and the ``psi`` of the evaluation where
-    it stopped (a later one would repeat it only up to rounding), so a block
-    costs its slowest row's evaluations times its rows.
+    alone.  A row that has stopped keeps its multiplier and the ``psi`` of the
+    evaluation where it stopped (a later one would repeat it only up to
+    rounding), so a block costs its slowest row's evaluations times its rows;
+    psi is formed only for the rows that stop, and the slopes are summed only
+    where some row steps on, so the last evaluation only confirms.  Outside
+    ``CLOSED_FORMS`` ``log T`` is taken once, here, and each evaluation after
+    the first starts its roots at the second-order log-log tangent of the
+    row's previous ones, ``log psi`` from their Newton pass: with ``D =
+    log(lam_new/lam_old)`` and ``w = lam_old*dpsi/psi``, ``log psi - D*w -
+    D**2/2 * w*(1 - (p-2)*w)*(1 - (p-1)*w)``.
     """
-    slack_unit = [max(1.0, m) for m in np.max(T, axis=1).tolist()]  # slackness is lam*|f|/this
+    slack_unit = [max(1.0, m) for m in tops]  # slackness is lam*|f|/this
     q = p / (p - 1.0)
-    hi = _lp_norms(T, q)
+    hi = _lp_norms(tops, scaled, q)
     lo, lam, iterations = [0.0] * len(hi), hi[:], [0] * len(hi)
     kept, start, log_T = np.empty_like(T), None, None
     if p not in CLOSED_FORMS:
@@ -241,20 +250,30 @@ def _find_lambda_star(p: float, T: np.ndarray):
             log_T = np.log(T)
     for step_count in range(1, 201):
         values, falls, psi, log_psi, dpsi = _dual_sums(p, lam, T, log_T, start)
-        previous = lam[:]
-        for i, (value, fall) in enumerate(zip(values, falls)):
+        stopped, moving = [], []
+        for i, value in enumerate(values):
             if iterations[i]:
                 continue
             lam_i, f = lam[i], value - 1.0
             if (abs(f) * max(1.0, lam_i / slack_unit[i]) <= LAMBDA_GAP_TOL
                     or (hi[i] - lo[i]) <= 1e-14 * (1.0 + lam_i) or step_count == 200):
                 iterations[i] = step_count
-                kept[i] = psi[i]
+                stopped.append(i)
                 continue
             if f > 0:
                 lo[i] = lam_i
             else:
                 hi[i] = lam_i
+            moving.append(i)
+        if len(stopped) == len(lam):  # the whole block stops here
+            return lam, psi(...), iterations
+        if stopped:
+            kept[stopped] = psi(stopped)
+        if not moving:
+            return lam, kept, iterations
+        previous, slopes = lam[:], falls()
+        for i in moving:
+            lam_i, value, fall = lam[i], values[i], slopes[i]
             newton = math.nan
             if value > 0 and lam_i * fall > 0:
                 log_value = math.log(value)
@@ -263,56 +282,66 @@ def _find_lambda_star(p: float, T: np.ndarray):
                 if newton <= lo[i]:  # past lo: redo log S against log lam
                     newton = lam_i * math.exp(log_value * value / (lam_i * fall))
             lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
-        if all(iterations):
-            return lam, kept, iterations
         if p not in CLOSED_FORMS:
             log_ratio = _lam_column([math.log(new / old) for new, old in zip(lam, previous)])
             with np.errstate(divide="ignore", invalid="ignore"):
                 # -d log psi/d log lam; nan at psi = 0: a cold start
-                w = _lam_column(previous) * dpsi / psi
+                w = _lam_column(previous) * dpsi / psi(...)
                 curve = w * (1.0 - (p - 2.0) * w) * (1.0 - (p - 1.0) * w)
                 start = log_psi - log_ratio * w - (0.5 * log_ratio * log_ratio) * curve
 
 
-def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float) -> list:
-    """KKT residual of each row in unit-ball coordinates: ``T = |Y|/r``, ``M = |X|/r``."""
+def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float, tops: list) -> list:
+    """KKT residual of each row in unit-ball coordinates: ``T = |Y|/r``, ``M = |X|/r``.
+
+    ``tops`` are the rows' maxima of ``T``.  The zero-output branch is taken
+    only where some output is 0, and the division by ``max(1, t)`` only where
+    some ``t`` exceeds 1: elsewhere neither changes a term.
+    """
     lam_c = _lam_column(lam)
     with np.errstate(all="ignore"):
         pw = M ** (p - 1.0)
-        # a zero output needs a zero input, up to what a magnitude below the
-        # flush threshold s explains: s + lam*s**(p-1); for p < 1 it needs none.
-        # Where that leaves a negative term, the slackness below (>= 0) wins.
-        floor = FLUSH_TOL + lam_c * FLUSH_TOL ** (p - 1.0) if p >= 1 else np.inf
-        stat = np.where(M > 0, np.abs(T - M - lam_c * pw), T - floor)
-        powers = M * pw if p >= 1 else M**p  # for p < 1, 0*inf at zeros
-    stat = np.max(stat / np.maximum(1.0, T), axis=1).tolist()
-    sums, tops = np.sum(powers, axis=1).tolist(), np.max(T, axis=1).tolist()
+        stat = np.abs(T - M - lam_c * pw)
+        if p < 1 or not M.all():
+            # a zero output needs a zero input, up to what a magnitude below the
+            # flush threshold s explains: s + lam*s**(p-1); for p < 1 it needs none.
+            # Where that leaves a negative term, the slackness below (>= 0) wins.
+            floor = FLUSH_TOL + lam_c * FLUSH_TOL ** (p - 1.0) if p >= 1 else np.inf
+            stat = np.where(M > 0, stat, T - floor)
+        # for p < 1, M*pw is 0*inf at zero outputs
+        sums = np.einsum("ij,ij->i", M, pw) if p >= 1 else np.sum(M**p, axis=1)
+    if max(tops) > 1.0:
+        stat /= np.maximum(1.0, T)
+    stat = np.max(stat, axis=1).tolist()
     return [max(st, abs(lam_i * (s - 1.0)) / max(1.0, top))
-            for st, lam_i, s, top in zip(stat, lam, sums, tops)]
+            for st, lam_i, s, top in zip(stat, lam, sums.tolist(), tops)]
 
 
-def _lp_norms(T: np.ndarray, p: float) -> list:
-    """``lp_norm`` of each row of the nonnegative block ``T``, for p in (0, inf)."""
-    # scale by the largest magnitude first, as hypot does, so powers stay finite
-    tops = np.max(T, axis=1)
-    with np.errstate(invalid="ignore"):  # 0/0 on a zero row
-        sums = np.sum(_power(T / tops[:, None], p), axis=1)
-    return [top * s ** (1.0 / p) if top > 0 else 0.0
-            for top, s in zip(tops.tolist(), sums.tolist())]
+def _lp_norms(tops: list, scaled: np.ndarray, p: float) -> list:
+    """``lp_norm`` of each row of a nonnegative block, for p in (0, inf), from
+    its maxima ``tops`` and the block divided by them, ``scaled``: scaling by
+    the largest magnitude first, as hypot does, keeps the powers finite."""
+    return [top * s ** (1.0 / p) if top > 0 else 0.0  # a zero row scales to 0/0
+            for top, s in zip(tops, _power_sums(scaled, p).tolist())]
 
 
-def _power(X: np.ndarray, p: float) -> np.ndarray:
-    """``X**p`` for ``X >= 0``, by exact products at p = 1.5 and 3, where a general
-    power costs two to three times as much (numpy squares at 2 itself)."""
+def _power_sums(X: np.ndarray, p: float) -> np.ndarray:
+    """Each row's sum of ``X**p`` for ``X >= 0``; at p in {1.5, 2, 3} by exact
+    products summed in one pass, where a general power costs two to three
+    times as much."""
     if p == 1.5:
-        return X * np.sqrt(X)
-    return np.square(X) * X if p == 3.0 else X**p
+        return np.einsum("ij,ij->i", X, np.sqrt(X))
+    if p == 2.0:
+        return np.einsum("ij,ij->i", X, X)
+    if p == 3.0:
+        return np.einsum("ij,ij,ij->i", X, X, X)
+    return np.sum(X**p, axis=1)
 
 
-def _inside_unit(T: np.ndarray, p: float) -> list:
+def _inside_unit(tops: list, scaled: np.ndarray, p: float) -> list:
     """Whether each row lies in the unit ball, up to ``SUM_FEAS_TOL`` on the power sum."""
     bound = (1.0 + SUM_FEAS_TOL) ** (1.0 / p)
-    return [norm <= bound for norm in _lp_norms(T, p)]
+    return [norm <= bound for norm in _lp_norms(tops, scaled, p)]
 
 
 def _rescaled(lam: float, radius: float, power: float) -> float:
@@ -681,23 +710,30 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
     if Y.shape[0] == 0:
         return []
 
+    # each row's maximum and T over it are taken once, for the inside test,
+    # the multiplier search and the KKT check; x/1 and x*1 are exact, so r = 1 skips them
     with np.errstate(over="ignore"):
-        T = np.abs(Y) / r
-        unit = np.max(T) ** (2.0 - p if p < 1 else 1.0)  # p < 1 multipliers are in this unit
+        T = np.abs(Y) / r if r != 1 else np.abs(Y)
+        tops = np.max(T, axis=1)
+        unit = tops.max() ** (2.0 - p if p < 1 else 1.0)  # p < 1 multipliers are in this unit
     if not np.isfinite(unit):
         raise InvalidParameterError(f"max|y|/r (its power 2-p at p < 1) overflows at radius {r!r}")
+    with np.errstate(invalid="ignore"):  # 0/0 on a zero row
+        scaled = T / tops[:, None]
+    tops = tops.tolist()
     feasible_gap = 0.0 if p < 1 else None
     results = [ProjectionResult(y.copy(), 0.0, 0.0, 0, feasible_gap) if inside else None
-               for inside, y in zip(_inside_unit(T, p), Y)]
+               for inside, y in zip(_inside_unit(tops, scaled, p), Y)]
     outside = [i for i, res in enumerate(results) if res is None]
     if not outside:
         return results
     if len(outside) < len(results):
-        T, Y = T[outside], Y[outside]
+        T, Y, scaled = T[outside], Y[outside], scaled[outside]
+        tops = [tops[i] for i in outside]
 
     gaps = [None] * len(outside)
     if p > 1:
-        lams, mags, iters = _find_lambda_star(p, T)
+        lams, mags, iters = _find_lambda_star(p, T, tops, scaled)
     else:
         mags, lams, iters = np.empty_like(T), [0.0] * len(outside), [0] * len(outside)
         for k, t in enumerate(T):
@@ -706,10 +742,12 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
             else:
                 mags[k], lams[k], gap_unit, iters[k] = _project_quasinorm_unit(p, t)
                 gaps[k] = gap_unit * r * r
-    points = np.sign(Y) * mags * r
+    points = np.sign(Y) * mags
+    if r != 1:
+        points *= r
     if p < 1:  # a magnitude kept as is is returned as is, not as (|y|/r)*r
         points = np.where(mags == T, Y, points)
-    kkts = _kkt_pieces(T, mags, lams, p)
+    kkts = _kkt_pieces(T, mags, lams, p, tops)
     for k, (i, lam) in enumerate(zip(outside, lams)):
         results[i] = ProjectionResult(points[k], _rescaled(lam, r, 2.0 - p), kkts[k], iters[k],
                                       gaps[k])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_integer
 
 C_LOWER = 1.0 / 868.0
 C_UPPER = 6.0
@@ -57,6 +57,10 @@ class RateQuery:
     tau: float | None = None
 
     def __post_init__(self):
+        for name in ("d", "n", "sparsity"):
+            value = getattr(self, name)
+            if value is not None and not is_integer(value):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.d < 1:
             raise InvalidParameterError(f"d must be >= 1, got {self.d}")
         if self.p < 0 or math.isnan(self.p):

@@ -30,6 +30,16 @@ C_SYMMETRIC = 0.6299605249474366
 LAM_SYMMETRIC = 1.7261415738056466
 
 
+def _search(p, T):
+    """The p > 1 multiplier search on ``T`` with the row maxima project_many hands it."""
+    tops = np.max(T, axis=1)
+    return _find_lambda_star(p, T, tops.tolist(), T / tops[:, None])
+
+
+def _kkt(T, M, lam, p):
+    return _kkt_pieces(T, M, lam, p, np.max(T, axis=1).tolist())
+
+
 def vectors(d, scale=2.0):
     return st.lists(st.floats(-scale, scale), min_size=d, max_size=d).map(np.array)
 
@@ -145,9 +155,9 @@ def test_lambda_star_via_project():
 
 def test_find_lambda_star_direct():
     # the p > 1 multiplier search on one-row blocks, as project runs it
-    lam = _find_lambda_star(2.0, np.array([[2.0, 0.0]]))[0][0]
+    lam = _search(2.0, np.array([[2.0, 0.0]]))[0][0]
     assert lam == pytest.approx(1.0, abs=1e-9)
-    lam = _find_lambda_star(1.5, np.array([[2.0, 2.0]]))[0][0]
+    lam = _search(1.5, np.array([[2.0, 2.0]]))[0][0]
     assert lam == pytest.approx(LAM_SYMMETRIC, rel=1e-9)
     assert abs(np.sum(psi_many(1.5, lam, [2.0, 2.0]) ** 1.5) - 1.0) <= 1e-9
     # an input inside the ball never reaches the search: its multiplier is 0
@@ -186,15 +196,15 @@ def test_kkt_residual_consistency_and_sensitivity():
     res = project(ball, y)
     # at r = 1 the unit-ball terms are the magnitudes and the multiplier itself
     T, lam = np.abs(y)[None], [res.multiplier]
-    assert _kkt_pieces(T, np.abs(res.point)[None], lam, 1.5) == [res.kkt_residual]
+    assert _kkt(T, np.abs(res.point)[None], lam, 1.5) == [res.kkt_residual]
     assert res.kkt_residual <= 1e-9
     bumped = np.abs(res.point + np.array([1e-3, 0.0]))[None]
-    assert _kkt_pieces(T, bumped, lam, 1.5)[0] >= 1e-4
+    assert _kkt(T, bumped, lam, 1.5)[0] >= 1e-4
     # at p = 2 a zero output for a nonzero input is charged in full
     y = np.array([2.0, 0.5])
     res = project(LpBall(p=2.0, dim=2, radius=1.0), y)
     zeroed = np.array([[abs(res.point[0]), 0.0]])
-    assert _kkt_pieces(np.abs(y)[None], zeroed, [res.multiplier], 2.0)[0] >= 0.5 * (1 - 1e-12)
+    assert _kkt(np.abs(y)[None], zeroed, [res.multiplier], 2.0)[0] >= 0.5 * (1 - 1e-12)
     # r**(2-p) overflows: the multiplier is inf, the unit-ball residual still holds
     res = project(LpBall(p=1e4, dim=1, radius=0.5), np.array([5.0]))
     assert res.multiplier == math.inf and res.kkt_residual <= 1e-9
@@ -638,7 +648,9 @@ def _block(p, d, r, rng):
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 1.3, 1.5, 2.0, 3.0, 1e4, math.inf])
 def test_project_many_matches_lone_calls_bit_for_bit(p):
     rng = np.random.default_rng(31)
-    for d, r in ((1, 0.7), (7, 1.0), (40, 2.5)):
+    # benchmark sizes too: the block's einsum row sums must not depend on its row count
+    sizes = ((1, 0.7), (7, 1.0), (40, 2.5)) + (((1001, 1.0),) if p in (1.3, 1.5, 2.0, 3.0) else ())
+    for d, r in sizes:
         if p == 0:
             ball = LpBall(p=p, dim=d, sparsity=max(1, d // 3))
         else:

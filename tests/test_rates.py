@@ -123,6 +123,17 @@ def test_query_validation():
         RateQuery(p=0.0, d=10, sigma=0.1)  # p = 0 needs sparsity
     with pytest.raises(InvalidParameterError):
         RateQuery(p=1.5, d=10, sigma=0.1, radius=0.0)
+    # d, n and sparsity are counts: a float or a bool is refused, as LpBall
+    # refuses them; d = 2.5 used to give a control value and a regime label
+    for kwargs in (dict(d=2.5, sigma=0.1), dict(d=True, sigma=0.1), dict(d=10.0, sigma=0.1),
+                   dict(d=10, n=2.5, tau=0.3), dict(d=10, n=True, sigma=0.1),
+                   dict(p=0.0, d=10, sigma=0.1, sparsity=2.0)):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            RateQuery(**{"p": 1.5, **kwargs})
+    # numpy integers pass
+    numpy_counts = RateQuery(p=0.0, d=np.int64(10), sigma=0.1, sparsity=np.int32(2), n=np.int64(1))
+    assert control_function(numpy_counts) == control_function(RateQuery(p=0.0, d=10, sigma=0.1,
+                                                                         sparsity=2))
 
 
 def test_classifier_examples():

@@ -140,27 +140,32 @@ def test_closed_terms_match_power_and_generic_slope(p):
     # that flush, and products 4*lam*t that overflow the p = 3 root
     lams = np.array([1e-300, 1.0, 1e149, 1e151, 1e300])
     t = np.array([0.0, 1e-305, 1e-150, 1e-5, 1.0, 7.5, 1e150, 1e300])
-    psi, power, slope = _closed_terms(p, lams[:, None], t)
+    psi_of, sums, falls = _closed_terms(p, lams[:, None], t)
+    psi, power, slope = psi_of(...), sums(), falls()
     np.testing.assert_array_equal(psi_many(p, lams[:, None], t), psi)
     for k, lam in enumerate(lams):  # a scalar multiplier gives its row of the block
-        for alone, in_block in zip(_closed_terms(p, lam, t), (psi, power, slope)):
-            np.testing.assert_array_equal(alone, in_block[k])
-    # the slope the dual sum takes outside CLOSED_FORMS: p*psi**(p-1)*dpsi
+        alone_psi, alone_sums, alone_falls = _closed_terms(p, lam, t[None])
+        np.testing.assert_array_equal(alone_psi(...), psi[k:k + 1])
+        assert alone_sums()[0] == power[k] and alone_falls()[0] == slope[k]
+    rows = [3, 0, 4]  # psi of some rows is those rows of psi
+    np.testing.assert_array_equal(_closed_terms(p, lams[:, None], t)[0](rows), psi[rows])
+    # the row sums of the power and of the slope the dual sum takes outside
+    # CLOSED_FORMS, p*psi**(p-1)*dpsi, with dpsi = pw/(1 + lam*(p-1)*psi**(p-2))
+    # (finite wherever the slope itself is)
     lam = lams[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pw = psi ** (p - 1.0)
-        dpsi = np.where(psi > 0, psi * pw / (psi + lam * (p - 1.0) * pw), 0.0)
-        generic = p * pw * dpsi
-        exact = psi**p
-    assert not np.any(np.isnan(psi) | np.isnan(power) | np.isnan(slope))
-    assert np.all(power[psi == 0] == 0) and np.all(slope[psi == 0] == 0)
+        dpsi = np.where(psi > 0, pw / (1.0 + lam * (p - 1.0) * psi ** (p - 2.0)), 0.0)
+        exact, generic = np.sum(psi**p, axis=1), np.sum(p * pw * dpsi, axis=1)
+    assert not np.any(np.isnan(power) | np.isnan(slope))
     # below the normal range only absolute agreement is possible
     tiny = np.finfo(float).tiny
     np.testing.assert_allclose(power, exact, rtol=1e-13, atol=tiny)
-    # where the generic form overflows (inf/inf), the true slope is past double range
-    finite = np.isfinite(generic)
-    np.testing.assert_allclose(slope[finite], generic[finite], rtol=1e-13, atol=tiny)
-    assert np.all(slope[~finite] == np.inf)
+    np.testing.assert_allclose(slope, generic, rtol=1e-13, atol=tiny)
+    # every psi of these magnitudes is flushed, and adds 0 to both sums
+    flushed = _closed_terms(p, lam, np.array([0.0, 1e-305]))
+    assert np.all(flushed[0](...) == 0)
+    assert np.all(flushed[1]() == 0) and np.all(flushed[2]() == 0)
 
 
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])
