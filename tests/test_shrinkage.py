@@ -157,7 +157,7 @@ def test_closed_terms_match_power_and_generic_slope(p):
         pw = psi ** (p - 1.0)
         dpsi = np.where(psi > 0, pw / (1.0 + lam * (p - 1.0) * psi ** (p - 2.0)), 0.0)
         exact, generic = np.sum(psi**p, axis=1), np.sum(p * pw * dpsi, axis=1)
-    assert not np.any(np.isnan(power) | np.isnan(slope))
+    assert not np.any(np.isnan(psi)) and not np.any(np.isnan(power) | np.isnan(slope))
     # below the normal range only absolute agreement is possible
     tiny = np.finfo(float).tiny
     np.testing.assert_allclose(power, exact, rtol=1e-13, atol=tiny)
