@@ -18,8 +18,9 @@ evaluation after the first starts its inner Newton roots at the second-order
 log-log tangent of the previous ones, continuing the inner solve, and takes
 ``log psi`` and ``psi**(p-1)`` from that solve's last Newton pass, against
 ``log(|y|/r)`` taken once per search; it takes no ``log`` or ``pow`` of its
-own except on roots flushed to 0 or clamped to ``|y|/r``.  ``p = 1`` uses exact sort-and-threshold water filling, ``p = 0``
-keeps the largest magnitudes, ``p = inf`` clips.
+own except on roots flushed to 0 or clamped to ``|y|/r``.  ``p = 1`` uses
+exact sort-and-threshold water filling, ``p = 0`` keeps the largest
+magnitudes, ``p = inf`` clips.
 For p in (0, 1) the problem is nonconvex; its global minimizer keeps a prefix of
 the sorted magnitudes, at most the last kept one on the lower root of the fixed
 point, and one solver enumerates every prefix size under both branch patterns:
@@ -55,6 +56,9 @@ from .shrinkage import (
     CLOSED_FORMS,
     DEFAULT_TOL,
     FLUSH_TOL,
+    _closed_falls,
+    _closed_psi,
+    _closed_sums,
     _closed_terms,
     _root_terms,
     branch_roots,
@@ -180,32 +184,26 @@ def project_clip(r: float, y: np.ndarray) -> np.ndarray:
 
 
 def _dual_sums(p: float, lam: list, T: np.ndarray, log_T, start):
-    """Dual sums of the rows of ``T`` at ``lam``, with functions giving minus their slopes and psi.
+    """Dual sums of the rows of ``T`` at ``lam``, minus their slopes, psi, log psi, dpsi.
 
-    Returns ``(sums, falls, psi, log_psi, dpsi)``: the sums as a list,
-    ``falls()`` the (nonnegative) minus slopes as a list, and ``psi(rows)``
-    psi on those rows (``...`` for all).  At p in ``CLOSED_FORMS`` they come
-    from the closed form's own intermediates, ``_closed_terms``, which sums
-    the slopes and forms psi only when asked, and ``log psi`` and ``dpsi``
-    are None.  Elsewhere ``_root_terms`` solves for ``psi`` against ``log_T =
-    np.log(T)`` from ``start`` and returns ``log psi`` and ``pw = psi**(p-1)``
-    from its last Newton pass; ``dpsi`` is ``-d psi/d lam`` (0 where ``psi =
-    0``), the sum is ``sum(psi*pw)`` and minus its slope ``p*sum(pw*dpsi)``.
+    This is the dual sum outside ``CLOSED_FORMS`` (there the search sums the
+    closed form's own intermediates, ``_closed_terms``).  ``_root_terms``
+    solves for ``psi`` against ``log_T = np.log(T)`` from ``start`` and returns
+    ``log psi`` and ``pw = psi**(p-1)`` from its last Newton pass; ``dpsi`` is
+    ``-d psi/d lam`` (0 where ``psi = 0``), the sum is ``sum(psi*pw)`` and
+    minus its slope ``p*sum(pw*dpsi)``.  The sums and the (nonnegative) minus
+    slopes come back as lists.
     """
     lam = _lam_column(lam)
-    if p in CLOSED_FORMS:
-        psi, sums, falls = _closed_terms(p, lam, T)
-        return sums().tolist(), lambda: falls().tolist(), psi, None, None
     # psi's error moves the sum p-fold
     psi, log_psi, pw = _root_terms(p, lam, T, log_T, min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL),
                                    start)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         power = psi * pw
-        dpsi = power / (psi + lam * (p - 1.0) * pw)
-        if not psi.min() > 0:  # decided once per call: 0/0 at psi = 0
-            dpsi = np.where(psi > 0, dpsi, 0.0)
-    return (np.einsum("ij->i", power).tolist(),
-            lambda: (p * np.einsum("ij,ij->i", pw, dpsi)).tolist(), psi.__getitem__, log_psi, dpsi)
+        dpsi = np.where(psi > 0, power / (psi + lam * (p - 1.0) * pw), 0.0)
+        value = np.sum(power, axis=1)
+        fall = p * np.sum(pw * dpsi, axis=1)
+    return value.tolist(), fall.tolist(), psi, log_psi, dpsi
 
 
 def _lam_column(lam: list):
@@ -227,16 +225,18 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     target is linear in ``lam``, and at p = 2, ``(1 + lam)/||t||_2 - 1``, it is
     linear everywhere, so one step lands.  A step that passes ``lo`` is redone
     on ``log S`` against ``log lam``, and bisection takes over where both leave
-    the bracket.  One call of ``_dual_sums`` evaluates the whole block; each
+    the bracket.  Each evaluation covers the whole block; each
     row's bracket and step are plain floats, so it takes the iterates it would
     alone.  A row that has stopped keeps its multiplier and the ``psi`` of the
     evaluation where it stopped (a later one would repeat it only up to
-    rounding), so a block costs its slowest row's evaluations times its rows;
-    psi is formed only for the rows that stop, and the slopes are summed only
-    where some row steps on, so the last evaluation only confirms.  Outside
-    ``CLOSED_FORMS`` ``log T`` is taken once, here, and each evaluation after
-    the first starts its roots at the second-order log-log tangent of the
-    row's previous ones, ``log psi`` from their Newton pass: with ``D =
+    rounding), so a block costs its slowest row's evaluations times its rows.
+    At p in ``CLOSED_FORMS`` each evaluation takes the closed form's
+    intermediates, ``_closed_terms``, and sums their powers; psi is formed
+    only for the rows that stop, and the slopes are summed only where some row
+    steps on, so the last evaluation only confirms.  Elsewhere ``_dual_sums``
+    evaluates the block, ``log T`` is taken once, here, and each evaluation
+    after the first starts its roots at the second-order log-log tangent of
+    the row's previous ones, ``log psi`` from their Newton pass: with ``D =
     log(lam_new/lam_old)`` and ``w = lam_old*dpsi/psi``, ``log psi - D*w -
     D**2/2 * w*(1 - (p-2)*w)*(1 - (p-1)*w)``.
     """
@@ -245,11 +245,17 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     hi = _lp_norms(tops, scaled, q)
     lo, lam, iterations = [0.0] * len(hi), hi[:], [0] * len(hi)
     kept, start, log_T = np.empty_like(T), None, None
-    if p not in CLOSED_FORMS:
+    closed = p in CLOSED_FORMS
+    if not closed:
         with np.errstate(divide="ignore"):  # log 0 = -inf, where psi = t = 0
             log_T = np.log(T)
     for step_count in range(1, 201):
-        values, falls, psi, log_psi, dpsi = _dual_sums(p, lam, T, log_T, start)
+        if closed:
+            lam_c = _lam_column(lam)
+            v, root = _closed_terms(p, lam_c, T)
+            values = _closed_sums(p, v).tolist()
+        else:
+            values, falls, psi, log_psi, dpsi = _dual_sums(p, lam, T, log_T, start)
         stopped, moving = [], []
         for i, value in enumerate(values):
             if iterations[i]:
@@ -266,14 +272,16 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
                 hi[i] = lam_i
             moving.append(i)
         if len(stopped) == len(lam):  # the whole block stops here
-            return lam, psi(...), iterations
+            return lam, _closed_psi(p, v) if closed else psi, iterations
         if stopped:
-            kept[stopped] = psi(stopped)
+            kept[stopped] = _closed_psi(p, v, stopped) if closed else psi[stopped]
         if not moving:
             return lam, kept, iterations
-        previous, slopes = lam[:], falls()
+        if closed:
+            falls = _closed_falls(p, lam_c, v, root).tolist()
+        previous = lam[:]
         for i in moving:
-            lam_i, value, fall = lam[i], values[i], slopes[i]
+            lam_i, value, fall = lam[i], values[i], falls[i]
             newton = math.nan
             if value > 0 and lam_i * fall > 0:
                 log_value = math.log(value)
@@ -282,37 +290,29 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
                 if newton <= lo[i]:  # past lo: redo log S against log lam
                     newton = lam_i * math.exp(log_value * value / (lam_i * fall))
             lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
-        if p not in CLOSED_FORMS:
+        if not closed:
             log_ratio = _lam_column([math.log(new / old) for new, old in zip(lam, previous)])
             with np.errstate(divide="ignore", invalid="ignore"):
                 # -d log psi/d log lam; nan at psi = 0: a cold start
-                w = _lam_column(previous) * dpsi / psi(...)
+                w = _lam_column(previous) * dpsi / psi
                 curve = w * (1.0 - (p - 2.0) * w) * (1.0 - (p - 1.0) * w)
                 start = log_psi - log_ratio * w - (0.5 * log_ratio * log_ratio) * curve
 
 
 def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float, tops: list) -> list:
-    """KKT residual of each row in unit-ball coordinates: ``T = |Y|/r``, ``M = |X|/r``.
-
-    ``tops`` are the rows' maxima of ``T``.  The zero-output branch is taken
-    only where some output is 0, and the division by ``max(1, t)`` only where
-    some ``t`` exceeds 1: elsewhere neither changes a term.
-    """
+    """KKT residual of each row in unit-ball coordinates: ``T = |Y|/r``, ``M = |X|/r``,
+    with ``tops`` the rows' maxima of ``T``."""
     lam_c = _lam_column(lam)
     with np.errstate(all="ignore"):
         pw = M ** (p - 1.0)
-        stat = np.abs(T - M - lam_c * pw)
-        if p < 1 or not M.all():
-            # a zero output needs a zero input, up to what a magnitude below the
-            # flush threshold s explains: s + lam*s**(p-1); for p < 1 it needs none.
-            # Where that leaves a negative term, the slackness below (>= 0) wins.
-            floor = FLUSH_TOL + lam_c * FLUSH_TOL ** (p - 1.0) if p >= 1 else np.inf
-            stat = np.where(M > 0, stat, T - floor)
+        # a zero output needs a zero input, up to what a magnitude below the
+        # flush threshold s explains: s + lam*s**(p-1); for p < 1 it needs none.
+        # Where that leaves a negative term, the slackness below (>= 0) wins.
+        floor = FLUSH_TOL + lam_c * FLUSH_TOL ** (p - 1.0) if p >= 1 else np.inf
+        stat = np.where(M > 0, np.abs(T - M - lam_c * pw), T - floor)
         # for p < 1, M*pw is 0*inf at zero outputs
         sums = np.einsum("ij,ij->i", M, pw) if p >= 1 else np.sum(M**p, axis=1)
-    if max(tops) > 1.0:
-        stat /= np.maximum(1.0, T)
-    stat = np.max(stat, axis=1).tolist()
+    stat = np.max(stat / np.maximum(1.0, T), axis=1).tolist()
     return [max(st, abs(lam_i * (s - 1.0)) / max(1.0, top))
             for st, lam_i, s, top in zip(stat, lam, sums.tolist(), tops)]
 
@@ -711,9 +711,9 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
         return []
 
     # each row's maximum and T over it are taken once, for the inside test,
-    # the multiplier search and the KKT check; x/1 and x*1 are exact, so r = 1 skips them
+    # the multiplier search and the KKT check
     with np.errstate(over="ignore"):
-        T = np.abs(Y) / r if r != 1 else np.abs(Y)
+        T = np.abs(Y) / r
         tops = np.max(T, axis=1)
         unit = tops.max() ** (2.0 - p if p < 1 else 1.0)  # p < 1 multipliers are in this unit
     if not np.isfinite(unit):
@@ -742,9 +742,7 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
             else:
                 mags[k], lams[k], gap_unit, iters[k] = _project_quasinorm_unit(p, t)
                 gaps[k] = gap_unit * r * r
-    points = np.sign(Y) * mags
-    if r != 1:
-        points *= r
+    points = np.sign(Y) * mags * r
     if p < 1:  # a magnitude kept as is is returned as is, not as (|y|/r)*r
         points = np.where(mags == T, Y, points)
     kkts = _kkt_pieces(T, mags, lams, p, tops)

@@ -86,65 +86,72 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarr
     if p == 1.0:
         return _flush(np.maximum(t - lam_arr, 0.0))
     with np.errstate(invalid="ignore"):  # 0/0 at p = 1.5, lam = t = 0
-        return _flush(np.where(lam_arr == 0, t, _closed_terms(p, lam, t)[0](...)))
+        return _flush(np.where(lam_arr == 0, t, _closed_psi(p, _closed_terms(p, lam, t)[0])))
 
 
 def _closed_terms(p: float, lam, t):
-    """``(psi, sums, falls)`` at a closed-form index p in {1.5, 2, 3}, as functions.
+    """``(v, root)``, the intermediates of the closed form at p in {1.5, 2, 3}.
 
     ``lam > 0`` broadcasts against ``t >= 0``; multipliers are scaled and
     squared before they are broadcast, so a column of them costs one operation
-    per row.  The closed form's intermediates are taken here, once.  From them
-    ``psi(rows)`` forms psi on those rows of ``t`` (``...`` for all), and for a
-    block ``t`` ``sums()`` and ``falls()`` give each row's sum of ``psi**p``
-    and of ``-d(psi**p)/dlam``, as products summed in one pass, with no power
-    or slope array.  With ``-d psi/dlam = psi**(p-1)/(1 + lam*(p-1)*psi**(p-2))``:
-    at p = 1.5, ``u = sqrt(psi)`` solves ``u*u + lam*u = t``: with ``h = lam/2``
-    and ``root = sqrt(h*h + t) = u + h``, ``u = t/(h + root)`` (the conjugate
-    form, free of cancellation), psi is ``u*u``, the sum ``sum(u**3)`` and the
-    slope sum ``1.5*sum(u*u*(u/root))``.  At p = 2 psi is ``t/(1 + lam)`` and
-    the slope sum ``2*sum/(1 + lam)``; at p = 3, with ``root = sqrt(1 +
-    4*lam*t) = 1 + 2*lam*psi``, psi is ``2*t/(1 + root)`` and the slope sum
-    ``3*sum(psi*psi*(psi**2/root))``.  A flushed ``psi`` adds 0 to both sums.
+    per row.  psi is ``v*v`` at p = 1.5 and ``v`` at p = 2 and 3, flushed by
+    :func:`_closed_psi`; :func:`_closed_sums` and :func:`_closed_falls` sum a
+    block's rows of ``psi**p`` and of ``-d(psi**p)/dlam`` from ``v`` and
+    ``root`` as products in one pass, with no power or slope array.  With
+    ``-d psi/dlam = psi**(p-1)/(1 + lam*(p-1)*psi**(p-2))``: at p = 1.5,
+    ``u = sqrt(psi)`` solves ``u*u + lam*u = t``: with ``h = lam/2`` and
+    ``root = sqrt(h*h + t) = u + h``, ``v = u = t/(h + root)`` (the conjugate
+    form, free of cancellation), the sum is ``sum(u**3)`` and the slope sum
+    ``1.5*sum(u*u*(u/root))``.  At p = 2 ``v = t/(1 + lam)``, ``root`` is None
+    and the slope sum is ``2*sum/(1 + lam)``; at p = 3, with ``root = sqrt(1 +
+    4*lam*t) = 1 + 2*lam*psi``, ``v = 2*t/(1 + root)`` and the slope sum is
+    ``3*sum(psi*psi*(psi**2/root))``.  A flushed psi adds 0 to both sums.
     """
     lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):  # powers past double range are inf
         if p == 2.0:
-            v = t / (1.0 + lam)
-        elif p == 1.5:
+            return t / (1.0 + lam), None
+        if p == 1.5:
             # h*h overflows once lam passes 2.6e154, where hypot takes over (chosen
             # per element, so a result does not depend on the other lams of its call)
             h = 0.5 * lam
             root = np.sqrt(h * h + t)
             if lam.max() >= 1e150:
                 root = np.where(lam < 1e150, root, np.hypot(h, np.sqrt(t)))
-            v = t / (h + root)
-        else:  # p == 3
-            root = np.sqrt(1.0 + 4.0 * lam * t)
-            if root.max(initial=0.0) == np.inf:  # where 4*lam*t overflows, the 1 beside it is below rounding
-                root = np.where(np.isinf(root), 2.0 * np.sqrt(lam) * np.sqrt(t), root)
-            v = 2.0 * t / (1.0 + root)
+            return t / (h + root), root
+        root = np.sqrt(1.0 + 4.0 * lam * t)  # p == 3
+        if np.isinf(root).any():  # where 4*lam*t overflows, the 1 beside it is below rounding
+            root = np.where(np.isinf(root), 2.0 * np.sqrt(lam) * np.sqrt(t), root)
+        return 2.0 * t / (1.0 + root), root
 
-    def psi(rows):
-        with np.errstate(over="ignore"):
-            return _flush(np.square(v[rows]) if p == 1.5 else v[rows])
 
-    def sums():  # where u*u is flushed, u**3 is below double range: 0
-        return np.einsum("ij,ij->i", v, v) if p == 2.0 else np.einsum("ij,ij,ij->i", v, v, v)
+def _closed_psi(p: float, v: np.ndarray, rows=...) -> np.ndarray:
+    """psi on ``rows`` of ``v`` from :func:`_closed_terms` (all rows by default).
 
-    def falls():
-        if p == 2.0:
-            return np.ravel(2.0 / (1.0 + lam)) * sums()
-        # 0/0 at p = 1.5 and t = 0 where h*h underflows; v*v past double range
-        with np.errstate(invalid="ignore", over="ignore"):
-            ratio = v / root if p == 1.5 else np.square(v) / root
-        if p == 1.5:  # zero where psi = u*u is flushed, t = 0 too; at p = 3 v*v underflows there
-            least = float(v.min())
-            if least * least < FLUSH_TOL:
-                ratio[np.square(v) < FLUSH_TOL] = 0.0
-        return p * np.einsum("ij,ij,ij->i", v, v, ratio)
+    At p = 2 and 3 psi on all rows is ``v`` itself, flushed in place."""
+    with np.errstate(over="ignore"):
+        return _flush(np.square(v[rows]) if p == 1.5 else v[rows])
 
-    return psi, sums, falls
+
+def _closed_sums(p: float, v: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``psi**p`` over a block ``v`` from :func:`_closed_terms`."""
+    # where psi is flushed, its power is below double range: 0
+    return np.einsum("ij,ij->i", v, v) if p == 2.0 else np.einsum("ij,ij,ij->i", v, v, v)
+
+
+def _closed_falls(p: float, lam, v: np.ndarray, root) -> np.ndarray:
+    """Each row's sum of ``-d(psi**p)/dlam`` over a block ``(v, root)`` from
+    :func:`_closed_terms` at the multipliers ``lam`` it was taken at."""
+    if p == 2.0:
+        return np.ravel(2.0 / (1.0 + lam)) * _closed_sums(p, v)
+    # 0/0 at p = 1.5 and t = 0 where h*h underflows; v*v past double range
+    with np.errstate(invalid="ignore", over="ignore"):
+        ratio = v / root if p == 1.5 else np.square(v) / root
+    if p == 1.5:  # zero where psi = u*u is flushed, t = 0 too; at p = 3 v*v underflows there
+        least = float(v.min())
+        if least * least < FLUSH_TOL:
+            ratio[np.square(v) < FLUSH_TOL] = 0.0
+    return p * np.einsum("ij,ij,ij->i", v, v, ratio)
 
 
 def _root_terms(p: float, lam, t: np.ndarray, log_t: np.ndarray, tol: float, start=None):
@@ -158,14 +165,10 @@ def _root_terms(p: float, lam, t: np.ndarray, log_t: np.ndarray, tol: float, sta
     Newton pass, ``s`` and ``exp((p-1)*s)``; only where ``psi`` is not that
     pass's ``exp(s)`` (flushed to 0, clamped to ``t``, or ``t`` itself at a
     zero ``t`` or ``lam``) are they taken from ``psi`` by ``log`` and ``pow``.
-    Whether any element is one of these is decided for the whole call first.
     """
     # where t or lam is 0, psi = t; a power past double range is inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x, log_psi, power = _branch_root(p, lam, t, log_t, True, tol, start)
-        # x >= FLUSH_TOL > 0 also rules out t = 0
-        if np.all(lam > 0) and x.min(initial=np.inf) >= FLUSH_TOL and np.all(x <= t):
-            return np.asarray(x), log_psi, power
         psi = _flush(np.where((t > 0) & (lam > 0), np.minimum(x, t), t))
         redo = (psi != x) | (psi == 0)  # x may have underflowed to psi = 0
         if redo.any():
@@ -199,23 +202,18 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, log_t: np.ndarray, up
     s_pow = (log_lam - log_t) / (1.0 - p)  # where lam*x**(p-1) = t
     if p > 1:
         lo, hi = np.minimum(log_t - LOG2, s_pow - LOG2 / (p - 1.0)), np.minimum(log_t, s_pow)
-        # a copy of hi, or an array where the clamp gives a scalar: s is stepped in place
-        s = np.array(hi) if start is None else np.asarray(np.fmax(np.fmin(start, hi), lo))  # NaN: hi
-        edge = np.fmax.reduce(hi, axis=None, initial=-np.inf)
+        s = hi if start is None else np.fmax(np.fmin(start, hi), lo)  # NaN: hi
     else:
         s_arg = np.log(lam * (1.0 - p)) / (2.0 - p)
         s = np.where(upper, log_t, s_pow)
         lo, hi = np.where(upper, s_arg, s_pow), np.where(upper, log_t, s_arg)
-        edge = np.fmin.reduce(lo, axis=None, initial=np.inf)
     # where exp((p-1)*s) can pass double range before a tiny lam scales it
-    # back, the power is one exp of the summed logs; (p-1)*s is monotone in s,
-    # so its largest value over the bracket decides whether any element needs that
-    guard = (p - 1.0) * edge > 700.0
-    if guard:
-        wide = (p - 1.0) * (hi if p > 1 else lo) > 700.0
+    # back, the power is one exp of the summed logs
+    wide = (p - 1.0) * (hi if p > 1 else lo) > 700.0
+    guard = wide.any()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(ROOT_STEPS):
-            x, at = np.exp(s), s  # s is stepped in place, but not past the last pass
+            x, at = np.exp(s), s  # s moves past x when the last step leaves it open
             power = np.exp((p - 1.0) * s)
             pw = lam * power
             if guard:
@@ -224,10 +222,10 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, log_t: np.ndarray, up
             if step == ROOT_FLOOR_STEP:
                 tol = np.maximum(tol, ROOT_FLOOR * EPS * t * (1.0 + np.abs(log_t)))
             open_ = np.abs(f) > tol
-            if not open_.any() or step == ROOT_STEPS - 1:
+            if not open_.any():
                 break
             # minimum(maximum()) is np.clip's arithmetic without its wrapper's overhead
-            np.copyto(s, np.minimum(np.maximum(s - f / (x + (p - 1.0) * pw), lo), hi), where=open_)
+            s = np.where(open_, np.minimum(np.maximum(s - f / (x + (p - 1.0) * pw), lo), hi), s)
     return x, at, power
 
 

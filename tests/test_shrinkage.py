@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from lpseq.errors import InvalidParameterError
 from lpseq.shrinkage import (
+    _closed_falls,
+    _closed_psi,
+    _closed_sums,
     _closed_terms,
     _root_terms,
     branch_roots,
@@ -140,32 +143,47 @@ def test_closed_terms_match_power_and_generic_slope(p):
     # that flush, and products 4*lam*t that overflow the p = 3 root
     lams = np.array([1e-300, 1.0, 1e149, 1e151, 1e300])
     t = np.array([0.0, 1e-305, 1e-150, 1e-5, 1.0, 7.5, 1e150, 1e300])
-    psi_of, sums, falls = _closed_terms(p, lams[:, None], t)
-    psi, power, slope = psi_of(...), sums(), falls()
-    np.testing.assert_array_equal(psi_many(p, lams[:, None], t), psi)
-    for k, lam in enumerate(lams):  # a scalar multiplier gives its row of the block
-        alone_psi, alone_sums, alone_falls = _closed_terms(p, lam, t[None])
-        np.testing.assert_array_equal(alone_psi(...), psi[k:k + 1])
-        assert alone_sums()[0] == power[k] and alone_falls()[0] == slope[k]
+    v, root = _closed_terms(p, lams[:, None], t)
     rows = [3, 0, 4]  # psi of some rows is those rows of psi
-    np.testing.assert_array_equal(_closed_terms(p, lams[:, None], t)[0](rows), psi[rows])
-    # the row sums of the power and of the slope the dual sum takes outside
+    picked = _closed_psi(p, v, rows)
+    psi = _closed_psi(p, v.copy())
+    np.testing.assert_array_equal(psi_many(p, lams[:, None], t), psi)
+    np.testing.assert_array_equal(picked, psi[rows])
+    for k, lam in enumerate(lams):  # a scalar multiplier gives its row of the block
+        for alone, in_block in zip(_closed_terms(p, lam, t[None]), (v, root)):
+            np.testing.assert_array_equal(alone, in_block if in_block is None else in_block[k:k + 1])
+    # each element on a row of its own, so each row sum is one element's
+    # power or slope: against psi**p and the slope the dual sum takes outside
     # CLOSED_FORMS, p*psi**(p-1)*dpsi, with dpsi = pw/(1 + lam*(p-1)*psi**(p-2))
     # (finite wherever the slope itself is)
-    lam = lams[:, None]
+    lam_e = np.repeat(lams, t.size)[:, None]
+    v_e, root_e = _closed_terms(p, lam_e, np.tile(t, lams.size)[:, None])
+    power, slope = _closed_sums(p, v_e), _closed_falls(p, lam_e, v_e, root_e)
+    psi, lam = psi.ravel(), lam_e.ravel()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pw = psi ** (p - 1.0)
         dpsi = np.where(psi > 0, pw / (1.0 + lam * (p - 1.0) * psi ** (p - 2.0)), 0.0)
-        exact, generic = np.sum(psi**p, axis=1), np.sum(p * pw * dpsi, axis=1)
-    assert not np.any(np.isnan(psi)) and not np.any(np.isnan(power) | np.isnan(slope))
-    # below the normal range only absolute agreement is possible
+        exact, generic = psi**p, p * pw * dpsi
+    assert not np.any(np.isnan(psi) | np.isnan(power) | np.isnan(slope))
+    assert np.all(power[psi == 0] == 0) and np.all(slope[psi == 0] == 0)
+    # below the normal range only absolute agreement is possible; a reference
+    # past double range is inf, and so is the sum
     tiny = np.finfo(float).tiny
-    np.testing.assert_allclose(power, exact, rtol=1e-13, atol=tiny)
-    np.testing.assert_allclose(slope, generic, rtol=1e-13, atol=tiny)
+    for fused, reference in ((power, exact), (slope, generic)):
+        finite = np.isfinite(reference)
+        np.testing.assert_allclose(fused[finite], reference[finite], rtol=1e-13, atol=tiny)
+        assert np.all(fused[~finite] == np.inf)
+    # a block row sums its elements' powers and slopes
+    block = lams[:, None]
+    with np.errstate(over="ignore"):
+        np.testing.assert_allclose(_closed_sums(p, v), exact.reshape(v.shape).sum(axis=1),
+                                   rtol=1e-13, atol=tiny)
+        np.testing.assert_allclose(_closed_falls(p, block, v, root),
+                                   generic.reshape(v.shape).sum(axis=1), rtol=1e-13, atol=tiny)
     # every psi of these magnitudes is flushed, and adds 0 to both sums
-    flushed = _closed_terms(p, lam, np.array([0.0, 1e-305]))
-    assert np.all(flushed[0](...) == 0)
-    assert np.all(flushed[1]() == 0) and np.all(flushed[2]() == 0)
+    v, root = _closed_terms(p, block, np.array([0.0, 1e-305]))
+    assert np.all(_closed_sums(p, v) == 0) and np.all(_closed_falls(p, block, v, root) == 0)
+    assert np.all(_closed_psi(p, v) == 0)
 
 
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])
