@@ -26,10 +26,9 @@ the sorted magnitudes, at most the last kept one on the lower root of the fixed
 point, and one solver enumerates every prefix size under both branch patterns:
 a multiplier grid brackets each size's roots, Newton steps solve the cells
 where the power sum is monotone, and only cells where it may turn are split.
-Its weak-duality gap is to the exact maximum of the concave dual: the prox
-jump multipliers split the dual into smooth pieces, a bisection over them finds
-the piece where the slope changes sign, and Newton steps find its root there;
-a first probe at the primal multiplier is the maximum at a zero gap.
+The same pruning bounds certify the point: its gap is the objective minus the
+least bound of the cells the enumeration leaves unresolved, 0 where it
+resolves them all.
 
 General radii are handled by solving on the unit ball after rescaling
 ``y / r`` and mapping the solution back.
@@ -63,11 +62,11 @@ from .shrinkage import (
     _root_terms,
     branch_roots,
     branch_vanish_lambda,
-    prox_jump_lambda,
     psi_many,  # not called here; the traced benchmark wraps this name
 )
 
-# Feasibility slack on the p-th power sum; keeps ||x||_p <= r*(1 + 1e-9) for p >= 0.1.
+# Feasibility slack on the p-th power sum; with the norm held to 10 times it,
+# keeps ||x||_p <= r*(1 + 1e-9) for every p > 0.
 SUM_FEAS_TOL = 1e-10
 
 # Outer multiplier search stops at this dual-sum gap (also on the KKT slackness
@@ -147,11 +146,16 @@ class ProjectionResult:
     ``|t_i - m_i - lam*m_i**(p-1)|`` over ``max(1, t_i)`` (over nonzero
     coordinates only when p < 1) and the two-sided complementary slackness
     ``lam*|sum(m**p) - 1|`` over ``max(1, max(t))``.
-    ``duality_gap`` is reported only for p in (0, 1): the point is a global
-    minimizer of a nonconvex problem, whose weak dual gap is positive in general.
+    ``duality_gap`` is reported only for p in (0, 1), where it is the
+    enumeration's certificate, not a Lagrangian duality gap (the weak dual
+    of the nonconvex problem falls short in general): the objective minus a
+    lower bound on every candidate the enumeration did not resolve, 0 where
+    it resolved them all (see :func:`_project_quasinorm_unit`).  Like the
+    multiplier it scales with ``r**2`` and is ``inf`` where that passes
+    double range, except that a 0 stays 0.
     ``iterations`` counts multiplier evaluations: for p > 1 those of the dual
-    sum, for p in (0, 1) those of the primal search plus those of the weak
-    dual; it is 0 for p in {0, 1, inf} and for inputs inside the ball.
+    sum, for p in (0, 1) those of the primal search; it is 0 for p in
+    {0, 1, inf} and for inputs inside the ball.
     """
 
     point: np.ndarray
@@ -339,8 +343,9 @@ def _power_sums(X: np.ndarray, p: float) -> np.ndarray:
 
 
 def _inside_unit(tops: list, scaled: np.ndarray, p: float) -> list:
-    """Whether each row lies in the unit ball, up to ``SUM_FEAS_TOL`` on the power sum."""
-    bound = (1.0 + SUM_FEAS_TOL) ** (1.0 / p)
+    """Whether each row lies in the unit ball, up to ``SUM_FEAS_TOL`` on the power
+    sum and ``10*SUM_FEAS_TOL`` on the norm, the bound that binds below p = 0.1."""
+    bound = min((1.0 + SUM_FEAS_TOL) ** (1.0 / p), 1.0 + 10 * SUM_FEAS_TOL)
     return [norm <= bound for norm in _lp_norms(tops, scaled, p)]
 
 
@@ -378,24 +383,25 @@ def _prefix_points(p: float, lam: np.ndarray, ts: np.ndarray, js: np.ndarray,
     ``lam`` of the two power sums; ``cand`` is the objective scaled onto the
     boundary, ``dev`` the power sum's distance.
     """
-    # one call: the head's upper roots, then each last one on its branch
-    width, last_t = int(js.max()), ts[js - 1]
+    # one call: the heads' upper roots (every size is at least 2), then each
+    # last one on its branch
+    width, last_t = int(js.max()) - 1, ts[js - 1]
+    t = ts[:width]
     heads = (lam.size, width)
     roots = branch_roots(p, lam[:, None],
-                         np.concatenate([np.broadcast_to(ts[:width], heads), last_t], axis=1),
+                         np.concatenate([np.broadcast_to(t, heads), last_t], axis=1),
                          np.concatenate([np.ones(heads, dtype=bool), ~low], axis=1))
     U, last = roots[:, :width], roots[:, width:]
-    zero = np.zeros((lam.size, 1))
-
-    def head(v):  # sums over the first j - 1 columns
-        return np.take_along_axis(np.hstack([zero, np.cumsum(v, axis=1)]), js - 1, axis=1)
-
-    half_sq, cross = head(0.5 * U * U), head(U * ts[:U.shape[1]])
+    # the four head sums over the first j - 1 columns, by one cumsum and one gather
+    sums = np.cumsum([0.5 * U * U, U * t, U**p, _power_slope(p, U, t)], axis=2)
+    half_sq, cross, h, h_slope = sums[:, np.arange(lam.size)[:, None], js - 2]
     last_half_sq, last_cross = 0.5 * last * last, last * last_t
-    h, l = head(U**p), last**p
-    pts = np.stack(np.broadcast_arrays(
-        lam[:, None], h, l, half_sq - cross, last_half_sq - last_cross, js, low,
-        head(_power_slope(p, U, ts[:U.shape[1]])), _power_slope(p, last, last_t)), axis=-1)
+    l = last**p
+    fields = (lam[:, None], h, l, half_sq - cross, last_half_sq - last_cross, js, low,
+              h_slope, _power_slope(p, last, last_t))
+    pts = np.empty(h.shape + (len(fields),))
+    for k, field in enumerate(fields):
+        pts[..., k] = field
     kappa = (budget / (h + l)) ** (1.0 / p)
     cand = kappa * kappa * (half_sq + last_half_sq) - kappa * (cross + last_cross)
     return pts, cand, np.abs((h + l) / budget - 1.0), U, last
@@ -431,6 +437,14 @@ def _cell_shapes(p: float, ts: np.ndarray, vanish: np.ndarray, a: np.ndarray, b:
     return live & (~low | (b[7] + least > 0)), live & low & (a[7] + np.maximum(a[8], b[8]) < 0)
 
 
+def _cell_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least objective ``sum(x**2/2 - x*t)`` at any root on the cells ``[a, b]``.
+
+    Upper roots fall with ``lam``, so the head's objective is least at ``a``;
+    the last coordinate's is at least its value at one of the ends."""
+    return a[3] + np.minimum(a[4], b[4])
+
+
 def _cell_roots(p: float, ts: np.ndarray, budget: float, a: np.ndarray, b: np.ndarray):
     """Roots of ``sum(x**p) = budget`` on cells ``[a, b]`` where it is monotone and changes sign.
 
@@ -440,7 +454,17 @@ def _cell_roots(p: float, ts: np.ndarray, budget: float, a: np.ndarray, b: np.nd
     ``budget`` relative, it is as narrow as rounding, or ``lam`` is down to
     ``TINY_LAMBDA`` (for p near 0 a lower root's power ``(lam/t)**(p/(1-p))``
     meets ``budget`` only below double range).  Returns the multipliers, the
-    points (zero past each cell's size) and the evaluations.
+    points (zero past each cell's size), their objectives scaled onto the
+    boundary and power sums' distance from it, as ``improve`` takes them, a
+    lower bound on the objective at every root in the cells, and the
+    evaluations.  Along the roots ``dF/dlam = -(lam/p)*dS/dlam`` (``F`` the
+    objective, ``S`` the power sum), so on a monotone cell the root's ``F``
+    is ``F(x) + c*(S(x) - budget)/p`` with ``c`` between the last ``lam``
+    and the root, both in the final bracket ``[lo, hi]``: a cell that stops
+    by the residual rule or as narrow as rounding is bounded by ``F(x) +
+    min(lo*f, hi*f)/p``, ``f = S(x) - budget``, about ``(hi - lo)*|f|/p``
+    below its candidate.  A cell left open at the step cap or at ``TINY_LAMBDA``
+    is bounded by :func:`_cell_bound`.
     """
     js, low = a[5].astype(int), a[6] > 0
     cols = np.arange(int(js.max()))
@@ -448,111 +472,32 @@ def _cell_roots(p: float, ts: np.ndarray, budget: float, a: np.ndarray, b: np.nd
     upper = (cols < js[:, None] - 1) | ~low[:, None]
     t = ts[:cols.size]
     lo, hi, f_lo = a[0], b[0], a[1] + a[2] - budget
-    with np.errstate(divide="ignore", invalid="ignore"):
+    open_, evals = np.ones(a.shape[1], dtype=bool), 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam = lo - f_lo * (hi - lo) / (b[1] + b[2] - budget - f_lo)
-    lam = np.where((lo < lam) & (lam < hi), lam, 0.5 * (lo + hi))
-    open_, evals = np.ones(lam.size, dtype=bool), 0
-    for _ in range(100):
-        x = np.where(live, branch_roots(p, lam[:, None], t, upper), 0.0)
-        evals += int(np.count_nonzero(open_))
-        f = np.sum(x**p, axis=1) - budget
-        slope = np.sum(np.where(live, _power_slope(p, x, t), 0.0), axis=1)
-        same = np.sign(f) == np.sign(f_lo)  # the sum keeps its sign at lo
-        lo, hi = np.where(open_ & same, lam, lo), np.where(open_ & ~same, lam, hi)
-        open_ &= (np.abs(f) > 1e-13 * budget) & (hi - lo > 1e-15 * hi) & (lam > TINY_LAMBDA)
-        if not np.any(open_):
-            break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = f / slope
+        lam = np.where((lo < lam) & (lam < hi), lam, 0.5 * (lo + hi))
+        for _ in range(100):
+            x = np.where(live, branch_roots(p, lam[:, None], t, upper), 0.0)
+            evals += int(np.count_nonzero(open_))
+            s = np.sum(x**p, axis=1)
+            f = s - budget
+            same = np.sign(f) == np.sign(f_lo)  # the sum keeps its sign at lo
+            lo, hi = np.where(open_ & same, lam, lo), np.where(open_ & ~same, lam, hi)
+            short = (np.abs(f) > 1e-13 * budget) & (hi - lo > 1e-15 * hi)
+            open_ &= short & (lam > TINY_LAMBDA)
+            if not open_.any():
+                break
+            step = f / np.sum(np.where(live, _power_slope(p, x, t), 0.0), axis=1)
             newton, log_newton = lam - step, lam * np.exp(-step / lam)
-        inside = [(lo < v) & (v < hi) & (v != lam) for v in (newton, log_newton)]
-        step = np.maximum(np.select(inside, [newton, log_newton], 0.5 * (lo + hi)), TINY_LAMBDA)
-        lam = np.where(open_, step, lam)
-    return lam, x, evals
-
-
-def _weak_dual_max(p: float, ts: np.ndarray, budget: float, primal=None):
-    """``(max D, evaluations)`` of the weak dual for magnitudes ``ts`` sorted descending.
-
-    ``D(lam) = sum_i min(phi_i, 0) - lam*budget/p`` is concave, ``phi_i`` the
-    objective ``U*(U/2 - t_i) + (lam/p)*U**p`` at the upper root ``U_i``.
-    Coordinate i is live (``phi_i < 0``) below ``prox_jump_lambda(p, t_i)``,
-    which falls along ``ts``, so the live set is a prefix, and on a piece
-    between jumps ``p*D' = sum_live U**p - budget`` is smooth and falling.
-    The first probe is at the primal multiplier ``lam`` of ``primal = (lam,
-    x)`` where the point ``x`` (units of ``ts``) may minimize the Lagrangian,
-    as a zero gap needs: its support is the prefix live there, its last entry
-    on the upper root.  Where the stop rule below holds there, that is the
-    maximum; else the slope's sign makes ``lam`` one end of the search.  A
-    bisection over the jumps, galloping away from that end (else up from the
-    largest jump), finds the piece where the slope changes sign: the maximum
-    is at its lower end if the slope is negative just past it, else at the
-    slope's root, found by Newton steps (``dU/dlam = -U**(p-1) / (1 +
-    lam*(p-1)*U**(p-2))``) from the secant point of the piece's ends, with
-    bisection where one leaves the bracket.  They stop once ``|D'|`` times
-    the bracket width, which by concavity bounds how far ``D`` is below its
-    maximum, or times the Newton step, which estimates it, is 1e-16 of
-    ``|D|``.  Every ``D`` is a weak dual value, so an inexact root only
-    loosens the gap; the largest one probed is returned.
-    """
-    jumps = prox_jump_lambda(p, ts)
-    n = int(np.count_nonzero(jumps > 0))
-    evals, dual = 0, -math.inf
-
-    def probe(lam, k):  # p*D' on the live prefix k, D, and the roots
-        nonlocal evals, dual
-        evals += 1
-        U = branch_roots(p, lam, ts[:k], True)
-        Up = U**p
-        phi = np.minimum(U * (0.5 * U - ts[:k]) + (lam / p) * Up, 0.0)
-        value = float(np.sum(phi)) - lam / p * budget
-        dual = max(dual, value)
-        return float(np.sum(Up)) - budget, value, U, Up
-
-    def newton(lam, at):  # the Newton step on p*D', and whether the stop rule holds at lam
-        h, value, U, Up = at
-        step = lam - h / (-p * float(np.sum(Up * Up / (U * U + lam * (p - 1.0) * Up))))
-        return step, abs(h) * abs(step - lam) <= 1e-16 * p * abs(value)
-
-    # at jumps[m] the slope from the left, over prefix m + 1, rises with m;
-    # find bad + 1 = good with it negative at bad (+inf at -1), >= 0 at good
-    # (lam = 0 at n, where every coordinate counts); a and b are their multipliers
-    bad, good, at_bad, at_good, base = -1, n, None, None, -1
-    lam, x = primal or (0.0, ())
-    kept = len(x)
-    if 0 < kept == np.count_nonzero(jumps > lam) and x[-1] >= (1 - p) / (2 - p) * ts[kept - 1]:
-        at = probe(lam, kept)
-        if newton(lam, at)[1]:
-            return dual, evals
-        if at[0] >= 0:  # the maximum is past lam, at or below jumps[kept - 1]
-            good, at_good, a, base = kept, at, lam, kept
-        else:
-            bad, at_bad, b, base = kept - 1, at, lam, kept - 1
-    m = base - 1 if good == base else base + 1
-    while good - bad > 1:
-        at = probe(float(jumps[m]), m + 1)
-        if at[0] >= 0:
-            good, at_good, a = m, at, float(jumps[m])
-        else:
-            bad, at_bad, b = m, at, float(jumps[m])
-        gallop = 2 * m - base  # twice as far from base, while the far end is open
-        m = gallop if (good == n or bad == -1) and bad < gallop < good else (bad + good) // 2
-    if at_good is None:
-        a, at_good = 0.0, probe(0.0, ts.size)
-    h_a = float(np.sum(at_good[3][:good])) - budget  # the slope just past a, over prefix good
-    if good == 0 or h_a <= 0:  # falls just past the jump: a kink
-        return dual, evals
-
-    lam = a + h_a * (b - a) / (h_a - at_bad[0])  # the secant of the piece's ends
-    for _ in range(100):
-        lam = lam if a < lam < b else 0.5 * (a + b)
-        at = probe(lam, good)
-        a, b = (lam, b) if at[0] > 0 else (a, lam)
-        step, done = newton(lam, at)
-        if done or abs(at[0]) * (b - a) <= 1e-16 * p * abs(at[1]) or b - a <= 1e-15 * b:
-            break
-        lam = step
-    return dual, evals
+            step = np.where((lo < newton) & (newton < hi) & (newton != lam), newton,
+                            np.where((lo < log_newton) & (log_newton < hi) & (log_newton != lam),
+                                     log_newton, 0.5 * (lo + hi)))
+            lam = np.where(open_, np.maximum(step, TINY_LAMBDA), lam)
+    kappa = (budget / s) ** (1.0 / p)
+    sq, cross = np.sum(x * x, axis=1), x @ t
+    cand = 0.5 * kappa * kappa * sq - kappa * cross
+    floor = np.where(short, _cell_bound(a, b), 0.5 * sq - cross + np.minimum(lo * f, hi * f) / p)
+    return lam, x, cand, np.abs(s / budget - 1.0), float(floor.min()), evals
 
 
 def _project_quasinorm_unit(p: float, t: np.ndarray):
@@ -580,12 +525,25 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
     ``_cell_roots`` finds by Newton steps; where it falls with a lower root,
     no local minimizer; each round splits the other cells.  Upper roots
     are at least their branch point ``(1-p)/(2-p)*t_i``, so no size with
-    ``sum_{i<j} ((1-p)/(2-p)*t_i)**p >= 1`` has a root.  The gap is to the
-    exact maximum of the concave weak dual, from ``_weak_dual_max``.
+    ``sum_{i<j} ((1-p)/(2-p)*t_i)**p >= 1`` has a root.
+
+    The gap certifies the point from the same bounds: it is the best
+    objective minus the least lower bound over what the enumeration leaves
+    unresolved, 0 where that is nothing.  Those are the cells that hold the
+    budget and pass the bound test but are too narrow to split, the cells
+    still to split when ``QUASI_ROUNDS`` runs out, each with its bound from
+    ``_cell_bound``, and the roots of ``_cell_roots``, with the bound it
+    returns: about ``(hi - lo)*|f|/p`` below the candidate where its 1e-13
+    residual rule stops, ``_cell_bound`` where it stops at its step cap or
+    ``TINY_LAMBDA``.  Every other cell is excluded outright: it misses the
+    budget, its bound is above the best objective, it is past its size's
+    vanishing multiplier, or its power sum is monotone without a sign change
+    or falls with a lower root.  Pruning and ties allow 1e-13 of the
+    objective.
     Units are ``max(t)`` and objectives ``sum(x**2/2 - x*t)``, so nothing
     overflows; magnitudes with a vanishing multiplier below ``TINY_LAMBDA``
-    are dropped.  Returns ``(x, lam, gap, evals)``; a prefix kept as is comes
-    back as the entries of ``t`` themselves.
+    are dropped, with no bound in the gap.  Returns ``(x, lam, gap, evals)``;
+    a prefix kept as is comes back as the entries of ``t`` themselves.
     """
     scale = float(np.max(t))
     order = np.argsort(-t, kind="stable")
@@ -605,8 +563,13 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
     meets = np.cumsum(((1.0 - p) / (2.0 - p) * ts) ** p)
     top = min(int(np.count_nonzero(vanish > TINY_LAMBDA)), 1 + int(np.searchsorted(meets, budget)))
     sizes = np.arange(max(k0 + 1, 2), top + 1)
-    grid = np.concatenate(
-        ([0.0], np.geomspace(1e-9 * vanish[top - 1], vanish[0], QUASI_GRID - 1)))
+    # 0, then np.geomspace's points without its wrapper: 10**linspace of the
+    # ends' log10, the ends themselves exact
+    ends = 1e-9 * vanish[top - 1], vanish[0]
+    grid = np.empty(QUASI_GRID)
+    grid[0] = 0.0
+    grid[1:] = 10.0 ** np.linspace(np.log10(ends[0]), np.log10(ends[1]), QUASI_GRID - 1)
+    grid[1], grid[-1] = ends
 
     def improve(cand, dev, point):
         # objectives within 1e-13 tie; the point nearest the boundary wins
@@ -618,7 +581,7 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
             best[:] = [float(cand[i]), x * (budget / float(np.sum(x**p))) ** (1.0 / p),
                        float(lam_i), float(dev[i])]
 
-    evals = 0
+    evals, floor = 0, math.inf  # floor: the least bound of the cells left unresolved
     if sizes.size:
         lam, a, b = grid, None, None
         js = np.broadcast_to(np.concatenate([sizes, sizes]), (grid.size, 2 * sizes.size))
@@ -634,9 +597,12 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
             a, b = np.moveaxis(
                 np.stack([chains[:, :-1], chains[:, 1:]]).reshape(2, -1, fields), 2, 1)
             lo, hi = b[1] + np.minimum(a[2], b[2]), a[1] + np.maximum(a[2], b[2])
-            keep = ((lo <= budget) & (hi >= budget) & (hi - lo > 1e-13 * budget)
-                    & (a[3] + np.minimum(a[4], b[4]) <= best[0] + 1e-13 * abs(best[0]))
-                    & (a[0] < vanish[a[5].astype(int) - 1]) & (b[0] - a[0] > 1e-15 * b[0]))
+            bound = _cell_bound(a, b)
+            holds = ((lo <= budget) & (hi >= budget) & (bound <= best[0] + 1e-13 * abs(best[0]))
+                     & (a[0] < vanish[a[5].astype(int) - 1]))
+            keep = holds & (hi - lo > 1e-13 * budget) & (b[0] - a[0] > 1e-15 * b[0])
+            # a cell too narrow to split that may still hold the optimum is bounded, not solved
+            floor = min(floor, float(np.min(bound, where=holds & ~keep, initial=math.inf)))
             if not np.any(keep):
                 break
             # a monotone sum has one root, found by Newton steps; only the
@@ -645,13 +611,10 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
             sign_change = (a[1] + a[2] - budget) * (b[1] + b[2] - budget) <= 0
             roots = keep & monotone & sign_change
             if np.any(roots):
-                lam_r, x, n = _cell_roots(p, ts, budget, a[:, roots], b[:, roots])
+                lam_r, x, cand, dev, least, n = _cell_roots(p, ts, budget, a[:, roots], b[:, roots])
                 evals += n
-                s = np.sum(x**p, axis=1)
-                kappa = (budget / s) ** (1.0 / p)
-                improve(0.5 * kappa * kappa * np.sum(x * x, axis=1)
-                        - kappa * (x @ ts[:x.shape[1]]), np.abs(s / budget - 1.0),
-                        lambda i: (x[i, :int(a[5, roots][i])], lam_r[i]))
+                floor = min(floor, least)
+                improve(cand, dev, lambda i: (x[i, :int(a[5, roots][i])], lam_r[i]))
             keep &= ~monotone & ~no_minimizer
             if not np.any(keep):
                 break
@@ -659,22 +622,24 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
             lam = np.linspace(a[0], b[0], QUASI_SPLIT + 1)[1:-1].T.ravel()
             js = np.repeat(a[5].astype(int), QUASI_SPLIT - 1)[:, None]
             low = np.repeat(a[6] > 0, QUASI_SPLIT - 1)[:, None]
+        else:  # the rounds ran out: the cells still to split are bounded, not solved
+            floor = min(floor, float(np.min(_cell_bound(a, b))))
 
-    dual, dual_evals = _weak_dual_max(p, ts, budget, (best[2], best[1]))
     x = np.zeros_like(t)
     kept = order[:best[1].size]
     x[kept] = t[kept] if k0 > 0 and best[1] is prefix else best[1] * scale  # as is: exact
-    gap = max(best[0] - dual, 0.0) * scale * scale
-    return x, best[2] * scale ** (2.0 - p), gap, evals + dual_evals
+    gap = (best[0] - floor) * scale * scale if floor < best[0] else 0.0
+    return x, best[2] * scale ** (2.0 - p), gap, evals
 
 
 def project(ball: LpBall, y: np.ndarray) -> ProjectionResult:
     """Euclidean projection of ``y`` onto the ball.
 
     Unique minimizer for p >= 1.  For p in (0, 1) a global minimizer, by the
-    prefix-support structure in the module docstring, with a weak-duality
-    gap; it keeps a prefix of ``y`` with multiplier 0 or lies on the
-    boundary.  For p > 1 the multiplier search stops at ``LAMBDA_GAP_TOL``.
+    prefix-support structure in the module docstring, with the enumeration's
+    certificate as ``duality_gap``; it keeps a prefix of ``y`` with
+    multiplier 0 or lies on the boundary.  For p > 1 the multiplier search
+    stops at ``LAMBDA_GAP_TOL``.
     Raises ``InvalidParameterError`` where ``max|y|/r`` overflows, and for
     p < 1 where ``(max|y|/r)**(2-p)``, the multiplier's unit, does.
     """

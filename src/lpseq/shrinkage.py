@@ -61,7 +61,7 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarr
 
     ``lam`` may be a scalar or an array broadcastable against ``t``; both
     must be at least 0, or ``InvalidParameterError`` is raised (also for NaN).
-    The returned psi lies in ``[0, t]`` and satisfies
+    Scalars give a 0-d array.  The returned psi lies in ``[0, t]`` and satisfies
     ``|psi + lam*psi**(p-1) - t| <= max(tol, ROOT_FLOOR*eps*t*(1 + |log t|))``,
     the second term being the residual's rounding floor at large ``t``
     (reached from ``ROOT_FLOOR_STEP`` Newton steps on).
@@ -77,6 +77,9 @@ def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarr
                                      np.asarray(t, dtype=float))
     if not ((lam_arr >= 0).all() and (t >= 0).all()):  # also NaN
         raise InvalidParameterError("psi_many requires lam >= 0 and t >= 0")
+    if t.ndim == 0:  # solved as a block of one, so the kernels below index an array
+        return psi_many(p, lam_arr[None], t[None], tol,
+                        None if start is None else np.reshape(start, 1)).reshape(())
     if p not in CLOSED_FORMS:
         if p < 1.0:
             raise InvalidParameterError("psi_many requires p >= 1; use branch_roots for p < 1")
@@ -243,18 +246,6 @@ def branch_vanish_lambda(p: float, t) -> np.ndarray:
     return ((1.0 - p) * t / (2.0 - p)) ** (2.0 - p) / (1.0 - p)
 
 
-def prox_jump_lambda(p: float, t) -> np.ndarray:
-    """Multiplier at which the prox jumps from the upper root to zero.
-
-    At this level the objective at the upper root ties with the objective at
-    zero; ties are resolved toward zero.
-    """
-    t = np.asarray(t, dtype=float)
-    x = 2.0 * (1.0 - p) / (2.0 - p) * t
-    with np.errstate(invalid="ignore"):
-        return (t - x) * x ** (1.0 - p)
-
-
 def branch_roots(p: float, lam, t, upper) -> np.ndarray:
     """Roots of ``x + lam*x**(p-1) = t`` on the chosen branch, p < 1, for ``lam >= 0``.
 
@@ -267,12 +258,16 @@ def branch_roots(p: float, lam, t, upper) -> np.ndarray:
     Live roots have residual at most ``max(DEFAULT_TOL, ROOT_FLOOR*eps*t*(1 + |log t|))``,
     as in :func:`psi_many`.
     """
-    t = np.asarray(t, dtype=float)
-    lam, t, upper, vanish = np.broadcast_arrays(
-        np.asarray(lam, dtype=float), t, np.asarray(upper, dtype=bool),
-        branch_vanish_lambda(p, t))  # on t before broadcasting: once per magnitude
-    out = np.where(lam > 0, (1.0 - p) / (2.0 - p) * t, np.where(upper, t, 0.0))
-    live = (lam > 0) & (lam < vanish)
-    t_live = t[live]
-    out[live] = _branch_root(p, lam[live], t_live, np.log(t_live), upper[live], DEFAULT_TOL)[0]
+    lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
+    upper = np.asarray(upper, dtype=bool)
+    vanish = branch_vanish_lambda(p, t)  # on t before broadcasting: once per magnitude
+    positive = lam > 0
+    out = np.where(positive, (1.0 - p) / (2.0 - p) * t, np.where(upper, t, 0.0))
+    live = positive & (lam < vanish)
+    # the live elements of each argument, broadcast only where its shape is not the block's
+    shape = out.shape
+    live = live if live.shape == shape else np.broadcast_to(live, shape)
+    lam, t, upper = (v[live] if v.shape == shape else np.broadcast_to(v, shape)[live]
+                     for v in (lam, t, upper))
+    out[live] = _branch_root(p, lam, t, np.log(t), upper, DEFAULT_TOL)[0]
     return out

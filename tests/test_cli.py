@@ -93,6 +93,18 @@ def test_project_gap_reported_for_quasinorm(capsys):
     assert "duality_gap" in parse_kv(out)
 
 
+def test_project_quasinorm_huge_radius_certified(capsys):
+    # the enumeration's certificate is 0 at any radius; the multiplier, in
+    # units of r**(2-p), passes double range and prints as inf
+    code, out, _ = run_cli(capsys, "project", "--p", "0.5", "--radius", "1e300",
+                           "--input", "3e300,4e300")
+    assert code == 0
+    kv = parse_kv(out)
+    assert kv["duality_gap"] == "0.0"
+    assert kv["multiplier"] == "inf"
+    assert kv["point"] == "0.0,1e+300"
+
+
 def test_unknown_flag_is_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["project", "--p", "2", "--input", "1,2", "--bogus"])

@@ -21,8 +21,9 @@ from lpseq.projection import (
     _find_lambda_star,
     _kkt_pieces,
 )
-from lpseq.shrinkage import _root_terms, prox_jump_lambda, psi_many
-from prox_reference import power_objective, prox_power_many
+from lpseq.rng import keyed_generator
+from lpseq.shrinkage import _root_terms, psi_many
+from prox_reference import power_objective, prox_jump_lambda, prox_power_many, weak_dual_max
 
 # closed forms recomputed independently (mpmath): 2 c**1.5 = 1 and the
 # stationarity identity lam = (2 - c)/sqrt(c)
@@ -415,6 +416,16 @@ def test_quasinorm_beats_cheap_feasible_points(data):
     assert _objective(res.point, y) <= cheap * (1 + 1e-12) + 1e-300
 
 
+def test_quasinorm_inside_slack_below_p_tenth():
+    # (1 + SUM_FEAS_TOL)**(1/p) passes 1 + 1e-9 below p = 0.1, so the inside
+    # test also holds the norm's slack to 1e-9: this input, with norm
+    # 1 + 1.1e-9 at p = 0.05, is projected, not returned as is
+    y = np.array([1.0] + [1.2781701318622836e-217] * 4)
+    res = project(LpBall(p=0.05, dim=5, radius=1.0), y)
+    assert lp_norm(y, 0.05) > 1 + 1e-9 >= lp_norm(res.point, 0.05)
+    np.testing.assert_array_equal(res.point, [1.0, 0.0, 0.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("y, r, expected", [
     ([1e150, -3e149, 2.0], 0.7, [0.7, 0.0, 0.0]),
     ([1e150, 1e150, 1.0], 1.0, [0.5, 0.5, 0.0]),
@@ -495,50 +506,116 @@ def test_quasinorm_dual_certificate_batch():
         _assert_certificate(p, y, r)
 
 
+def _unit_problem(p, y, r):
+    """The p < 1 solver's units: ``|y|/r`` sorted descending over its maximum
+    ``scale``, and the budget ``scale**-p`` its p-th power sum must meet."""
+    t = np.abs(y) / r
+    scale = float(np.max(t))
+    return np.sort(t)[::-1] / scale, scale**-p, scale
+
+
+def _weak_dual(p, y, r=1.0):
+    """Maximum of the weak dual of the projection, in the objective's units
+    ``||x - y||**2/2``, from the reference ``weak_dual_max`` (cold start)."""
+    ts, budget, scale = _unit_problem(p, y, r)
+    return weak_dual_max(p, ts, budget)[0] * (scale * r) ** 2 + 0.5 * float(np.sum(y * y))
+
+
 @pytest.mark.parametrize("y", [[2.0], [2.0, -2.0, 0.0]])
 def test_quasinorm_dual_max_at_jump(y):
     # the dual slope is positive up to the common prox jump of the entries
-    # and -r**p/p past it, so the dual maximum is exactly there
+    # and -r**p/p past it, so the weak dual's maximum is exactly there; the
+    # objective is at least that maximum
     p, y = 0.5, np.array(y)
     jump = float(prox_jump_lambda(p, 2.0))
+    dual = _weak_dual(p, y)
+    assert dual == pytest.approx(0.5 * float(np.sum(y**2)) - jump / p, rel=1e-12)
     res = _assert_certificate(p, y, 1.0)
-    dual = 0.5 * float(np.sum(y**2)) - jump / p
-    assert _objective(res.point, y) - res.duality_gap == pytest.approx(dual, rel=1e-12)
+    assert _objective(res.point, y) - res.duality_gap >= dual * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
-def test_quasinorm_weak_dual_warm_start(p, monkeypatch):
-    # the weak dual's first probe is at the primal multiplier: where the gap
-    # is zero that is the maximum and the only evaluation; every gap is the
-    # cold search's up to rounding
-    import lpseq.projection as projection
-
-    weak_dual_max, evals = projection._weak_dual_max, []
-
-    def warm(*args):
-        dual = weak_dual_max(*args)
-        evals.append(dual[1])
-        return dual
-
-    def cold(p, ts, budget, primal):
-        return weak_dual_max(p, ts, budget)
-
+def test_quasinorm_weak_dual_warm_start(p):
+    # the reference weak dual's first probe is at the primal multiplier: where
+    # the dual meets the objective that is the maximum and the only
+    # evaluation; every maximum is the cold search's up to rounding
     d, zero_gaps = 200, 0
     ball = LpBall(p=p, dim=d, radius=1.0)
     rng = np.random.default_rng(3)
     for _ in range(24):
         y = np.eye(1, d)[0] + d**-0.5 * rng.standard_normal(d)
-        evals.clear()
-        monkeypatch.setattr(projection, "_weak_dual_max", warm)
         res = project(ball, y)
-        monkeypatch.setattr(projection, "_weak_dual_max", cold)
-        gap = project(ball, y).duality_gap
-        objective = _objective(res.point, y)
-        assert abs(res.duality_gap - gap) <= 1e-15 * objective
-        if gap <= 1e-15 * objective:
+        ts, budget, scale = _unit_problem(p, y, 1.0)
+        x = np.sort(np.abs(res.point))[::-1]
+        x = x[x > 0] / scale
+        warm, evals = weak_dual_max(p, ts, budget, (res.multiplier / scale ** (2.0 - p), x))
+        cold = weak_dual_max(p, ts, budget)[0]
+        objective = float(np.sum(x * (0.5 * x - ts[:x.size])))  # sum(x**2/2 - x*t)
+        assert abs(warm - cold) <= 1e-15 * abs(objective)
+        if objective - cold <= 1e-15 * abs(objective):
             zero_gaps += 1
-            assert evals == [1]
+            assert evals == 1
     assert zero_gaps >= 4
+
+
+def _benchmark_inputs(seed=0, d=1000):
+    """The 24 single-call inputs ``e_1 + d**-0.5 * xi`` of the p = 0.5 benchmark."""
+    e1 = np.eye(1, d)[0]
+    return [(0.5, e1 + d**-0.5 * keyed_generator(seed, "nonconvex_p05", i).standard_normal(d))
+            for i in range(24)]
+
+
+def _seeded_quasinorm_inputs():
+    """400 inputs for r = 1: 80 at each p in {0.1, 0.3, 0.5, 0.7, 0.9}, with d
+    uniform in [2, 300), y standard normal times 0.1, 1 or 10, plus 0, 1 or 5
+    on y[0]."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for _ in range(80):
+            d = int(rng.integers(2, 300))
+            y = rng.standard_normal(d) * float(rng.choice([0.1, 1.0, 10.0]))
+            y[0] += float(rng.choice([0.0, 1.0, 5.0]))
+            cases.append((p, y))
+    return cases
+
+
+def test_quasinorm_certificate_two_sided():
+    # the enumeration's lower bound, the objective minus the certificate, is
+    # within 1e-12 of ||y||**2/2 of the objective, and at or above the weak
+    # dual's maximum, which stays at or below the objective
+    for p, y in _benchmark_inputs() + _seeded_quasinorm_inputs():
+        res = project(LpBall(p=p, dim=y.size, radius=1.0), y)
+        objective, dual = _objective(res.point, y), _weak_dual(p, y)
+        tol = 1e-12 * 0.5 * float(np.sum(y * y))
+        assert 0.0 <= res.duality_gap <= tol
+        assert dual <= objective + tol
+        assert objective - res.duality_gap >= dual - tol
+
+
+@pytest.fixture(scope="module")
+def seeded_optima():
+    return [_objective(project(LpBall(p=p, dim=y.size, radius=1.0), y).point, y)
+            for p, y in _seeded_quasinorm_inputs()]
+
+
+@pytest.mark.parametrize("name, value", [("QUASI_ROUNDS", 0), ("QUASI_ROUNDS", 1),
+                                         ("TINY_LAMBDA", 1e-5)])
+def test_quasinorm_certificate_bounds_cells_left_open(name, value, seeded_optima, monkeypatch):
+    # with the refinement cut short, cells that may still hold the optimum are
+    # left unsplit; with the multiplier floor raised, the root search leaves
+    # cells open at it.  The certificate must count their bounds, so the
+    # objective minus it stays at or below the full enumeration's optimum
+    import lpseq.projection as projection
+
+    monkeypatch.setattr(projection, name, value)
+    short = 0
+    for (p, y), optimum in zip(_seeded_quasinorm_inputs(), seeded_optima):
+        res = project(LpBall(p=p, dim=y.size, radius=1.0), y)
+        objective = _objective(res.point, y)
+        assert objective - res.duality_gap <= optimum + 1e-12 * abs(optimum)
+        short += objective > optimum * (1 + 1e-12)
+    assert short > 0  # the change leaves some inputs short of the optimum
 
 
 def test_quasinorm_dual_certificate_large_dim():

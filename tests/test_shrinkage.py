@@ -15,11 +15,10 @@ from lpseq.shrinkage import (
     _root_terms,
     branch_roots,
     branch_vanish_lambda,
-    prox_jump_lambda,
     psi_many,
     soft_threshold,
 )
-from prox_reference import power_objective, prox_power_many
+from prox_reference import power_objective, prox_jump_lambda, prox_power_many
 
 # independently computed to 1e-12 by a 200-step bisection (mpmath, 40 digits)
 PSI_15_05_1 = 0.6096117967977924
@@ -315,6 +314,41 @@ def test_branch_roots_mixed_mask_matches_one_branch_calls(p):
     np.testing.assert_array_equal(mixed, alone)
     live = (lam > 0) & (lam < vanish)
     assert live.any() and (lam >= vanish).any()  # roots, and meeting points held past vanish
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.9])
+def test_branch_roots_block_matches_lone_calls(p):
+    # a block broadcasts only the arguments whose shape is not its own: a
+    # column of lam against a row of t with an (n, j) mask, at lam = 0, below
+    # and at or past branch_vanish_lambda; each element comes out bit for bit
+    # as from a call on it alone, with a scalar lam and a 0-d t
+    rng = np.random.default_rng(31)
+    t = 10.0 ** rng.uniform(-3, 2, size=12)
+    vanish = branch_vanish_lambda(p, t)
+    lam = np.concatenate([[0.0], rng.uniform(0, 1, 6) * vanish.min(), vanish[[2, 7]],
+                          [vanish.max(), 2 * vanish.max()], rng.uniform(0, 1, 4) * vanish.max()])
+    upper = rng.random((lam.size, t.size)) < 0.5
+    block = branch_roots(p, lam[:, None], t, upper)
+    assert block.shape == upper.shape and (lam[:, None] >= vanish).any()
+    for i, j in np.ndindex(block.shape):
+        lone = branch_roots(p, float(lam[i]), np.asarray(t[j]), bool(upper[i, j]))
+        assert lone.shape == () and lone.tobytes() == block[i, j].tobytes(), (i, j)
+    # a scalar lam against the row, and a 0-d t against the column
+    np.testing.assert_array_equal(branch_roots(p, float(lam[3]), t, upper[3]), block[3])
+    np.testing.assert_array_equal(
+        branch_roots(p, lam[:, None], np.asarray(t[4]), upper[:, 4:5])[:, 0], block[:, 4])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0, 3.0])
+def test_psi_many_zero_dim_t(p):
+    # a 0-d t is solved as one element and returned as a 0-d array, bit for
+    # bit the one-element result (at p = 1 and 1.5 it raised TypeError)
+    for lam, t in ((0.5, 2.0), (0.0, 2.0), (0.5, 0.0), (3.0, 0.1), (1e-3, 1e5)):
+        got = psi_many(p, lam, t)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.tobytes() == psi_many(p, [lam], [t])[0].tobytes()
+    got = psi_many(p, np.asarray(0.5), np.asarray(2.0), start=0.3)
+    assert got.shape == () and got.tobytes() == psi_many(p, [0.5], [2.0], start=[0.3]).tobytes()
 
 
 def test_flush_to_zero():
