@@ -49,12 +49,11 @@ def default_delta(q: float) -> float:
     return 0.5 * (3.0 / 20.0) ** q
 
 
-def flat_sparse_instance(sigma: float, p: float, d: int,
-                         delta: float | None = None) -> HardInstanceParams:
+def flat_sparse_instance(sigma: float, p: float, d: int) -> HardInstanceParams:
     """Flat k-sparse boundary signal for intermediate norm indices.
 
-    Requires ``p in (1, 2)`` and ``d >= 4``.  With the default ``delta`` the
-    construction matches the explicit lower-bound recipe; the clamp keeps
+    Requires ``p in (1, 2)`` and ``d >= 4``.  With ``delta = default_delta(q)``
+    the construction matches the explicit lower-bound recipe; the clamp keeps
     ``k`` away from the trivial all-zero and full-support extremes.
     """
     if not (1.0 < p < 2.0):
@@ -64,11 +63,7 @@ def flat_sparse_instance(sigma: float, p: float, d: int,
     if not (sigma > 0):
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     q = p / (p - 1.0)
-    if delta is None:
-        delta = default_delta(q)
-    if not (0.0 < delta < 1.0):
-        raise InvalidParameterError(f"delta must lie in (0, 1), got {delta}")
-
+    delta = default_delta(q)
     m = d - d % 4
     lam_floor = (sigma * m ** (1.0 / q) / 2.0) * (delta / 4.0) ** (1.0 / q)
     with np.errstate(over="ignore"):

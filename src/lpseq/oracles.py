@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_integer
 from .projection import LpBall, lp_norm, project, project_many
 from .rates import RateQuery, control_function
 from .rng import keyed_generator
@@ -221,8 +221,8 @@ def _row_stats(rng: np.random.Generator, reps: int, width: int, stat) -> np.ndar
 
 def sparse_cap_width(d: int, s: int, reps: int, key: int) -> tuple[float, float]:
     """Monte Carlo mean (and stderr) of the top-s squared-entry sum."""
-    if not (1 <= s <= d):
-        raise InvalidParameterError(f"s must lie in [1, {d}], got {s}")
+    if not (is_integer(d) and is_integer(s) and 1 <= s <= d):
+        raise InvalidParameterError(f"need integers 1 <= s <= d, got d={d}, s={s}")
     rng = keyed_generator(key, f"sparse_cap_width|d={d}|s={s}")
 
     def top_s(xi):
@@ -272,7 +272,7 @@ def phi_lower_witness(xi: np.ndarray, p: float, eps: float) -> float:
 
 def check_small_ball(D: int, r: float, reps: int, key: int) -> CheckReport:
     """Empirical check that ``||xi||_r`` exceeds its guaranteed floor half the time."""
-    if not (isinstance(D, (int, np.integer)) and D >= 44):
+    if not (is_integer(D) and D >= 44):
         raise InvalidParameterError(f"D must be an integer >= 44, got {D}")
     if not (2.0 <= r <= 2.0 * math.log(D)):
         raise InvalidParameterError(f"r must lie in [2, 2 log D], got {r}")
@@ -291,38 +291,10 @@ def _noise_term_rows(blocks: np.ndarray, q: float) -> np.ndarray:
         np.abs(blocks) ** q, m // 4 - 1, axis=1)[:, : m // 4].sum(axis=1)
 
 
-def noise_term_value(xi: np.ndarray, q: float) -> float:
-    """Trimmed noise statistic of one draw, computed exactly.
-
-    Takes the block of coordinates ``m/2+1 .. m`` (with m the largest
-    multiple of 4 at most d), and averages the smallest quarter-of-m of
-    ``|xi_i|**q`` there; the minimizing subset is exactly those smallest
-    magnitudes, so sorting computes the minimum over subsets.
-    """
-    xi = np.asarray(xi, dtype=float)
-    d = xi.size
-    if d < 4:
-        raise InvalidParameterError(f"need d >= 4, got {d}")
-    m = d - d % 4
-    return float(_noise_term_rows(xi[None, m // 2: m], q)[0])
-
-
-def noise_term_value_by_enumeration(xi: np.ndarray, q: float) -> float:
-    """Reference implementation: explicit minimum over subsets (tiny d only)."""
-    xi = np.asarray(xi, dtype=float)
-    d = xi.size
-    m = d - d % 4
-    block = np.abs(xi[m // 2: m]) ** q
-    best = math.inf
-    for comb in itertools.combinations(range(block.size), m // 4):
-        best = min(best, float(block[list(comb)].sum()))
-    return 4.0 / m * best
-
-
 def check_noise_term(d: int, q: float, t: float, reps: int, key: int) -> CheckReport:
     """Empirical check of the noise-floor probability bound."""
-    if d < 4:
-        raise InvalidParameterError(f"need d >= 4, got {d}")
+    if not (is_integer(d) and d >= 4):
+        raise InvalidParameterError(f"d must be an integer >= 4, got {d}")
     if not (2.0 <= q <= 2.0 + math.log(d)):
         raise InvalidParameterError(f"q must lie in [2, 2 + log d], got {q}")
     if not (0.0 < t < 1.0):

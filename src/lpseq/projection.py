@@ -1,46 +1,19 @@
 """Euclidean projection onto lp balls, for every norm index p in [0, inf].
 
-For p > 1 the projection is computed from its coordinatewise dual
-characterization: each output magnitude solves ``psi + lam*psi**(p-1) = |y_i|``
-at the common multiplier ``lam*`` that makes the shrunk vector exactly
-feasible.  Newton steps on ``S**(-1/q) - 1``, ``S`` the strictly decreasing
-dual sum and ``q = p/(p-1)``, start at the dual norm ``||y/r||_q``, an upper
-bound on ``lam*``; where the roots follow their power law in ``lam`` that
-target is linear, exactly so at p = 2.  Bisection takes over where a step
-leaves the bracket (the nested zero-finding of Liu & Ye, 2010).  At the
-closed-form indices p in {1.5, 2, 3} the dual sum and its slope are products
-of the closed form's own intermediates, each summed in one pass with no
-per-element power or slope array; psi is formed only for the rows that stop at
-an evaluation, and the slopes are summed only where some row steps on.  The
-block's norms take exact products there, summed in one pass, from each row's
-maximum and the block over it, taken once per block.  Elsewhere each dual-sum
-evaluation after the first starts its inner Newton roots at the second-order
-log-log tangent of the previous ones, continuing the inner solve, and takes
-``log psi`` and ``psi**(p-1)`` from that solve's last Newton pass, against
-``log(|y|/r)`` taken once per search; it takes no ``log`` or ``pow`` of its
-own except on roots flushed to 0 or clamped to ``|y|/r``.  ``p = 1`` uses
-exact sort-and-threshold water filling, ``p = 0`` keeps the largest
-magnitudes, ``p = inf`` clips.
-For p in (0, 1) the problem is nonconvex; its global minimizer keeps a prefix of
-the sorted magnitudes, at most the last kept one on the lower root of the fixed
-point, and one solver enumerates every prefix size under both branch patterns:
-a multiplier grid brackets each size's roots, Newton steps solve the cells
-where the power sum is monotone, and only cells where it may turn are split.
-The same pruning bounds certify the point: its gap is the objective minus the
-least bound of the cells the enumeration leaves unresolved, 0 where it
-resolves them all.
+``project`` and ``project_many`` take one vector or each row of a block;
+the solvers work on the unit ball, on ``t = |y|/r``, and the point is mapped
+back.  Which function does what:
 
-General radii are handled by solving on the unit ball after rescaling
-``y / r`` and mapping the solution back.
-
-``project_many`` projects each row of an ``(n, d)`` block, bit for bit as
-``project`` does.  For p > 1 one multiplier search runs on the whole block:
-each of its dual-sum evaluations is one vectorized call over the whole block,
-while every row keeps its bracket and Newton step in plain floats, so it takes
-the iterates it would alone, its warm starts come from its own previous
-roots, and a row that has stopped keeps its multiplier and the ``psi`` of the
-evaluation where it stopped; it is not recomputed.  A block thus costs its
-slowest row's evaluations times its rows.  ``project`` runs that search on one row.
+- ``_find_lambda_star``: p > 1, the multiplier search on the dual sum (the
+  nested zero-finding of Liu & Ye, 2010), evaluated by ``_dual_sums`` at
+  generic p and from the closed forms' intermediates at p in {1.5, 2, 3}.
+- ``_project_l1_unit``: p = 1, sort-and-threshold water filling.
+- ``_project_quasinorm_unit``: p in (0, 1), the global minimizer by certified
+  enumeration of prefix supports (``_prefix_points``, ``_cell_shapes``,
+  ``_cell_bound``, ``_cell_roots``), whose bounds also certify the point.
+- ``project_top_s`` and ``project_clip``: p = 0 and p = inf, directly.
+- ``_inside_unit``, ``_lp_norms``, ``_power_sums``, ``_kkt_pieces``: the
+  feasibility test, the norms and the KKT residual.
 """
 
 from __future__ import annotations
@@ -57,7 +30,6 @@ from .shrinkage import (
     FLUSH_TOL,
     _closed_falls,
     _closed_psi,
-    _closed_sums,
     _closed_terms,
     _root_terms,
     branch_roots,
@@ -257,7 +229,8 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
         if closed:
             lam_c = _lam_column(lam)
             v, root = _closed_terms(p, lam_c, T)
-            values = _closed_sums(p, v).tolist()
+            sums = _power_sums(v, 2.0 if p == 2.0 else 3.0)  # psi**p: v**2 at p = 2, else v**3
+            values = sums.tolist()
         else:
             values, falls, psi, log_psi, dpsi = _dual_sums(p, lam, T, log_T, start)
         stopped, moving = [], []
@@ -282,7 +255,7 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
         if not moving:
             return lam, kept, iterations
         if closed:
-            falls = _closed_falls(p, lam_c, v, root).tolist()
+            falls = _closed_falls(p, lam_c, v, root, sums).tolist()
         previous = lam[:]
         for i in moving:
             lam_i, value, fall = lam[i], values[i], falls[i]
@@ -357,15 +330,14 @@ def _rescaled(lam: float, radius: float, power: float) -> float:
         return math.inf
 
 
-def _project_l1_unit(t: np.ndarray):
-    """Water-filling threshold for the unit l1 ball; t = |y|, sum(t) > 1.
+def _project_l1_unit(t: np.ndarray, top: float):
+    """Water-filling threshold for the unit l1 ball; t = |y|, sum(t) > 1, top = max(t).
 
     In the gaps ``v = max(t) - t`` the kept magnitudes are
     ``(1 + sum_{i<=rho} v_i)/rho - v_j``.  Gaps of magnitudes that can be
     kept, within 1 of the top, are exact, so no scale of ``t`` makes the
     threshold cancel against it.
     """
-    top = float(np.max(t))
     v = top - np.sort(t)[::-1]
     level = (1.0 + np.cumsum(v)) / np.arange(1, t.size + 1)
     rho = int(np.max(np.nonzero(v < level)[0]))  # v[0] = 0 < level[0] = 1
@@ -500,12 +472,13 @@ def _cell_roots(p: float, ts: np.ndarray, budget: float, a: np.ndarray, b: np.nd
     return lam, x, cand, np.abs(s / budget - 1.0), float(floor.min()), evals
 
 
-def _project_quasinorm_unit(p: float, t: np.ndarray):
+def _project_quasinorm_unit(p: float, t: np.ndarray, scale: float):
     """Global minimizer of ``||x - t||**2/2`` over ``sum(x**p) <= 1``, p in (0, 1).
 
-    ``t`` holds magnitudes with ``sum(t**p) > 1``.  A minimizer (Yang, Wang &
-    Wang, JMLR 2022) keeps a prefix of ``t`` sorted in descending order, since
-    swapping a kept smaller magnitude for a dropped larger one never hurts.
+    ``t`` holds magnitudes with ``sum(t**p) > 1`` and maximum ``scale``.  A
+    minimizer (Yang, Wang & Wang, JMLR 2022) keeps a prefix of ``t`` sorted in
+    descending order, since swapping a kept smaller magnitude for a dropped
+    larger one never hurts.
     On the boundary it solves ``x + lam*x**(p-1) = t`` with ``lam > 0`` on
     its support, at most one coordinate on the lower root (two make the
     Lagrangian Hessian negative on a 2-D tangent direction), and that one is
@@ -545,7 +518,6 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
     are dropped, with no bound in the gap.  Returns ``(x, lam, gap, evals)``;
     a prefix kept as is comes back as the entries of ``t`` themselves.
     """
-    scale = float(np.max(t))
     order = np.argsort(-t, kind="stable")
     ts = t[order] / scale
     budget = scale**-p  # the constraint is sum(x**p) <= budget in these units
@@ -635,9 +607,9 @@ def _project_quasinorm_unit(p: float, t: np.ndarray):
 def project(ball: LpBall, y: np.ndarray) -> ProjectionResult:
     """Euclidean projection of ``y`` onto the ball.
 
-    Unique minimizer for p >= 1.  For p in (0, 1) a global minimizer, by the
-    prefix-support structure in the module docstring, with the enumeration's
-    certificate as ``duality_gap``; it keeps a prefix of ``y`` with
+    Unique minimizer for p >= 1.  For p in (0, 1) a global minimizer, found
+    and certified (``duality_gap``) by the enumeration of
+    :func:`_project_quasinorm_unit`; it keeps a prefix of ``y`` with
     multiplier 0 or lies on the boundary.  For p > 1 the multiplier search
     stops at ``LAMBDA_GAP_TOL``.
     Raises ``InvalidParameterError`` where ``max|y|/r`` overflows, and for
@@ -676,7 +648,7 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
         return []
 
     # each row's maximum and T over it are taken once, for the inside test,
-    # the multiplier search and the KKT check
+    # the solvers and the KKT check
     with np.errstate(over="ignore"):
         T = np.abs(Y) / r
         tops = np.max(T, axis=1)
@@ -703,9 +675,9 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
         mags, lams, iters = np.empty_like(T), [0.0] * len(outside), [0] * len(outside)
         for k, t in enumerate(T):
             if p == 1:
-                mags[k], lams[k] = _project_l1_unit(t)
+                mags[k], lams[k] = _project_l1_unit(t, tops[k])
             else:
-                mags[k], lams[k], gap_unit, iters[k] = _project_quasinorm_unit(p, t)
+                mags[k], lams[k], gap_unit, iters[k] = _project_quasinorm_unit(p, t, tops[k])
                 gaps[k] = gap_unit * r * r
     points = np.sign(Y) * mags * r
     if p < 1:  # a magnitude kept as is is returned as is, not as (|y|/r)*r

@@ -1,12 +1,11 @@
-"""Scalar shrinkage kernels.
+"""Scalar shrinkage: roots of ``psi + lam*psi**(p-1) = t`` at magnitudes ``t >= 0``.
 
-The inner problem everywhere in this package is the one-dimensional fixed
-point ``psi + lam * psi**(p-1) = t`` for a magnitude ``t >= 0``.  Its solution
-is the proximal operator of ``x -> (lam/p) * x**p`` evaluated at ``t``: a
-nonlinear shrinkage of ``t`` toward zero.  For ``p >= 1`` the positive
-solution is unique; for ``p in (0, 1)`` the equation can have two positive
-roots, which ``branch_roots`` returns branch by branch for the p < 1
-projection to compare.
+- ``soft_threshold``: the p = 1 shrinkage of signed entries.
+- ``psi_many``: the root for p >= 1, which is unique.
+- ``_closed_terms``, ``_closed_psi``, ``_closed_falls``: the closed forms at
+  p in {1.5, 2, 3}, whose intermediates the p > 1 multiplier search sums.
+- ``_root_terms``, ``_branch_root``: Newton steps in ``log psi`` at other p.
+- ``branch_vanish_lambda``, ``branch_roots``: the two roots for p < 1.
 """
 
 from __future__ import annotations
@@ -56,36 +55,27 @@ def _flush(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def psi_many(p: float, lam, t, tol: float = DEFAULT_TOL, start=None) -> np.ndarray:
+def psi_many(p: float, lam, t) -> np.ndarray:
     """Elementwise positive solution of ``psi + lam*psi**(p-1) = t``, p >= 1.
 
-    ``lam`` may be a scalar or an array broadcastable against ``t``; both
-    must be at least 0, or ``InvalidParameterError`` is raised (also for NaN).
-    Scalars give a 0-d array.  The returned psi lies in ``[0, t]`` and satisfies
-    ``|psi + lam*psi**(p-1) - t| <= max(tol, ROOT_FLOOR*eps*t*(1 + |log t|))``,
-    the second term being the residual's rounding floor at large ``t``
-    (reached from ``ROOT_FLOOR_STEP`` Newton steps on).
-    Closed forms are used for ``p`` in ``CLOSED_FORMS``, which ignore
-    ``start``; at 1.5, 2 and 3 they are those of :func:`_closed_terms`, from
-    whose intermediates the p > 1 multiplier search sums powers and slopes.  Other
-    indices take Newton steps in ``log psi``.  They begin at ``start`` where
-    it is given: guesses of ``log psi`` broadcastable against ``t``, such as
-    the log-roots at a nearby ``lam``, clamped into the bracket of
-    :func:`_branch_root`, NaN taken as its cold start.
+    ``lam`` and ``t`` broadcast together and must be at least 0, or
+    ``InvalidParameterError`` is raised (also for NaN); scalars give a 0-d
+    array.  The returned psi lies in ``[0, t]`` with residual at most
+    ``max(DEFAULT_TOL, ROOT_FLOOR*eps*t*(1 + |log t|))``.  At p in
+    ``CLOSED_FORMS`` it is a closed form; elsewhere :func:`_root_terms`.
     """
     lam_arr, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(t, dtype=float))
     if not ((lam_arr >= 0).all() and (t >= 0).all()):  # also NaN
         raise InvalidParameterError("psi_many requires lam >= 0 and t >= 0")
     if t.ndim == 0:  # solved as a block of one, so the kernels below index an array
-        return psi_many(p, lam_arr[None], t[None], tol,
-                        None if start is None else np.reshape(start, 1)).reshape(())
+        return psi_many(p, lam_arr[None], t[None]).reshape(())
     if p not in CLOSED_FORMS:
         if p < 1.0:
             raise InvalidParameterError("psi_many requires p >= 1; use branch_roots for p < 1")
         with np.errstate(divide="ignore"):  # log 0 = -inf, where psi = t = 0
             log_t = np.log(t)
-        return _root_terms(p, np.asarray(lam, dtype=float), t, log_t, tol, start)[0]
+        return _root_terms(p, np.asarray(lam, dtype=float), t, log_t, DEFAULT_TOL)[0]
     if p == 1.0:
         return _flush(np.maximum(t - lam_arr, 0.0))
     with np.errstate(invalid="ignore"):  # 0/0 at p = 1.5, lam = t = 0
@@ -98,12 +88,13 @@ def _closed_terms(p: float, lam, t):
     ``lam > 0`` broadcasts against ``t >= 0``; multipliers are scaled and
     squared before they are broadcast, so a column of them costs one operation
     per row.  psi is ``v*v`` at p = 1.5 and ``v`` at p = 2 and 3, flushed by
-    :func:`_closed_psi`; :func:`_closed_sums` and :func:`_closed_falls` sum a
-    block's rows of ``psi**p`` and of ``-d(psi**p)/dlam`` from ``v`` and
-    ``root`` as products in one pass, with no power or slope array.  With
-    ``-d psi/dlam = psi**(p-1)/(1 + lam*(p-1)*psi**(p-2))``: at p = 1.5,
-    ``u = sqrt(psi)`` solves ``u*u + lam*u = t``: with ``h = lam/2`` and
-    ``root = sqrt(h*h + t) = u + h``, ``v = u = t/(h + root)`` (the conjugate
+    :func:`_closed_psi`.  A block's rows of ``psi**p`` sum as ``v**2`` at p =
+    2 and ``v**3`` otherwise, and :func:`_closed_falls` sums those of
+    ``-d(psi**p)/dlam`` from ``v`` and ``root``, as products in one pass with
+    no power or slope array.  With ``-d psi/dlam = psi**(p-1)/(1 +
+    lam*(p-1)*psi**(p-2))``: at p = 1.5, ``u = sqrt(psi)`` solves ``u*u +
+    lam*u = t``: with ``h = lam/2`` and ``root = sqrt(h*h + t) = u + h``,
+    ``v = u = t/(h + root)`` (the conjugate
     form, free of cancellation), the sum is ``sum(u**3)`` and the slope sum
     ``1.5*sum(u*u*(u/root))``.  At p = 2 ``v = t/(1 + lam)``, ``root`` is None
     and the slope sum is ``2*sum/(1 + lam)``; at p = 3, with ``root = sqrt(1 +
@@ -136,17 +127,12 @@ def _closed_psi(p: float, v: np.ndarray, rows=...) -> np.ndarray:
         return _flush(np.square(v[rows]) if p == 1.5 else v[rows])
 
 
-def _closed_sums(p: float, v: np.ndarray) -> np.ndarray:
-    """Each row's sum of ``psi**p`` over a block ``v`` from :func:`_closed_terms`."""
-    # where psi is flushed, its power is below double range: 0
-    return np.einsum("ij,ij->i", v, v) if p == 2.0 else np.einsum("ij,ij,ij->i", v, v, v)
-
-
-def _closed_falls(p: float, lam, v: np.ndarray, root) -> np.ndarray:
+def _closed_falls(p: float, lam, v: np.ndarray, root, sums: np.ndarray) -> np.ndarray:
     """Each row's sum of ``-d(psi**p)/dlam`` over a block ``(v, root)`` from
-    :func:`_closed_terms` at the multipliers ``lam`` it was taken at."""
+    :func:`_closed_terms` at the multipliers ``lam`` it was taken at; ``sums``
+    are the rows' sums of ``psi**p``, which it scales at p = 2."""
     if p == 2.0:
-        return np.ravel(2.0 / (1.0 + lam)) * _closed_sums(p, v)
+        return np.ravel(2.0 / (1.0 + lam)) * sums
     # 0/0 at p = 1.5 and t = 0 where h*h underflows; v*v past double range
     with np.errstate(invalid="ignore", over="ignore"):
         ratio = v / root if p == 1.5 else np.square(v) / root
@@ -163,8 +149,10 @@ def _root_terms(p: float, lam, t: np.ndarray, log_t: np.ndarray, tol: float, sta
     ``lam >= 0`` is a scalar or an array broadcastable against ``t >= 0``, left
     unbroadcast so a column of multipliers costs one log each, and ``log_t`` is
     ``np.log(t)``, which a caller that solves against the same ``t`` many times
-    takes once.  ``tol`` and ``start`` are as in :func:`psi_many`, whose ``psi``
-    this returns bit for bit.  The logarithm and the power are those of the last
+    takes once.  ``tol`` and ``start``, guesses of ``log psi`` such as the
+    log-roots at a nearby ``lam``, go to :func:`_branch_root`; at
+    ``DEFAULT_TOL`` and no ``start`` this is :func:`psi_many`'s ``psi`` bit
+    for bit.  The logarithm and the power are those of the last
     Newton pass, ``s`` and ``exp((p-1)*s)``; only where ``psi`` is not that
     pass's ``exp(s)`` (flushed to 0, clamped to ``t``, or ``t`` itself at a
     zero ``t`` or ``lam``) are they taken from ``psi`` by ``log`` and ``pow``.

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameterError, is_integer
+from .errors import DimensionMismatchError, InvalidParameterError, is_integer
 from .estimators import ESTIMATOR_KINDS, EstimatorSpec, estimate
 from .instances import sparsity_scaling, spike_instance
 from .projection import LpBall, project_many
@@ -222,6 +222,9 @@ def estimate_risk(spec: EstimatorSpec, theta_star: np.ndarray, sigma: float,
         raise InvalidParameterError(f"reps must be >= 1, got {reps}")
     if not (sigma > 0):
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
+    if np.ndim(theta_star) != 1 or np.size(theta_star) == 0:
+        raise DimensionMismatchError(f"theta_star must be a nonempty vector, got shape "
+                                     f"{np.shape(theta_star)}")
     errors = np.empty(reps)
     kkt, iterations = 0.0, 0
     rows = max(1, BLOCK_ELEMENTS // theta_star.size)

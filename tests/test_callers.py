@@ -1,0 +1,50 @@
+"""Every top-level function and class of lpseq has a caller outside the tests.
+
+A helper that only the tests reach is code the package carries for nothing:
+either the package should use it, or it belongs with the tests.  A name
+counts as used when the code of ``src/``, ``scripts/`` or ``perfbench/``
+refers to it outside its own definition, as a name, an attribute or a string
+(the benchmark looks names up by string), or when ``lpseq.__all__`` exports it.
+"""
+
+import ast
+from pathlib import Path
+
+import lpseq
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lpseq"
+
+
+def _references(tree: ast.Module) -> set:
+    """Names, attributes and identifier strings the module refers to, each
+    outside the top-level definition of the same name."""
+    found = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def test_every_top_level_name_has_a_caller():
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+    used = set(lpseq.__all__)
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    assert defined  # the scan sees the package
+    assert sorted(f"{file}:{name}" for name, file in defined.items() if name not in used) == []

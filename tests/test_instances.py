@@ -66,8 +66,6 @@ def test_flat_instance_validation():
         flat_sparse_instance(0.1, 1.5, 3)
     with pytest.raises(InvalidParameterError):
         flat_sparse_instance(0.0, 1.5, 100)
-    with pytest.raises(InvalidParameterError):
-        flat_sparse_instance(0.1, 1.5, 100, delta=1.5)
 
 
 def test_sparsity_scaling_endpoints():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,11 @@ from scipy import integrate, stats
 
 from lpseq.errors import InvalidParameterError
 from lpseq.oracles import (
+    _noise_term_rows,
     brute_force_projection,
     check_mle_variance,
     check_noise_term,
     check_small_ball,
-    noise_term_value,
-    noise_term_value_by_enumeration,
     phi_lower_witness,
     run_suite,
     sparse_cap_bound,
@@ -130,16 +130,30 @@ def test_small_ball_precondition():
         check_small_ball(100, 1.5, 100, key=0)
     with pytest.raises(InvalidParameterError):
         check_small_ball(100, 2 * math.log(100) + 0.1, 100, key=0)
+    for D in (100.0, 100.5, True):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            check_small_ball(D, 2.0, 100, key=0)
+
+
+def _noise_term_by_enumeration(xi, q):
+    """The trimmed noise statistic as its definition reads: over coordinates
+    ``m/2+1 .. m`` (m the largest multiple of 4 at most d), 4/m times the
+    least sum of ``|xi_i|**q`` over subsets of m/4 of them."""
+    m = xi.size - xi.size % 4
+    block = np.abs(xi[m // 2: m]) ** q
+    return 4.0 / m * min(float(block[list(comb)].sum())
+                         for comb in itertools.combinations(range(block.size), m // 4))
 
 
 def test_noise_term_two_ways_agree():
+    # the sum of the smallest quarter, by partition, is the least subset sum
     rng = np.random.default_rng(9)
     for d in (8, 12, 16):
         for _ in range(20):
             xi = rng.standard_normal(d)
-            a = noise_term_value(xi, 3.0)
-            b = noise_term_value_by_enumeration(xi, 3.0)
-            assert a == pytest.approx(b, abs=1e-15)
+            m = d - d % 4
+            a = float(_noise_term_rows(xi[None, m // 2: m], 3.0)[0])
+            assert a == pytest.approx(_noise_term_by_enumeration(xi, 3.0), abs=1e-15)
 
 
 def test_noise_term_checks_pass():
@@ -161,6 +175,15 @@ def test_noise_term_validation():
         check_noise_term(100, 1.0, 0.5, 10, key=0)
     with pytest.raises(InvalidParameterError):
         check_noise_term(100, 3.0, 1.5, 10, key=0)
+    for d in (10.5, 100.0):  # a float d used to fail inside the draw, with a TypeError
+        with pytest.raises(InvalidParameterError, match="integer"):
+            check_noise_term(d, 3.0, 0.5, 10, key=0)
+
+
+def test_sparse_cap_validation():
+    for d, s in ((10, 0), (10, 11), (10, 2.5), (10.0, 2), (10, True)):
+        with pytest.raises(InvalidParameterError):
+            sparse_cap_width(d, s, 10, key=0)
 
 
 def test_monte_carlo_checks_need_a_draw():

@@ -482,17 +482,22 @@ def _independent_dual(p, y, r, points=200, jumps=None):
 
 
 def _assert_certificate(p, y, r, **grid):
+    """The objective minus the reported gap is at least the weak dual's exact
+    maximum; where ``grid`` arguments are given, that maximum is also checked
+    against the grid dual of :func:`_independent_dual`, which never exceeds it."""
     res = project(LpBall(p=p, dim=y.size, radius=r), y)
     assert math.isfinite(res.duality_gap) and res.duality_gap >= 0.0
     if lp_norm(y, p) > r:
         implied = _objective(res.point, y) - res.duality_gap
-        dual = _independent_dual(p, y, r, **grid)
+        dual = _weak_dual(p, y, r)
         assert implied >= dual - 1e-12 * abs(dual)
+        if grid:
+            assert _independent_dual(p, y, r, **grid) <= dual + 1e-12 * abs(dual)
     return res
 
 
 def test_quasinorm_dual_certificate_batch():
-    # the reported gap leaves a dual value at least the best on a dense grid
+    # the reported gap leaves a value at least the weak dual's maximum
     rng = np.random.default_rng(2024)
     for _ in range(800):
         p = float(rng.uniform(0.02, 0.99))

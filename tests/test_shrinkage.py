@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpseq.errors import InvalidParameterError
+from lpseq.projection import _power_sums
 from lpseq.shrinkage import (
+    DEFAULT_TOL,
     _closed_falls,
     _closed_psi,
-    _closed_sums,
     _closed_terms,
     _root_terms,
     branch_roots,
@@ -71,7 +72,8 @@ def test_psi_invalid_parameters():
 @pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1.1, 1.3, 1.7, 2.5, 4.0, 50.0, 1e4])
 def test_root_terms_match_psi_many_and_power_reference(p):
     # the generic-p dual sum takes psi, log psi and psi**(p-1) from one
-    # kernel: psi is psi_many's bit for bit, and the power sum and slope built
+    # kernel: psi is psi_many's bit for bit from a cold start, and, from a
+    # cold or a warm start, the log and the power sum and slope built
     # on the returned power match those built on pow(psi, p-1).  Both carry
     # psi's rounding, which the power magnifies (p-1)-fold, so at p = 1e4 they
     # agree to about p*eps (1e-12), and to 1e-13 up to p = 50.
@@ -88,8 +90,9 @@ def test_root_terms_match_psi_many_and_power_reference(p):
         with np.errstate(divide="ignore"):
             log_t, warm = np.log(T), np.log(psi_many(p, 1.5 * lam, T))
         for start in (None, warm):
-            psi, log_psi, power = _root_terms(p, lam, T, log_t, 1e-12, start)
-            np.testing.assert_array_equal(psi, psi_many(p, lam, T, 1e-12, start))
+            psi, log_psi, power = _root_terms(p, lam, T, log_t, DEFAULT_TOL, start)
+            if start is None:
+                np.testing.assert_array_equal(psi, psi_many(p, lam, T))
             with np.errstate(divide="ignore", over="ignore"):
                 ref_log, ref_power = np.log(psi), psi ** (p - 1.0)
             np.testing.assert_allclose(log_psi, ref_log, rtol=4e-16, atol=4e-16)
@@ -112,7 +115,7 @@ def test_psi_residual_on_random_grid(p):
     rng = np.random.default_rng(7)
     t = 10.0 ** rng.uniform(-6, 2, size=300)
     lam = 10.0 ** rng.uniform(-6, 3, size=300)
-    psi = psi_many(p, lam, t, tol=1e-12)
+    psi = psi_many(p, lam, t)
     resid = np.abs(psi + lam * psi ** (p - 1.0) - t)
     assert np.all(psi >= 0)
     assert np.all(psi <= t + 1e-15)
@@ -121,15 +124,16 @@ def test_psi_residual_on_random_grid(p):
 
 @pytest.mark.parametrize("p", [1.05, 1.3, 1.7, 2.6, 4.5, 50.0])
 def test_psi_start_anywhere_meets_residual(p):
-    # a start at the root, far on either side of it, or not finite at all
-    # still gives a root in [0, t] within the residual bound above
+    # a start of the generic-p kernel at the root, far on either side of it,
+    # or not finite at all still gives a root in [0, t] within the residual
+    # bound above
     rng = np.random.default_rng(8)
     t = 10.0 ** rng.uniform(-6, 2, size=300)
     lam = 10.0 ** rng.uniform(-6, 3, size=300)
     at_root = np.log(psi_many(p, lam, t))
     for start in (at_root, at_root - 30.0, at_root + 30.0,
                   np.full(300, np.nan), np.full(300, -np.inf), np.full(300, np.inf)):
-        psi = psi_many(p, lam, t, 1e-12, start)
+        psi = _root_terms(p, lam, t, np.log(t), DEFAULT_TOL, start)[0]
         resid = np.abs(psi + lam * psi ** (p - 1.0) - t)
         assert np.all(psi >= 0)
         assert np.all(psi <= t + 1e-15)
@@ -142,6 +146,10 @@ def test_closed_terms_match_power_and_generic_slope(p):
     # that flush, and products 4*lam*t that overflow the p = 3 root
     lams = np.array([1e-300, 1.0, 1e149, 1e151, 1e300])
     t = np.array([0.0, 1e-305, 1e-150, 1e-5, 1.0, 7.5, 1e150, 1e300])
+
+    def sums(v):  # each row's sum of psi**p, as the multiplier search takes it
+        return _power_sums(v, 2.0 if p == 2.0 else 3.0)
+
     v, root = _closed_terms(p, lams[:, None], t)
     rows = [3, 0, 4]  # psi of some rows is those rows of psi
     picked = _closed_psi(p, v, rows)
@@ -157,7 +165,8 @@ def test_closed_terms_match_power_and_generic_slope(p):
     # (finite wherever the slope itself is)
     lam_e = np.repeat(lams, t.size)[:, None]
     v_e, root_e = _closed_terms(p, lam_e, np.tile(t, lams.size)[:, None])
-    power, slope = _closed_sums(p, v_e), _closed_falls(p, lam_e, v_e, root_e)
+    power = sums(v_e)
+    slope = _closed_falls(p, lam_e, v_e, root_e, power)
     psi, lam = psi.ravel(), lam_e.ravel()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pw = psi ** (p - 1.0)
@@ -175,13 +184,13 @@ def test_closed_terms_match_power_and_generic_slope(p):
     # a block row sums its elements' powers and slopes
     block = lams[:, None]
     with np.errstate(over="ignore"):
-        np.testing.assert_allclose(_closed_sums(p, v), exact.reshape(v.shape).sum(axis=1),
+        np.testing.assert_allclose(sums(v), exact.reshape(v.shape).sum(axis=1),
                                    rtol=1e-13, atol=tiny)
-        np.testing.assert_allclose(_closed_falls(p, block, v, root),
+        np.testing.assert_allclose(_closed_falls(p, block, v, root, sums(v)),
                                    generic.reshape(v.shape).sum(axis=1), rtol=1e-13, atol=tiny)
     # every psi of these magnitudes is flushed, and adds 0 to both sums
     v, root = _closed_terms(p, block, np.array([0.0, 1e-305]))
-    assert np.all(_closed_sums(p, v) == 0) and np.all(_closed_falls(p, block, v, root) == 0)
+    assert np.all(sums(v) == 0) and np.all(_closed_falls(p, block, v, root, sums(v)) == 0)
     assert np.all(_closed_psi(p, v) == 0)
 
 
@@ -347,8 +356,6 @@ def test_psi_many_zero_dim_t(p):
         got = psi_many(p, lam, t)
         assert isinstance(got, np.ndarray) and got.shape == ()
         assert got.tobytes() == psi_many(p, [lam], [t])[0].tobytes()
-    got = psi_many(p, np.asarray(0.5), np.asarray(2.0), start=0.3)
-    assert got.shape == () and got.tobytes() == psi_many(p, [0.5], [2.0], start=[0.3]).tobytes()
 
 
 def test_flush_to_zero():

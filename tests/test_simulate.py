@@ -139,6 +139,14 @@ def test_estimate_risk_zero_estimator_exact():
     assert out.reps == 5
 
 
+@pytest.mark.parametrize("theta", [np.zeros(0), np.zeros((2, 5))])
+def test_estimate_risk_rejects_a_theta_star_that_is_not_a_vector(theta):
+    # an empty one used to divide by zero, a 2-D one to fail in numpy broadcasting
+    for kind in ("zero", "identity"):
+        with pytest.raises(DimensionMismatchError, match="theta_star"):
+            estimate_risk(EstimatorSpec(kind=kind), theta, 0.5, 5, seed=1)
+
+
 def test_estimate_risk_identity_chi_square():
     d, sigma, reps = 60, 0.7, 400
     theta = spike_instance(d)
