@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_integer
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class HardInstanceParams:
 
 def spike_instance(d: int) -> np.ndarray:
     """First canonical basis vector; unit lp norm for every p."""
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
+    if not (is_integer(d) and d >= 1):
+        raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
     out = np.zeros(d)
     out[0] = 1.0
     return out
@@ -58,8 +58,8 @@ def flat_sparse_instance(sigma: float, p: float, d: int) -> HardInstanceParams:
     """
     if not (1.0 < p < 2.0):
         raise InvalidParameterError(f"flat instance requires p in (1, 2), got {p}")
-    if d < 4:
-        raise InvalidParameterError(f"flat instance requires d >= 4, got {d}")
+    if not (is_integer(d) and d >= 4):
+        raise InvalidParameterError(f"flat instance requires an integer d >= 4, got {d!r}")
     if not (sigma > 0):
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     q = p / (p - 1.0)

@@ -14,6 +14,10 @@ back.  Which function does what:
 - ``project_top_s`` and ``project_clip``: p = 0 and p = inf, directly.
 - ``_inside_unit``, ``_lp_norms``, ``_power_sums``, ``_kkt_pieces``: the
   feasibility test, the norms and the KKT residual.
+
+The solvers use IEEE infinities, NaNs and zero divisions on purpose, and the
+private kernels run under their caller's error state: ``project_many`` (so
+also ``project``) ignores numpy's floating-point warnings for the whole call.
 """
 
 from __future__ import annotations
@@ -174,11 +178,10 @@ def _dual_sums(p: float, lam: list, T: np.ndarray, log_T, start):
     # psi's error moves the sum p-fold
     psi, log_psi, pw = _root_terms(p, lam, T, log_T, min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL),
                                    start)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        power = psi * pw
-        dpsi = np.where(psi > 0, power / (psi + lam * (p - 1.0) * pw), 0.0)
-        value = np.sum(power, axis=1)
-        fall = p * np.sum(pw * dpsi, axis=1)
+    power = psi * pw
+    dpsi = np.where(psi > 0, power / (psi + lam * (p - 1.0) * pw), 0.0)
+    value = np.sum(power, axis=1)
+    fall = p * np.sum(pw * dpsi, axis=1)
     return value.tolist(), fall.tolist(), psi, log_psi, dpsi
 
 
@@ -223,8 +226,7 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     kept, start, log_T = np.empty_like(T), None, None
     closed = p in CLOSED_FORMS
     if not closed:
-        with np.errstate(divide="ignore"):  # log 0 = -inf, where psi = t = 0
-            log_T = np.log(T)
+        log_T = np.log(T)  # log 0 = -inf, where psi = t = 0
     for step_count in range(1, 201):
         if closed:
             lam_c = _lam_column(lam)
@@ -269,26 +271,24 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
             lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
         if not closed:
             log_ratio = _lam_column([math.log(new / old) for new, old in zip(lam, previous)])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # -d log psi/d log lam; nan at psi = 0: a cold start
-                w = _lam_column(previous) * dpsi / psi
-                curve = w * (1.0 - (p - 2.0) * w) * (1.0 - (p - 1.0) * w)
-                start = log_psi - log_ratio * w - (0.5 * log_ratio * log_ratio) * curve
+            # -d log psi/d log lam; nan at psi = 0: a cold start
+            w = _lam_column(previous) * dpsi / psi
+            curve = w * (1.0 - (p - 2.0) * w) * (1.0 - (p - 1.0) * w)
+            start = log_psi - log_ratio * w - (0.5 * log_ratio * log_ratio) * curve
 
 
 def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float, tops: list) -> list:
     """KKT residual of each row in unit-ball coordinates: ``T = |Y|/r``, ``M = |X|/r``,
     with ``tops`` the rows' maxima of ``T``."""
     lam_c = _lam_column(lam)
-    with np.errstate(all="ignore"):
-        pw = M ** (p - 1.0)
-        # a zero output needs a zero input, up to what a magnitude below the
-        # flush threshold s explains: s + lam*s**(p-1); for p < 1 it needs none.
-        # Where that leaves a negative term, the slackness below (>= 0) wins.
-        floor = FLUSH_TOL + lam_c * FLUSH_TOL ** (p - 1.0) if p >= 1 else np.inf
-        stat = np.where(M > 0, np.abs(T - M - lam_c * pw), T - floor)
-        # for p < 1, M*pw is 0*inf at zero outputs
-        sums = np.einsum("ij,ij->i", M, pw) if p >= 1 else np.sum(M**p, axis=1)
+    pw = M ** (p - 1.0)
+    # a zero output needs a zero input, up to what a magnitude below the
+    # flush threshold s explains: s + lam*s**(p-1); for p < 1 it needs none.
+    # Where that leaves a negative term, the slackness below (>= 0) wins.
+    floor = FLUSH_TOL + lam_c * FLUSH_TOL ** (p - 1.0) if p >= 1 else np.inf
+    stat = np.where(M > 0, np.abs(T - M - lam_c * pw), T - floor)
+    # for p < 1, M*pw is 0*inf at zero outputs
+    sums = np.einsum("ij,ij->i", M, pw) if p >= 1 else np.sum(M**p, axis=1)
     stat = np.max(stat / np.maximum(1.0, T), axis=1).tolist()
     return [max(st, abs(lam_i * (s - 1.0)) / max(1.0, top))
             for st, lam_i, s, top in zip(stat, lam, sums.tolist(), tops)]
@@ -381,8 +381,7 @@ def _prefix_points(p: float, lam: np.ndarray, ts: np.ndarray, js: np.ndarray,
 
 def _power_slope(p: float, x, t):
     """``d(x**p)/dlam`` along a root ``x`` of ``x + lam*x**(p-1) = t``, on either branch."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -p * x ** (2.0 * p - 1.0) / ((2.0 - p) * x - (1.0 - p) * t)
+    return -p * x ** (2.0 * p - 1.0) / ((2.0 - p) * x - (1.0 - p) * t)
 
 
 def _cell_shapes(p: float, ts: np.ndarray, vanish: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -445,26 +444,25 @@ def _cell_roots(p: float, ts: np.ndarray, budget: float, a: np.ndarray, b: np.nd
     t = ts[:cols.size]
     lo, hi, f_lo = a[0], b[0], a[1] + a[2] - budget
     open_, evals = np.ones(a.shape[1], dtype=bool), 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam = lo - f_lo * (hi - lo) / (b[1] + b[2] - budget - f_lo)
-        lam = np.where((lo < lam) & (lam < hi), lam, 0.5 * (lo + hi))
-        for _ in range(100):
-            x = np.where(live, branch_roots(p, lam[:, None], t, upper), 0.0)
-            evals += int(np.count_nonzero(open_))
-            s = np.sum(x**p, axis=1)
-            f = s - budget
-            same = np.sign(f) == np.sign(f_lo)  # the sum keeps its sign at lo
-            lo, hi = np.where(open_ & same, lam, lo), np.where(open_ & ~same, lam, hi)
-            short = (np.abs(f) > 1e-13 * budget) & (hi - lo > 1e-15 * hi)
-            open_ &= short & (lam > TINY_LAMBDA)
-            if not open_.any():
-                break
-            step = f / np.sum(np.where(live, _power_slope(p, x, t), 0.0), axis=1)
-            newton, log_newton = lam - step, lam * np.exp(-step / lam)
-            step = np.where((lo < newton) & (newton < hi) & (newton != lam), newton,
-                            np.where((lo < log_newton) & (log_newton < hi) & (log_newton != lam),
-                                     log_newton, 0.5 * (lo + hi)))
-            lam = np.where(open_, np.maximum(step, TINY_LAMBDA), lam)
+    lam = lo - f_lo * (hi - lo) / (b[1] + b[2] - budget - f_lo)
+    lam = np.where((lo < lam) & (lam < hi), lam, 0.5 * (lo + hi))
+    for _ in range(100):
+        x = np.where(live, branch_roots(p, lam[:, None], t, upper), 0.0)
+        evals += int(np.count_nonzero(open_))
+        s = np.sum(x**p, axis=1)
+        f = s - budget
+        same = np.sign(f) == np.sign(f_lo)  # the sum keeps its sign at lo
+        lo, hi = np.where(open_ & same, lam, lo), np.where(open_ & ~same, lam, hi)
+        short = (np.abs(f) > 1e-13 * budget) & (hi - lo > 1e-15 * hi)
+        open_ &= short & (lam > TINY_LAMBDA)
+        if not open_.any():
+            break
+        step = f / np.sum(np.where(live, _power_slope(p, x, t), 0.0), axis=1)
+        newton, log_newton = lam - step, lam * np.exp(-step / lam)
+        step = np.where((lo < newton) & (newton < hi) & (newton != lam), newton,
+                        np.where((lo < log_newton) & (log_newton < hi) & (log_newton != lam),
+                                 log_newton, 0.5 * (lo + hi)))
+        lam = np.where(open_, np.maximum(step, TINY_LAMBDA), lam)
     kappa = (budget / s) ** (1.0 / p)
     sq, cross = np.sum(x * x, axis=1), x @ t
     cand = 0.5 * kappa * kappa * sq - kappa * cross
@@ -623,6 +621,7 @@ def project(ball: LpBall, y: np.ndarray) -> ProjectionResult:
     return project_many(ball, y[None])[0]
 
 
+@np.errstate(all="ignore")
 def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
     """:func:`project` applied to each row of the ``(n, d)`` block ``Y``.
 
@@ -649,14 +648,12 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
 
     # each row's maximum and T over it are taken once, for the inside test,
     # the solvers and the KKT check
-    with np.errstate(over="ignore"):
-        T = np.abs(Y) / r
-        tops = np.max(T, axis=1)
-        unit = tops.max() ** (2.0 - p if p < 1 else 1.0)  # p < 1 multipliers are in this unit
+    T = np.abs(Y) / r
+    tops = np.max(T, axis=1)
+    unit = tops.max() ** (2.0 - p if p < 1 else 1.0)  # p < 1 multipliers are in this unit
     if not np.isfinite(unit):
         raise InvalidParameterError(f"max|y|/r (its power 2-p at p < 1) overflows at radius {r!r}")
-    with np.errstate(invalid="ignore"):  # 0/0 on a zero row
-        scaled = T / tops[:, None]
+    scaled = T / tops[:, None]  # 0/0 on a zero row
     tops = tops.tolist()
     feasible_gap = 0.0 if p < 1 else None
     results = [ProjectionResult(y.copy(), 0.0, 0.0, 0, feasible_gap) if inside else None

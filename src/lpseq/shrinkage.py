@@ -6,6 +6,11 @@
   p in {1.5, 2, 3}, whose intermediates the p > 1 multiplier search sums.
 - ``_root_terms``, ``_branch_root``: Newton steps in ``log psi`` at other p.
 - ``branch_vanish_lambda``, ``branch_roots``: the two roots for p < 1.
+
+The kernels use IEEE infinities, NaNs and zero divisions on purpose, and
+run under their caller's error state: ``psi_many`` and ``branch_roots``, like
+``projection.project_many``, ignore numpy's floating-point warnings for the
+whole call.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ def _flush(x: np.ndarray) -> np.ndarray:
     return x
 
 
+@np.errstate(all="ignore")
 def psi_many(p: float, lam, t) -> np.ndarray:
     """Elementwise positive solution of ``psi + lam*psi**(p-1) = t``, p >= 1.
 
@@ -73,13 +79,12 @@ def psi_many(p: float, lam, t) -> np.ndarray:
     if p not in CLOSED_FORMS:
         if p < 1.0:
             raise InvalidParameterError("psi_many requires p >= 1; use branch_roots for p < 1")
-        with np.errstate(divide="ignore"):  # log 0 = -inf, where psi = t = 0
-            log_t = np.log(t)
+        log_t = np.log(t)  # log 0 = -inf, where psi = t = 0
         return _root_terms(p, np.asarray(lam, dtype=float), t, log_t, DEFAULT_TOL)[0]
     if p == 1.0:
         return _flush(np.maximum(t - lam_arr, 0.0))
-    with np.errstate(invalid="ignore"):  # 0/0 at p = 1.5, lam = t = 0
-        return _flush(np.where(lam_arr == 0, t, _closed_psi(p, _closed_terms(p, lam, t)[0])))
+    # 0/0 at p = 1.5, lam = t = 0
+    return _flush(np.where(lam_arr == 0, t, _closed_psi(p, _closed_terms(p, lam, t)[0])))
 
 
 def _closed_terms(p: float, lam, t):
@@ -102,29 +107,27 @@ def _closed_terms(p: float, lam, t):
     ``3*sum(psi*psi*(psi**2/root))``.  A flushed psi adds 0 to both sums.
     """
     lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):  # powers past double range are inf
-        if p == 2.0:
-            return t / (1.0 + lam), None
-        if p == 1.5:
-            # h*h overflows once lam passes 2.6e154, where hypot takes over (chosen
-            # per element, so a result does not depend on the other lams of its call)
-            h = 0.5 * lam
-            root = np.sqrt(h * h + t)
-            if lam.max() >= 1e150:
-                root = np.where(lam < 1e150, root, np.hypot(h, np.sqrt(t)))
-            return t / (h + root), root
-        root = np.sqrt(1.0 + 4.0 * lam * t)  # p == 3
-        if np.isinf(root).any():  # where 4*lam*t overflows, the 1 beside it is below rounding
-            root = np.where(np.isinf(root), 2.0 * np.sqrt(lam) * np.sqrt(t), root)
-        return 2.0 * t / (1.0 + root), root
+    if p == 2.0:
+        return t / (1.0 + lam), None
+    if p == 1.5:
+        # h*h overflows once lam passes 2.6e154, where hypot takes over (chosen
+        # per element, so a result does not depend on the other lams of its call)
+        h = 0.5 * lam
+        root = np.sqrt(h * h + t)
+        if lam.max() >= 1e150:
+            root = np.where(lam < 1e150, root, np.hypot(h, np.sqrt(t)))
+        return t / (h + root), root
+    root = np.sqrt(1.0 + 4.0 * lam * t)  # p == 3
+    if np.isinf(root).any():  # where 4*lam*t overflows, the 1 beside it is below rounding
+        root = np.where(np.isinf(root), 2.0 * np.sqrt(lam) * np.sqrt(t), root)
+    return 2.0 * t / (1.0 + root), root
 
 
 def _closed_psi(p: float, v: np.ndarray, rows=...) -> np.ndarray:
     """psi on ``rows`` of ``v`` from :func:`_closed_terms` (all rows by default).
 
     At p = 2 and 3 psi on all rows is ``v`` itself, flushed in place."""
-    with np.errstate(over="ignore"):
-        return _flush(np.square(v[rows]) if p == 1.5 else v[rows])
+    return _flush(np.square(v[rows]) if p == 1.5 else v[rows])
 
 
 def _closed_falls(p: float, lam, v: np.ndarray, root, sums: np.ndarray) -> np.ndarray:
@@ -134,8 +137,7 @@ def _closed_falls(p: float, lam, v: np.ndarray, root, sums: np.ndarray) -> np.nd
     if p == 2.0:
         return np.ravel(2.0 / (1.0 + lam)) * sums
     # 0/0 at p = 1.5 and t = 0 where h*h underflows; v*v past double range
-    with np.errstate(invalid="ignore", over="ignore"):
-        ratio = v / root if p == 1.5 else np.square(v) / root
+    ratio = v / root if p == 1.5 else np.square(v) / root
     if p == 1.5:  # zero where psi = u*u is flushed, t = 0 too; at p = 3 v*v underflows there
         least = float(v.min())
         if least * least < FLUSH_TOL:
@@ -158,14 +160,13 @@ def _root_terms(p: float, lam, t: np.ndarray, log_t: np.ndarray, tol: float, sta
     zero ``t`` or ``lam``) are they taken from ``psi`` by ``log`` and ``pow``.
     """
     # where t or lam is 0, psi = t; a power past double range is inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x, log_psi, power = _branch_root(p, lam, t, log_t, True, tol, start)
-        psi = _flush(np.where((t > 0) & (lam > 0), np.minimum(x, t), t))
-        redo = (psi != x) | (psi == 0)  # x may have underflowed to psi = 0
-        if redo.any():
-            log_psi, power = np.asarray(log_psi), np.asarray(power)  # arrays also at 0-d
-            log_psi[redo] = np.log(psi[redo])
-            power[redo] = psi[redo] ** (p - 1.0)
+    x, log_psi, power = _branch_root(p, lam, t, log_t, True, tol, start)
+    psi = _flush(np.where((t > 0) & (lam > 0), np.minimum(x, t), t))
+    redo = (psi != x) | (psi == 0)  # x may have underflowed to psi = 0
+    if redo.any():
+        log_psi, power = np.asarray(log_psi), np.asarray(power)  # arrays also at 0-d
+        log_psi[redo] = np.log(psi[redo])
+        power[redo] = psi[redo] ** (p - 1.0)
     return psi, log_psi, power
 
 
@@ -202,21 +203,20 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, log_t: np.ndarray, up
     # back, the power is one exp of the summed logs
     wide = (p - 1.0) * (hi if p > 1 else lo) > 700.0
     guard = wide.any()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for step in range(ROOT_STEPS):
-            x, at = np.exp(s), s  # s moves past x when the last step leaves it open
-            power = np.exp((p - 1.0) * s)
-            pw = lam * power
-            if guard:
-                pw = np.where(wide, np.exp(log_lam + (p - 1.0) * s), pw)
-            f = x + pw - t
-            if step == ROOT_FLOOR_STEP:
-                tol = np.maximum(tol, ROOT_FLOOR * EPS * t * (1.0 + np.abs(log_t)))
-            open_ = np.abs(f) > tol
-            if not open_.any():
-                break
-            # minimum(maximum()) is np.clip's arithmetic without its wrapper's overhead
-            s = np.where(open_, np.minimum(np.maximum(s - f / (x + (p - 1.0) * pw), lo), hi), s)
+    for step in range(ROOT_STEPS):
+        x, at = np.exp(s), s  # s moves past x when the last step leaves it open
+        power = np.exp((p - 1.0) * s)
+        pw = lam * power
+        if guard:
+            pw = np.where(wide, np.exp(log_lam + (p - 1.0) * s), pw)
+        f = x + pw - t
+        if step == ROOT_FLOOR_STEP:
+            tol = np.maximum(tol, ROOT_FLOOR * EPS * t * (1.0 + np.abs(log_t)))
+        open_ = np.abs(f) > tol
+        if not open_.any():
+            break
+        # minimum(maximum()) is np.clip's arithmetic without its wrapper's overhead
+        s = np.where(open_, np.minimum(np.maximum(s - f / (x + (p - 1.0) * pw), lo), hi), s)
     return x, at, power
 
 
@@ -234,6 +234,7 @@ def branch_vanish_lambda(p: float, t) -> np.ndarray:
     return ((1.0 - p) * t / (2.0 - p)) ** (2.0 - p) / (1.0 - p)
 
 
+@np.errstate(all="ignore")
 def branch_roots(p: float, lam, t, upper) -> np.ndarray:
     """Roots of ``x + lam*x**(p-1) = t`` on the chosen branch, p < 1, for ``lam >= 0``.
 

@@ -317,6 +317,13 @@ def test_simulate_from_config(tmp_path, capsys):
     rows = list(csv.DictReader(out.splitlines()))
     assert len(rows) == 2
 
+    # --out writes the same bytes, creating the directories it names
+    csv_out = tmp_path / "new" / "dir" / "out.csv"
+    code, written, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(csv_out))
+    assert code == 0 and written == ""
+    assert csv_out.read_bytes() == out.encode("utf-8")
+    assert f"[lpseq] wrote {csv_out}" in err
+
     cfg["mystery"] = 1
     path.write_text(json.dumps(cfg), encoding="utf-8")
     code, _, err = run_cli(capsys, "simulate", "--config", str(path))

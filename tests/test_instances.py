@@ -23,6 +23,10 @@ def test_spike():
         assert lp_norm(spike_instance(5), p) == 1.0
     with pytest.raises(InvalidParameterError):
         spike_instance(0)
+    # a float or bool d is no dimension
+    for d in (4.5, 4.0, True):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            spike_instance(d)
 
 
 def test_flat_instance_fixture():
@@ -66,6 +70,9 @@ def test_flat_instance_validation():
         flat_sparse_instance(0.1, 1.5, 3)
     with pytest.raises(InvalidParameterError):
         flat_sparse_instance(0.0, 1.5, 100)
+    for d in (10.5, 100.0, True):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            flat_sparse_instance(0.1, 1.5, d)
 
 
 def test_sparsity_scaling_endpoints():

@@ -7,6 +7,7 @@ from scipy import integrate, stats
 
 from lpseq.errors import InvalidParameterError
 from lpseq.oracles import (
+    SUITES,
     _noise_term_rows,
     brute_force_projection,
     check_mle_variance,
@@ -230,7 +231,7 @@ def test_report_line_format():
 
 
 def test_suites_run_and_pass():
-    for name in ("monotone", "smallball", "noiseterm"):
+    for name in SUITES:  # every suite `lpseq verify` can run
         reports = run_suite(name, seed=3)
         assert reports and all(r.passed for r in reports)
     with pytest.raises(InvalidParameterError):

@@ -90,7 +90,8 @@ def test_root_terms_match_psi_many_and_power_reference(p):
         with np.errstate(divide="ignore"):
             log_t, warm = np.log(T), np.log(psi_many(p, 1.5 * lam, T))
         for start in (None, warm):
-            psi, log_psi, power = _root_terms(p, lam, T, log_t, DEFAULT_TOL, start)
+            with np.errstate(all="ignore"):  # as psi_many and project_many run it
+                psi, log_psi, power = _root_terms(p, lam, T, log_t, DEFAULT_TOL, start)
             if start is None:
                 np.testing.assert_array_equal(psi, psi_many(p, lam, T))
             with np.errstate(divide="ignore", over="ignore"):
@@ -150,23 +151,28 @@ def test_closed_terms_match_power_and_generic_slope(p):
     def sums(v):  # each row's sum of psi**p, as the multiplier search takes it
         return _power_sums(v, 2.0 if p == 2.0 else 3.0)
 
-    v, root = _closed_terms(p, lams[:, None], t)
-    rows = [3, 0, 4]  # psi of some rows is those rows of psi
-    picked = _closed_psi(p, v, rows)
-    psi = _closed_psi(p, v.copy())
+    # the kernels run under the error state psi_many and project_many set
+    with np.errstate(all="ignore"):
+        v, root = _closed_terms(p, lams[:, None], t)
+        rows = [3, 0, 4]  # psi of some rows is those rows of psi
+        picked = _closed_psi(p, v, rows)
+        psi = _closed_psi(p, v.copy())
     np.testing.assert_array_equal(psi_many(p, lams[:, None], t), psi)
     np.testing.assert_array_equal(picked, psi[rows])
     for k, lam in enumerate(lams):  # a scalar multiplier gives its row of the block
-        for alone, in_block in zip(_closed_terms(p, lam, t[None]), (v, root)):
+        with np.errstate(all="ignore"):
+            alone_terms = _closed_terms(p, lam, t[None])
+        for alone, in_block in zip(alone_terms, (v, root)):
             np.testing.assert_array_equal(alone, in_block if in_block is None else in_block[k:k + 1])
     # each element on a row of its own, so each row sum is one element's
     # power or slope: against psi**p and the slope the dual sum takes outside
     # CLOSED_FORMS, p*psi**(p-1)*dpsi, with dpsi = pw/(1 + lam*(p-1)*psi**(p-2))
     # (finite wherever the slope itself is)
     lam_e = np.repeat(lams, t.size)[:, None]
-    v_e, root_e = _closed_terms(p, lam_e, np.tile(t, lams.size)[:, None])
-    power = sums(v_e)
-    slope = _closed_falls(p, lam_e, v_e, root_e, power)
+    with np.errstate(all="ignore"):
+        v_e, root_e = _closed_terms(p, lam_e, np.tile(t, lams.size)[:, None])
+        power = sums(v_e)
+        slope = _closed_falls(p, lam_e, v_e, root_e, power)
     psi, lam = psi.ravel(), lam_e.ravel()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pw = psi ** (p - 1.0)
@@ -183,15 +189,18 @@ def test_closed_terms_match_power_and_generic_slope(p):
         assert np.all(fused[~finite] == np.inf)
     # a block row sums its elements' powers and slopes
     block = lams[:, None]
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         np.testing.assert_allclose(sums(v), exact.reshape(v.shape).sum(axis=1),
                                    rtol=1e-13, atol=tiny)
         np.testing.assert_allclose(_closed_falls(p, block, v, root, sums(v)),
                                    generic.reshape(v.shape).sum(axis=1), rtol=1e-13, atol=tiny)
     # every psi of these magnitudes is flushed, and adds 0 to both sums
-    v, root = _closed_terms(p, block, np.array([0.0, 1e-305]))
-    assert np.all(sums(v) == 0) and np.all(_closed_falls(p, block, v, root, sums(v)) == 0)
-    assert np.all(_closed_psi(p, v) == 0)
+    with np.errstate(all="ignore"):
+        v, root = _closed_terms(p, block, np.array([0.0, 1e-305]))
+        falls = _closed_falls(p, block, v, root, sums(v))
+        psi = _closed_psi(p, v)
+    assert np.all(sums(v) == 0) and np.all(falls == 0)
+    assert np.all(psi == 0)
 
 
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])
