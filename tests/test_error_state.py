@@ -9,7 +9,15 @@ error state and set none of their own.
 """
 
 import ast
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lpseq.errors import InvalidParameterError
+from lpseq.projection import LpBall, project, project_many
+from lpseq.shrinkage import branch_roots, psi_many
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lpseq"
 ENTRIES = {"projection.py": {"project_many"}, "shrinkage.py": {"psi_many", "branch_roots"}}
@@ -42,3 +50,28 @@ def test_errstate_only_decorates_the_entries():
                  if _names_errstate(node) and id(node) not in allowed]
         assert stray == [], "np.errstate outside the entries' decorators"
         assert decorated == entries
+
+
+def _entry_calls():
+    """Calls of the three entries that meet 0/0, log 0 and overflow inside."""
+    psi_many(1.5, 0.0, 0.0)  # 0-d, solved as a block of one
+    psi_many(1.3, 1e300, 1e-300)
+    branch_roots(0.5, 1e300, 1e300, True)
+    project(LpBall(p=1.3, dim=3, radius=1.0), np.array([1e300, -1e-300, 0.0]))
+    project_many(LpBall(p=0.5, dim=3, radius=1.0), np.array([[3.0, 0.0, -1.0]]))
+    with pytest.raises(InvalidParameterError):
+        psi_many(1.5, -1.0, 1.0)
+    return np.geterr()
+
+
+def test_entries_restore_the_callers_error_state():
+    before = np.geterr()
+    try:
+        np.seterr(all="raise")
+        assert _entry_calls() == np.geterr() == {key: "raise" for key in before}
+        with ThreadPoolExecutor(max_workers=2) as pool:  # each thread keeps its own state
+            states = list(pool.map(lambda _: _entry_calls(), range(4)))
+        assert all(state == states[0] for state in states)
+        assert np.geterr() == {key: "raise" for key in before}
+    finally:
+        np.seterr(**before)
