@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles, simulate
-from .errors import InvalidParameterError
 from .projection import LAMBDA_GAP_TOL, LpBall, project
 from .rates import RateQuery, classify_regime
 from .rng import check_seed
@@ -53,14 +52,9 @@ def _parse_vector(text: str) -> np.ndarray:
 def _cmd_project(args) -> int:
     p = float(args.p)
     y = _parse_vector(args.input)
-    if p == 0:
-        if args.sparsity is None:
-            raise InvalidParameterError("--p 0 requires --sparsity")
-        ball = LpBall(p=0.0, dim=y.size, sparsity=args.sparsity)
-    else:
-        ball = LpBall(p=p, dim=y.size, radius=args.radius)
-    _echo_config("project", {"p": args.p, "radius": args.radius,
-                             "sparsity": args.sparsity, "dim": int(y.size)})
+    radius = 1.0 if args.radius is None and p != 0 else args.radius
+    ball = LpBall(p=p, dim=y.size, radius=radius, sparsity=args.sparsity)
+    _echo_config("project", dataclasses.asdict(ball))
     result = project(ball, y)
     print("point:", ",".join(repr(float(v)) for v in result.point))
     print("multiplier:", repr(result.multiplier))
@@ -77,9 +71,7 @@ def _cmd_project(args) -> int:
 def _cmd_rates(args) -> int:
     query = RateQuery(p=float(args.p), d=args.d, sigma=args.sigma, radius=args.radius,
                       sparsity=args.sparsity, n=args.n, tau=args.tau)
-    _echo_config("rates", {"p": args.p, "d": args.d, "sigma": args.sigma,
-                           "radius": args.radius, "n": args.n, "tau": args.tau,
-                           "sparsity": args.sparsity})
+    _echo_config("rates", dataclasses.asdict(query))
     report = classify_regime(query)
     print("control_value:", repr(report.control_value))
     print("lower_bound:", repr(report.lower_bound))
@@ -201,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("project", help="project a vector onto an lp ball")
     pr.add_argument("--p", required=True, help="norm index (0, positive real, or inf)")
-    pr.add_argument("--radius", type=float, default=1.0)
-    pr.add_argument("--sparsity", type=int, default=None)
+    pr.add_argument("--radius", type=float, default=None, help="radius at p > 0 (default 1)")
+    pr.add_argument("--sparsity", type=int, default=None, help="sparsity at p = 0")
     pr.add_argument("--input", required=True,
                     help="comma/space separated values, or a file path")
     pr.set_defaults(func=_cmd_project)

@@ -19,7 +19,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError, is_integer
 from .projection import LpBall, project
 from .shrinkage import soft_threshold
 
@@ -58,8 +58,8 @@ def st_lambda(sigma: float, d: int, p: float) -> float:
     """
     if not (sigma > 0):
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
+    if not (is_integer(d) and d >= 1):
+        raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
     if not (0 < p < 2):
         raise InvalidParameterError(f"st_lambda requires p in (0, 2), got {p}")
     arg = d * sigma**p * math.e

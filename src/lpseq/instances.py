@@ -62,17 +62,16 @@ def flat_sparse_instance(sigma: float, p: float, d: int) -> HardInstanceParams:
         raise InvalidParameterError(f"flat instance requires an integer d >= 4, got {d!r}")
     if not (sigma > 0):
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
+    sigma, p, d = float(sigma), float(p), int(d)  # Python numbers: a power past range raises
     q = p / (p - 1.0)
     delta = default_delta(q)
     m = d - d % 4
     lam_floor = (sigma * m ** (1.0 / q) / 2.0) * (delta / 4.0) ** (1.0 / q)
-    with np.errstate(over="ignore"):
-        k_raw = lam_floor ** (-p / (2.0 - p))
-    if math.isfinite(k_raw):
-        k_unclamped = max(int(math.ceil(k_raw)), 1)
-    else:
-        k_unclamped = d  # overflow: far beyond the clamp anyway
-    k = min(max(k_unclamped, 1), d // 2)
+    try:
+        k_unclamped = max(math.ceil(lam_floor ** (-p / (2.0 - p))), 1)
+    except (OverflowError, ZeroDivisionError):  # past double range: far beyond the clamp
+        k_unclamped = d
+    k = min(k_unclamped, d // 2)
     theta = np.zeros(d)
     theta[:k] = k ** (-1.0 / p)
     return HardInstanceParams(
@@ -94,13 +93,16 @@ def sparsity_scaling(sigma: float, p: float, d: int) -> float:
     """
     if not (1.0 < p < 2.0):
         raise InvalidParameterError(f"sparsity_scaling requires p in (1, 2), got {p}")
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
+    if not (is_integer(d) and d >= 1):
+        raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
     if not (sigma > 0):
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
+    sigma, p, d = float(sigma), float(p), int(d)  # Python numbers: a power past range raises
     q = p / (p - 1.0)
-    with np.errstate(over="ignore"):
+    try:
         val = (1.0 / (sigma**q * d)) ** ((p - 1.0) / (2.0 - p))
-    if not math.isfinite(val):
-        return float(d)
-    return max(float(val), 1.0)
+    except (OverflowError, ZeroDivisionError):
+        # sigma**q overflows only at a huge sigma (order 1); at a tiny one the
+        # power overflows, or sigma**q * d underflows to 0 (order d)
+        val = 0.0 if sigma > 1.0 else math.inf
+    return float(d) if val == math.inf else max(val, 1.0)  # also 1/(sigma**q * d) = inf

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, is_integer
+from .instances import spike_instance
 from .projection import LpBall, lp_norm, project, project_many
 from .rates import RateQuery, control_function
 from .rng import keyed_generator
@@ -219,10 +220,14 @@ def _row_stats(rng: np.random.Generator, reps: int, width: int, stat) -> np.ndar
                            for done in range(0, reps, chunk)])
 
 
-def sparse_cap_width(d: int, s: int, reps: int, key: int) -> tuple[float, float]:
-    """Monte Carlo mean (and stderr) of the top-s squared-entry sum."""
+def _check_cap(d: int, s: int) -> None:
     if not (is_integer(d) and is_integer(s) and 1 <= s <= d):
         raise InvalidParameterError(f"need integers 1 <= s <= d, got d={d}, s={s}")
+
+
+def sparse_cap_width(d: int, s: int, reps: int, key: int) -> tuple[float, float]:
+    """Monte Carlo mean (and stderr) of the top-s squared-entry sum."""
+    _check_cap(d, s)
     rng = keyed_generator(key, f"sparse_cap_width|d={d}|s={s}")
 
     def top_s(xi):
@@ -235,6 +240,7 @@ def sparse_cap_width(d: int, s: int, reps: int, key: int) -> tuple[float, float]
 
 def sparse_cap_bound(d: int, s: int) -> float:
     """Closed-form upper bound ``6 s log(e d / s)`` on the expected cap width."""
+    _check_cap(d, s)
     return 6.0 * s * math.log(math.e * d / s)
 
 
@@ -445,12 +451,9 @@ def _suite_noiseterm(seed: int) -> list[CheckReport]:
 
 def _suite_variance(seed: int) -> list[CheckReport]:
     d = 40
-    zero = np.zeros(d)
-    spike = np.zeros(d)
-    spike[0] = 1.0
     return [
-        check_mle_variance(LpBall(p=2.0, dim=d, radius=1.0), zero, 0.3, 300, seed),
-        check_mle_variance(LpBall(p=1.5, dim=d, radius=1.0), spike, 0.25, 300, seed),
+        check_mle_variance(LpBall(p=2.0, dim=d, radius=1.0), np.zeros(d), 0.3, 300, seed),
+        check_mle_variance(LpBall(p=1.5, dim=d, radius=1.0), spike_instance(d), 0.25, 300, seed),
     ]
 
 

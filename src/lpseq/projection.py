@@ -32,12 +32,12 @@ from .shrinkage import (
     CLOSED_FORMS,
     DEFAULT_TOL,
     FLUSH_TOL,
+    _branch_vanish_lambda,
     _closed_falls,
     _closed_psi,
     _closed_terms,
     _root_terms,
     branch_roots,
-    branch_vanish_lambda,
     psi_many,  # not called here; the traced benchmark wraps this name
 )
 
@@ -75,12 +75,11 @@ class LpBall:
     sparsity: int | None = None
 
     def __post_init__(self):
-        for name in ("dim", "sparsity"):
-            value = getattr(self, name)
+        for name, value in (("dimension", self.dim), ("sparsity", self.sparsity)):
             if value is not None and not is_integer(value):
                 raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
-            raise InvalidParameterError(f"dim must be >= 1, got {self.dim}")
+            raise InvalidParameterError(f"dimension must be >= 1, got {self.dim}")
         if self.p < 0 or math.isnan(self.p):
             raise InvalidParameterError(f"p must lie in [0, inf], got {self.p}")
         if self.p == 0:
@@ -99,6 +98,8 @@ class LpBall:
 
 def lp_norm(x: np.ndarray, p: float) -> float:
     """(Quasi)norm ||x||_p; number of nonzeros when p = 0."""
+    if not p >= 0:  # also NaN
+        raise InvalidParameterError(f"p must lie in [0, inf], got {p}")
     x = np.abs(np.asarray(x, dtype=float))
     if p == 0:
         return float(np.count_nonzero(x))
@@ -147,7 +148,7 @@ def project_top_s(s: int, y: np.ndarray) -> np.ndarray:
     ``y`` is one vector, or a block whose rows are treated one by one.
     """
     y = np.asarray(y, dtype=float)
-    if not (1 <= s <= y.shape[-1]):
+    if not (is_integer(s) and 1 <= s <= y.shape[-1]):
         raise InvalidParameterError(f"sparsity must lie in [1, {y.shape[-1]}], got {s}")
     keep = np.argsort(-np.abs(y), axis=-1, kind="stable")[..., :s]
     out = np.zeros_like(y)
@@ -519,7 +520,7 @@ def _project_quasinorm_unit(p: float, t: np.ndarray, scale: float):
     order = np.argsort(-t, kind="stable")
     ts = t[order] / scale
     budget = scale**-p  # the constraint is sum(x**p) <= budget in these units
-    vanish = branch_vanish_lambda(p, ts)
+    vanish = _branch_vanish_lambda(p, ts)
 
     # the largest feasible prefix kept as is; when even t_1 is too large it
     # keeps nothing, and e_1 on the boundary beats it

@@ -21,6 +21,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, is_integer
+from .projection import LpBall
 
 C_LOWER = 1.0 / 868.0
 C_UPPER = 6.0
@@ -44,8 +45,10 @@ class RegimeLabel(str, Enum):
 class RateQuery:
     """Point in parameter space: norm index, dimension, noise, radius, samples.
 
-    For ``n > 1`` supply the per-sample noise ``tau``; the effective noise is
-    ``tau / sqrt(n)``.  For ``p = 0`` supply ``sparsity`` instead of a radius.
+    For ``n > 1`` supply the per-sample noise ``tau`` instead of ``sigma``;
+    the effective noise is ``tau / sqrt(n)``.  For ``p = 0`` supply
+    ``sparsity``, and the radius is not used.  The constraint set is checked
+    as :class:`~lpseq.projection.LpBall` checks it, with a finite radius.
     """
 
     p: float
@@ -57,26 +60,16 @@ class RateQuery:
     tau: float | None = None
 
     def __post_init__(self):
-        for name in ("d", "n", "sparsity"):
-            value = getattr(self, name)
-            if value is not None and not is_integer(value):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        if self.d < 1:
-            raise InvalidParameterError(f"d must be >= 1, got {self.d}")
-        if self.p < 0 or math.isnan(self.p):
-            raise InvalidParameterError(f"p must lie in [0, inf], got {self.p}")
-        if self.n < 1:
-            raise InvalidParameterError(f"n must be >= 1, got {self.n}")
-        if self.n > 1:
-            if self.tau is None or not (self.tau > 0):
-                raise InvalidParameterError("n > 1 requires per-sample noise tau > 0")
-        elif self.sigma is None or not (self.sigma > 0):
-            raise InvalidParameterError("sigma must be positive")
-        if self.p == 0:
-            if self.sparsity is None or not (1 <= self.sparsity <= self.d):
-                raise InvalidParameterError("p = 0 requires sparsity in [1, d]")
-        elif not (0.0 < self.radius < math.inf):
+        LpBall(self.p, self.d, None if self.p == 0 else self.radius, self.sparsity)
+        if self.p > 0 and self.radius == math.inf:
             raise InvalidParameterError(f"radius must be positive and finite, got {self.radius}")
+        if not (is_integer(self.n) and self.n >= 1):
+            raise InvalidParameterError(f"n must be an integer >= 1, got {self.n!r}")
+        if self.n > 1:
+            if self.tau is None or not (self.tau > 0) or self.sigma is not None:
+                raise InvalidParameterError("n > 1 requires per-sample noise tau > 0 and no sigma")
+        elif self.sigma is None or not (self.sigma > 0) or self.tau is not None:
+            raise InvalidParameterError("n = 1 requires sigma > 0 and no tau")
 
     @property
     def effective_sigma(self) -> float:
@@ -173,16 +166,12 @@ def classify_regime(q: RateQuery) -> RegimeReport:
         return report(RegimeLabel.BOUNDARY)
     if s < sig_lo or s > sig_hi:
         return report(RegimeLabel.OPTIMAL_EXTREME_NOISE)
+    # Here sig_lo < s < sig_hi.  sigma1 = (d**(-1/q)/sqrt(q), sig_hi) takes
+    # precedence; an s at or below its start lies below d**(-1/q), since
+    # q > 2, so in sigma2 = (sig_lo, d**(-1/q)).
     q_conj = p / (p - 1.0)
-    sigma1 = (1.0 / (math.sqrt(q_conj) * d ** (1.0 / q_conj)), sig_hi)
-    sigma2 = (sig_lo, d ** (-1.0 / q_conj))
-    if sigma1[0] < s < sigma1[1]:
-        sub = "sigma1"
-    elif sigma2[0] < s < sigma2[1]:
-        sub = "sigma2"
-    else:
-        sub = "none"
-    return report(RegimeLabel.SUBOPTIMAL, sub)
+    in_sigma1 = s > 1.0 / (math.sqrt(q_conj) * d ** (1.0 / q_conj))
+    return report(RegimeLabel.SUBOPTIMAL, "sigma1" if in_sigma1 else "sigma2")
 
 
 @dataclass(frozen=True)
@@ -211,15 +200,18 @@ def example_scalings(scenario: str, n: int, delta: float = 0.5) -> ScalingExampl
     """
     if not (0 < delta < 1):
         raise InvalidParameterError(f"delta must lie in (0, 1), got {delta}")
-    if n < 3:
-        raise InvalidParameterError(f"n must be >= 3, got {n}")
+    if not (is_integer(n) and n >= 3):
+        raise InvalidParameterError(f"n must be an integer >= 3, got {n!r}")
     p = 1.0 + delta
     if scenario == "log_subopt":
         d = n ** (p / 2.0) * math.log(n)
         minimax = math.sqrt((math.log(math.log(n)) / n) ** (1.0 - delta))
         mle = math.log(n) ** (delta / (1.0 + delta)) / n ** ((1.0 - delta) / 2.0)
     elif scenario == "poly_subopt":
-        d = math.exp(math.sqrt(n))
+        try:
+            d = math.exp(math.sqrt(n))
+        except OverflowError:  # past double range
+            d = math.inf
         minimax = n ** (-(1.0 - delta) / 4.0)
         mle = 1.0
     else:

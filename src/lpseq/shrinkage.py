@@ -5,7 +5,7 @@
 - ``_closed_terms``, ``_closed_psi``, ``_closed_falls``: the closed forms at
   p in {1.5, 2, 3}, whose intermediates the p > 1 multiplier search sums.
 - ``_root_terms``, ``_branch_root``: Newton steps in ``log psi`` at other p.
-- ``branch_vanish_lambda``, ``branch_roots``: the two roots for p < 1.
+- ``branch_roots``, ``_branch_vanish_lambda``: the two roots for p < 1.
 
 The kernels use IEEE infinities, NaNs and zero divisions on purpose, and
 run under their caller's error state: ``psi_many`` and ``branch_roots``, like
@@ -228,7 +228,7 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, log_t: np.ndarray, up
 # increasing branch) is a local minimum of the prox objective.
 
 
-def branch_vanish_lambda(p: float, t) -> np.ndarray:
+def _branch_vanish_lambda(p: float, t) -> np.ndarray:
     """Largest multiplier at which ``x + lam*x**(p-1) = t`` still has roots."""
     t = np.asarray(t, dtype=float)
     return ((1.0 - p) * t / (2.0 - p)) ** (2.0 - p) / (1.0 - p)
@@ -242,14 +242,16 @@ def branch_roots(p: float, lam, t, upper) -> np.ndarray:
     the larger root (on the increasing part of the map), False the smaller.
     At ``lam = 0`` the upper root is ``t`` and the lower root 0.  The upper
     root falls and the lower root rises with ``lam`` until both meet at
-    ``(1-p)/(2-p)*t`` at ``branch_vanish_lambda(p, t)``; from there on both
+    ``(1-p)/(2-p)*t`` at ``_branch_vanish_lambda(p, t)``; from there on both
     are held at that meeting point, so both are monotone and never NaN.
     Live roots have residual at most ``max(DEFAULT_TOL, ROOT_FLOOR*eps*t*(1 + |log t|))``,
     as in :func:`psi_many`.
     """
+    if not 0.0 < p < 1.0:  # also NaN
+        raise InvalidParameterError("branch_roots requires p in (0, 1); use psi_many for p >= 1")
     lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
     upper = np.asarray(upper, dtype=bool)
-    vanish = branch_vanish_lambda(p, t)  # on t before broadcasting: once per magnitude
+    vanish = _branch_vanish_lambda(p, t)  # on t before broadcasting: once per magnitude
     positive = lam > 0
     out = np.where(positive, (1.0 - p) / (2.0 - p) * t, np.where(upper, t, 0.0))
     live = positive & (lam < vanish)

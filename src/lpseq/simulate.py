@@ -218,8 +218,8 @@ def estimate_risk(spec: EstimatorSpec, theta_star: np.ndarray, sigma: float,
     errors are taken row by row, so the result equals a loop of
     single-trial ``sample_observation`` and ``estimate`` calls bit for bit.
     """
-    if reps < 1:
-        raise InvalidParameterError(f"reps must be >= 1, got {reps}")
+    if not (is_integer(reps) and reps >= 1):
+        raise InvalidParameterError(f"reps must be an integer >= 1, got {reps!r}")
     if not (sigma > 0):
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     if np.ndim(theta_star) != 1 or np.size(theta_star) == 0:

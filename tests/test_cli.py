@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpseq import cli
+from lpseq import cli, simulate
 from lpseq.cli import main
 from lpseq.projection import project
 
@@ -85,6 +85,38 @@ def test_project_parse_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "project", "--p", "0.5", "--radius", "1e-300",
                            "--input", "1e10,1")
     assert code == 2 and "overflows" in err  # max|y|/r leaves double range
+    code, out, err = run_cli(capsys, "project", "--p", "1.5", "--input", " ")
+    assert code == 2 and out == "" and "empty input vector" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["project", "--p", "1.5", "--sparsity", "2", "--input", "1,2"],
+    ["project", "--p", "0", "--sparsity", "1", "--radius", "5", "--input", "1,2"],
+    ["project", "--p", "inf", "--sparsity", "2", "--input", "1,2"],
+    ["rates", "--p", "1.5", "--d", "100", "--sigma", "0.1", "--sparsity", "3"],
+    ["rates", "--p", "1.5", "--d", "100", "--n", "1", "--tau", "0.3", "--sigma", "0.1"],
+])
+def test_contradictory_flags_exit_2(capsys, argv):
+    # each of these used to exit 0 and ignore a flag
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "[lpseq] error:" in err
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["project", "--p", "1.5", "--input", "3,4"],
+     {"p": 1.5, "dim": 2, "radius": 1.0, "sparsity": None}),
+    (["project", "--p", "inf", "--radius", "2", "--input", "3,4,5"],
+     {"p": math.inf, "dim": 3, "radius": 2.0, "sparsity": None}),
+    (["project", "--p", "0", "--sparsity", "1", "--input", "3,4"],
+     {"p": 0.0, "dim": 2, "radius": None, "sparsity": 1}),
+    (["rates", "--p", "1.5", "--d", "100", "--n", "4", "--tau", "0.2"],
+     {"p": 1.5, "d": 100, "sigma": None, "radius": 1.0, "sparsity": None, "n": 4, "tau": 0.2}),
+])
+def test_echo_is_the_object_built(capsys, argv, echoed):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    line = next(line for line in err.splitlines() if " config: " in line)
+    assert json.loads(line.split(" config: ", 1)[1]) == echoed
 
 
 def test_project_gap_reported_for_quasinorm(capsys):
@@ -204,6 +236,21 @@ def test_reproduce_resumes_from_cursor(tmp_path, capsys):
     run_cli(capsys, "reproduce", "--figure", "2b",
             "--max-d", "160", "--reps", "2", "--seed", "5", "--out", str(out_dir))
     assert (out_dir / "results.csv").read_text() == first
+
+
+def test_reproduce_over_another_configs_cursor_starts_over(tmp_path, capsys):
+    flags = ["reproduce", "--figure", "2a", "--max-d", "100", "--reps", "2", "--seed", "3"]
+    clean, reused = tmp_path / "clean", tmp_path / "reused"
+    assert run_cli(capsys, *flags, "--out", str(clean))[0] == 0
+    reused.mkdir()
+    foreign = {"cell": {"mse_mean": 9.0, "mse_stderr": 0.0, "reps": 2, "d": 7, "sigma": 1.0,
+                        "p": 1.5, "estimator": "zero", "seed": 0}}
+    (reused / "cursor.json").write_text(json.dumps({"fingerprint": "other", "cells": foreign}),
+                                        encoding="utf-8")
+    code, _, err = run_cli(capsys, *flags, "--out", str(reused))
+    assert code == 0 and "cursor belongs to a different config; starting over" in err
+    assert (reused / "results.csv").read_bytes() == (clean / "results.csv").read_bytes()
+    assert not (reused / "cursor.json").exists()
 
 
 def test_project_solver_diagnostic_exit_3(capsys, monkeypatch):
@@ -339,6 +386,26 @@ def test_simulate_from_config(tmp_path, capsys):
     assert code == 2
     assert "soft_threshold" in err
     assert not csv_out.exists()
+
+
+def test_simulate_past_double_range_and_default_grid(tmp_path, capsys):
+    # at radius 1e200, sigma/r = 1e-201: sparsity_scaling raised ZeroDivisionError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"regime": "fig2b", "p": 1.5, "sigma_rule": "flat",
+                                "radius": 1e200, "d_grid": [100], "reps": 2}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [row["estimator"] for row in rows] == ["mle", "soft_threshold"]
+    assert all(math.isfinite(float(row["mse_mean"])) for row in rows)
+    # "d_grid": null runs the default grid
+    path.write_text(json.dumps({"regime": "fig2a", "p": 1.5, "sigma_rule": "spike",
+                                "d_grid": None, "reps": 1, "estimators": ["zero"]}),
+                    encoding="utf-8")
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0
+    grid = [int(row["d"]) for row in csv.DictReader(out.splitlines())]
+    assert tuple(grid) == simulate.default_d_grid()
 
 
 @pytest.mark.parametrize("change", [

@@ -44,8 +44,9 @@ def test_st_lambda_values():
 def test_st_lambda_validation():
     with pytest.raises(InvalidParameterError):
         st_lambda(0.0, 10, 1.5)
-    with pytest.raises(InvalidParameterError):
-        st_lambda(1.0, 0, 1.5)
+    for d in (0, 2.5, True):  # a float d used to pass
+        with pytest.raises(InvalidParameterError):
+            st_lambda(1.0, d, 1.5)
     with pytest.raises(InvalidParameterError):
         st_lambda(1.0, 10, 2.0)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,22 @@ def test_flat_instance_validation():
     for d in (10.5, 100.0, True):
         with pytest.raises(InvalidParameterError, match="integer"):
             flat_sparse_instance(0.1, 1.5, d)
+        with pytest.raises(InvalidParameterError, match="integer"):
+            sparsity_scaling(0.1, 1.5, d)
+
+
+def test_instances_past_double_range():
+    # Python powers raise past double range: these raised OverflowError and
+    # ZeroDivisionError; numpy scalars take the same path, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma, p, d in ((1e-200, 1.5, 10), (np.float64(1e-200), np.float64(1.5), np.int64(10)),
+                            (1e-320, 1.5, 10)):
+            inst = flat_sparse_instance(sigma, p, d)
+            assert inst.k == 5 and inst.clamped and lp_norm(inst.theta_star, 1.5) == 1.0
+        for sigma, p, expected in ((1e-120, 1.5, 10.0), (1e-5, 1.99, 10.0), (5e-324, 1.3, 10.0),
+                                   (1e200, 1.5, 1.0), (np.float64(1e200), 1.5, 1.0)):
+            assert sparsity_scaling(sigma, p, 10) == expected
 
 
 def test_sparsity_scaling_endpoints():

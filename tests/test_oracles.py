@@ -182,9 +182,12 @@ def test_noise_term_validation():
 
 
 def test_sparse_cap_validation():
+    # sparse_cap_bound(10, 0) divided by zero
     for d, s in ((10, 0), (10, 11), (10, 2.5), (10.0, 2), (10, True)):
         with pytest.raises(InvalidParameterError):
             sparse_cap_width(d, s, 10, key=0)
+        with pytest.raises(InvalidParameterError):
+            sparse_cap_bound(d, s)
 
 
 def test_monte_carlo_checks_need_a_draw():

@@ -113,10 +113,10 @@ def test_top_s_examples():
     np.testing.assert_array_equal(project_top_s(3, y), y)
     # tie broken toward the lowest index
     np.testing.assert_array_equal(project_top_s(1, np.array([1.0, 1.0])), [1.0, 0.0])
-    with pytest.raises(InvalidParameterError):
-        project_top_s(0, y)
-    with pytest.raises(InvalidParameterError):
-        project_top_s(4, y)
+    # s is an integer count in [1, d]: 2.5 raised numpy's TypeError, True kept one entry
+    for s in (0, 4, 2.5, True):
+        with pytest.raises(InvalidParameterError):
+            project_top_s(s, y)
 
 
 def test_clip_examples():
@@ -342,6 +342,14 @@ def test_lp_norm_scale_safe(p, c):
     # the empty vector has norm 0, and a NaN entry a NaN norm, as at p = inf
     assert lp_norm(np.array([]), p) == 0.0
     assert math.isnan(lp_norm(np.array([c, math.nan]), p))
+
+
+def test_lp_norm_zero_counts_and_index_domain():
+    assert lp_norm(np.array([0.0, -2.0, 1e-300, 0.0]), 0) == 2.0
+    # a negative or NaN index gave 0.667 and nan
+    for p in (-1.0, math.nan):
+        with pytest.raises(InvalidParameterError):
+            lp_norm([1.0, 2.0], p)
 
 
 def test_quasinorm_gap_reported():

@@ -123,6 +123,13 @@ def test_query_validation():
         RateQuery(p=0.0, d=10, sigma=0.1)  # p = 0 needs sparsity
     with pytest.raises(InvalidParameterError):
         RateQuery(p=1.5, d=10, sigma=0.1, radius=0.0)
+    # each noise, sparsity and radius where it is used, and nowhere else:
+    # these were silently ignored
+    for kwargs in (dict(d=10, sigma=0.1, tau=0.3), dict(d=10, n=3, tau=0.3, sigma=0.1),
+                   dict(d=10, sigma=0.1, sparsity=3), dict(p=math.inf, d=10, sigma=0.1, sparsity=3),
+                   dict(d=10, sigma=0.1, radius=math.inf), dict(p=0.0, d=10, sigma=0.1, sparsity=11)):
+        with pytest.raises(InvalidParameterError):
+            RateQuery(**{"p": 1.5, **kwargs})
     # d, n and sparsity are counts: a float or a bool is refused, as LpBall
     # refuses them; d = 2.5 used to give a control value and a regime label
     for kwargs in (dict(d=2.5, sigma=0.1), dict(d=True, sigma=0.1), dict(d=10.0, sigma=0.1),
@@ -154,6 +161,20 @@ def test_classifier_subinterval_one():
     rep = classify_regime(RateQuery(p=1.5, d=d, sigma=0.2))
     assert rep.label == RegimeLabel.SUBOPTIMAL
     assert rep.subinterval == "sigma1"
+
+
+def test_classifier_band_splits_into_the_two_subintervals():
+    # sigma1 = (d**(-1/q)/sqrt(q), sig_hi) overlaps sigma2 = (sig_lo, d**(-1/q))
+    # and takes precedence; every band point lies in one of the two
+    d, p = 10**4, 1.5
+    start = 1.0 / (math.sqrt(3.0) * d ** (1.0 / 3.0))
+    for sigma, sub in ((start, "sigma2"), (math.nextafter(start, 1.0), "sigma1"),
+                       (d ** (-1.0 / 3.0), "sigma1")):
+        assert classify_regime(RateQuery(p=p, d=d, sigma=sigma)).subinterval == sub
+    for p in np.linspace(1.2, 1.95, 7):
+        for sigma in np.geomspace(1e-6, 1.0, 200):
+            rep = classify_regime(RateQuery(p=float(p), d=d, sigma=float(sigma)))
+            assert (rep.subinterval != "none") == (rep.label == RegimeLabel.SUBOPTIMAL)
 
 
 def test_classifier_extreme_noise_and_sparse():
@@ -200,6 +221,11 @@ def test_example_scalings_formulas():
         example_scalings("other", 100)
     with pytest.raises(InvalidParameterError):
         example_scalings("log_subopt", 100, delta=1.5)
+    for n in (2, 3.5, True):  # 3.5 used to pass
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            example_scalings("log_subopt", n)
+    # exp(sqrt(n)) passes double range: math.exp raised OverflowError
+    assert example_scalings("poly_subopt", 10**6).d == math.inf
 
 
 def test_regime_map_script_smoke(monkeypatch, capsys):

@@ -10,12 +10,12 @@ from lpseq.errors import InvalidParameterError
 from lpseq.projection import _power_sums
 from lpseq.shrinkage import (
     DEFAULT_TOL,
+    _branch_vanish_lambda,
     _closed_falls,
     _closed_psi,
     _closed_terms,
     _root_terms,
     branch_roots,
-    branch_vanish_lambda,
     psi_many,
     soft_threshold,
 )
@@ -59,6 +59,10 @@ def test_psi_edge_cases():
 def test_psi_invalid_parameters():
     with pytest.raises(InvalidParameterError):
         psi_many(0.5, 1.0, [1.0])
+    # the mirror case: branch_roots(1.5, ...) returned -1.0
+    for p in (0.0, 1.0, 1.5, math.nan):
+        with pytest.raises(InvalidParameterError):
+            branch_roots(p, 1.0, 1.0, True)
     # a negative or NaN multiplier or magnitude has no root in [0, t]: at
     # lam = -1 the closed forms gave 2.618 (p = 1.5) and 1/0 (p = 2), and
     # p = 1.3 returned t
@@ -279,7 +283,7 @@ def test_prox_tie_prefers_zero():
 def test_branch_helpers_consistency():
     p = 0.5
     t = np.array([2.0])
-    lam_vanish = float(branch_vanish_lambda(p, t)[0])
+    lam_vanish = float(_branch_vanish_lambda(p, t)[0])
     lam_jump = float(prox_jump_lambda(p, t)[0])
     assert 0 < lam_jump < lam_vanish
     # just above vanish nothing survives
@@ -292,7 +296,7 @@ def test_branch_helpers_consistency():
 def test_branch_roots_residual_existence_and_monotonicity(p):
     rng = np.random.default_rng(13)
     t = 10.0 ** rng.uniform(-3, 1, size=40)
-    vanish = branch_vanish_lambda(p, t)
+    vanish = _branch_vanish_lambda(p, t)
     frac = np.sort(np.concatenate([rng.uniform(0, 1.2, 400), [0.0, 1 - 1e-9, 1.0, 1 + 1e-9]]))
     lam = frac[:, None] * vanish  # each column: one t, multipliers increasing
     upper, lower = branch_roots(p, lam, t, True), branch_roots(p, lam, t, False)
@@ -324,7 +328,7 @@ def test_branch_roots_mixed_mask_matches_one_branch_calls(p):
     # mask; each must come out bit for bit as from a call on its branch alone
     rng = np.random.default_rng(29)
     t = 10.0 ** rng.uniform(-3, 2, size=25)
-    vanish = branch_vanish_lambda(p, t)
+    vanish = _branch_vanish_lambda(p, t)
     lam = np.concatenate([[0.0], np.geomspace(1e-6, 2.0, 30) * vanish.max()])[:, None]
     upper = rng.random((lam.size, t.size)) < 0.5
     mixed = branch_roots(p, lam, t, upper)
@@ -338,11 +342,11 @@ def test_branch_roots_mixed_mask_matches_one_branch_calls(p):
 def test_branch_roots_block_matches_lone_calls(p):
     # a block broadcasts only the arguments whose shape is not its own: a
     # column of lam against a row of t with an (n, j) mask, at lam = 0, below
-    # and at or past branch_vanish_lambda; each element comes out bit for bit
+    # and at or past _branch_vanish_lambda; each element comes out bit for bit
     # as from a call on it alone, with a scalar lam and a 0-d t
     rng = np.random.default_rng(31)
     t = 10.0 ** rng.uniform(-3, 2, size=12)
-    vanish = branch_vanish_lambda(p, t)
+    vanish = _branch_vanish_lambda(p, t)
     lam = np.concatenate([[0.0], rng.uniform(0, 1, 6) * vanish.min(), vanish[[2, 7]],
                           [vanish.max(), 2 * vanish.max()], rng.uniform(0, 1, 4) * vanish.max()])
     upper = rng.random((lam.size, t.size)) < 0.5
@@ -397,7 +401,7 @@ def test_root_stop_floor_leaves_small_magnitudes_alone(monkeypatch):
 
     for p in (0.5, 1.3, 2.6):
         if p < 1:
-            lam = rng.random(400) * branch_vanish_lambda(p, t)
+            lam = rng.random(400) * _branch_vanish_lambda(p, t)
         else:
             lam = 10.0 ** rng.uniform(-3, 1, size=400)
         got = roots(p, lam)

@@ -139,6 +139,21 @@ def test_estimate_risk_zero_estimator_exact():
     assert out.reps == 5
 
 
+def test_estimate_risk_reps_is_a_count():
+    # 2.5 and True raised numpy's TypeError
+    for reps in (0, 2.5, True):
+        with pytest.raises(InvalidParameterError, match="reps"):
+            estimate_risk(EstimatorSpec(kind="zero"), spike_instance(10), 0.5, reps, seed=1)
+
+
+def test_estimate_risk_names_the_failing_cell():
+    # at radius 1e-300 the p < 1 solver's max|y|/r overflows
+    spec = EstimatorSpec(kind="mle", ball=LpBall(p=0.5, dim=4, radius=1e-300))
+    with pytest.raises(RuntimeError, match=r"'mle' failed in cell 'c7' at trials 0-2") as info:
+        estimate_risk(spec, np.full(4, 1e-300), 1.0, 3, seed=1, cell_id="c7")
+    assert isinstance(info.value.__cause__, InvalidParameterError)
+
+
 @pytest.mark.parametrize("theta", [np.zeros(0), np.zeros((2, 5))])
 def test_estimate_risk_rejects_a_theta_star_that_is_not_a_vector(theta):
     # an empty one used to divide by zero, a 2-D one to fail in numpy broadcasting
