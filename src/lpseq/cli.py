@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     ra.add_argument("--p", required=True)
     ra.add_argument("--d", type=int, required=True)
     ra.add_argument("--sigma", type=float, default=None)
-    ra.add_argument("--radius", type=float, default=1.0)
+    ra.add_argument("--radius", type=float, default=None, help="radius at p > 0 (default 1)")
     ra.add_argument("--sparsity", type=int, default=None)
     ra.add_argument("--n", type=int, default=1)
     ra.add_argument("--tau", type=float, default=None)

@@ -4,9 +4,11 @@
 the solvers work on the unit ball, on ``t = |y|/r``, and the point is mapped
 back.  Which function does what:
 
-- ``_find_lambda_star``: p > 1, the multiplier search on the dual sum (the
-  nested zero-finding of Liu & Ye, 2010), evaluated by ``_dual_sums`` at
-  generic p and from the closed forms' intermediates at p in {1.5, 2, 3}.
+- ``_find_lambda_star``: p > 1, the search for the multiplier at which the
+  dual sum is 1.  At p in {1.5, 2, 3} ``_closed_search`` takes Newton steps
+  on the sum, evaluated from the closed forms' intermediates; elsewhere
+  ``_joint_search`` takes Newton steps on the roots and the multiplier
+  together, one pass over the block each, with no inner root solve.
 - ``_project_l1_unit``: p = 1, sort-and-threshold water filling.
 - ``_project_quasinorm_unit``: p in (0, 1), the global minimizer by certified
   enumeration of prefix supports (``_prefix_points``, ``_cell_shapes``,
@@ -31,12 +33,15 @@ from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteInpu
 from .shrinkage import (
     CLOSED_FORMS,
     DEFAULT_TOL,
+    EPS,
     FLUSH_TOL,
+    LOG2,
+    ROOT_FLOOR,
     _branch_vanish_lambda,
     _closed_falls,
     _closed_psi,
     _closed_terms,
-    _root_terms,
+    _flush,
     branch_roots,
     psi_many,  # not called here; the traced benchmark wraps this name
 )
@@ -45,9 +50,15 @@ from .shrinkage import (
 # keeps ||x||_p <= r*(1 + 1e-9) for every p > 0.
 SUM_FEAS_TOL = 1e-10
 
-# Outer multiplier search stops at this dual-sum gap (also on the KKT slackness
-# it implies) or at relative bracket width 1e-14*(1 + lam), whichever is first.
+# The p > 1 multiplier search stops at this dual-sum gap (also on the KKT
+# slackness it implies) or at relative bracket width 1e-14*(1 + lam), whichever
+# is first, and after SEARCH_STEPS passes at most.
 LAMBDA_GAP_TOL = 1e-10
+SEARCH_STEPS = 200
+
+# Outside the closed forms, a pass whose bounds on the dual sum straddle 1 and
+# lie further apart than this refines the roots at the same multiplier.
+ROOTS_FIRST = 0.1
 
 # The p < 1 primal search's multiplier grid, and its refinement: QUASI_ROUNDS
 # rounds of splitting each cell that may hold the optimum and where the power
@@ -130,9 +141,12 @@ class ProjectionResult:
     it resolved them all (see :func:`_project_quasinorm_unit`).  Like the
     multiplier it scales with ``r**2`` and is ``inf`` where that passes
     double range, except that a 0 stays 0.
-    ``iterations`` counts multiplier evaluations: for p > 1 those of the dual
-    sum, for p in (0, 1) those of the primal search; it is 0 for p in
-    {0, 1, inf} and for inputs inside the ball.
+    ``iterations`` counts the multiplier search's work.  For p > 1 it is its
+    passes over the row, the one that stops included: at p in {1.5, 2, 3}
+    each evaluates the dual sum at exact roots, elsewhere each is one joint
+    Newton step on the roots and the multiplier.  For p in (0, 1) it is the
+    primal search's multiplier evaluations.  It is 0 for p in {0, 1, inf}
+    and for inputs inside the ball.
     """
 
     point: np.ndarray
@@ -164,28 +178,6 @@ def project_clip(r: float, y: np.ndarray) -> np.ndarray:
     return np.sign(y) * np.minimum(np.abs(y), r)
 
 
-def _dual_sums(p: float, lam: list, T: np.ndarray, log_T, start):
-    """Dual sums of the rows of ``T`` at ``lam``, minus their slopes, psi, log psi, dpsi.
-
-    This is the dual sum outside ``CLOSED_FORMS`` (there the search sums the
-    closed form's own intermediates, ``_closed_terms``).  ``_root_terms``
-    solves for ``psi`` against ``log_T = np.log(T)`` from ``start`` and returns
-    ``log psi`` and ``pw = psi**(p-1)`` from its last Newton pass; ``dpsi`` is
-    ``-d psi/d lam`` (0 where ``psi = 0``), the sum is ``sum(psi*pw)`` and
-    minus its slope ``p*sum(pw*dpsi)``.  The sums and the (nonnegative) minus
-    slopes come back as lists.
-    """
-    lam = _lam_column(lam)
-    # psi's error moves the sum p-fold
-    psi, log_psi, pw = _root_terms(p, lam, T, log_T, min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL),
-                                   start)
-    power = psi * pw
-    dpsi = np.where(psi > 0, power / (psi + lam * (p - 1.0) * pw), 0.0)
-    value = np.sum(power, axis=1)
-    fall = p * np.sum(pw * dpsi, axis=1)
-    return value.tolist(), fall.tolist(), psi, log_psi, dpsi
-
-
 def _lam_column(lam: list):
     """Per-row values, such as multipliers, as a column against an ``(n, d)``
     block; a lone one as a scalar, which numpy broadcasts faster and to the
@@ -194,72 +186,80 @@ def _lam_column(lam: list):
 
 
 def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
-    """``(lam, psi, evaluations)`` per row of ``T``: dual sum 1 at ``lam``, given ||t||_p > 1.
+    """``(lam, psi, iterations)`` per row of ``T``: dual sum 1 at ``lam``, given ||t||_p > 1.
 
     ``tops`` are the rows' maxima and ``scaled`` is ``T`` divided by them,
     as :func:`project_many` takes them once per block.
     ``psi <= (t/lam)**(1/(p-1))`` bounds the dual sum ``S`` by
-    ``(||t||_q/lam)**q``, so ``[0, ||t||_q]`` brackets the root.  Newton steps
-    on ``S**(-1/q) - 1``, ``lam + q*S*expm1(log(S)/q)/(-S')``, start at the top:
+    ``(||t||_q/lam)**q``, so ``[0, ||t||_q]`` brackets the root, and both
+    searches start at its top.  A row stops once ``|S - 1|`` times
+    ``max(1, lam/max(1, max(t)))`` (the slackness term of the KKT residual) is
+    at most ``LAMBDA_GAP_TOL``, or its bracket is as narrow as
+    ``1e-14*(1 + lam)``; it keeps its multiplier and the ``psi`` of the pass
+    where it stopped, so each row takes the iterates it would alone and a
+    block costs its slowest row's passes times its rows.  ``iterations``
+    counts those passes, the stopping one included.
+
+    At p in ``CLOSED_FORMS`` psi is exact at any ``lam`` and
+    :func:`_closed_search` takes Newton steps on the dual sum.  Elsewhere
+    :func:`_joint_search` takes Newton steps on the roots and the multiplier
+    together.
+    """
+    if p in CLOSED_FORMS:
+        return _closed_search(p, T, tops, scaled)
+    return _joint_search(p, T, tops, scaled)
+
+
+def _settled(value: float, lam: float, lo: float, hi: float, slack_unit: float) -> bool:
+    """Whether a row's multiplier search may stop at dual sum ``value``: the
+    gap rule or the bracket rule of :func:`_find_lambda_star`."""
+    return (abs(value - 1.0) * max(1.0, lam / slack_unit) <= LAMBDA_GAP_TOL
+            or hi - lo <= 1e-14 * (1.0 + lam))
+
+
+def _closed_search(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
+    """:func:`_find_lambda_star` at p in ``CLOSED_FORMS``.
+
+    Newton steps on ``S**(-1/q) - 1``, ``lam + q*S*expm1(log(S)/q)/(-S')``:
     where the roots follow the power law ``psi ~ (t/lam)**(1/(p-1))`` this
     target is linear in ``lam``, and at p = 2, ``(1 + lam)/||t||_2 - 1``, it is
     linear everywhere, so one step lands.  A step that passes ``lo`` is redone
     on ``log S`` against ``log lam``, and bisection takes over where both leave
-    the bracket.  Each evaluation covers the whole block; each
-    row's bracket and step are plain floats, so it takes the iterates it would
-    alone.  A row that has stopped keeps its multiplier and the ``psi`` of the
-    evaluation where it stopped (a later one would repeat it only up to
-    rounding), so a block costs its slowest row's evaluations times its rows.
-    At p in ``CLOSED_FORMS`` each evaluation takes the closed form's
-    intermediates, ``_closed_terms``, and sums their powers; psi is formed
-    only for the rows that stop, and the slopes are summed only where some row
-    steps on, so the last evaluation only confirms.  Elsewhere ``_dual_sums``
-    evaluates the block, ``log T`` is taken once, here, and each evaluation
-    after the first starts its roots at the second-order log-log tangent of
-    the row's previous ones, ``log psi`` from their Newton pass: with ``D =
-    log(lam_new/lam_old)`` and ``w = lam_old*dpsi/psi``, ``log psi - D*w -
-    D**2/2 * w*(1 - (p-2)*w)*(1 - (p-1)*w)``.
+    the bracket.  Each pass takes the closed form's intermediates,
+    ``_closed_terms``, over the whole block and sums their powers; psi is
+    formed only for the rows that stop, and the slopes are summed only where
+    some row steps on, so the last pass only confirms.
     """
     slack_unit = [max(1.0, m) for m in tops]  # slackness is lam*|f|/this
     q = p / (p - 1.0)
     hi = _lp_norms(tops, scaled, q)
     lo, lam, iterations = [0.0] * len(hi), hi[:], [0] * len(hi)
-    kept, start, log_T = np.empty_like(T), None, None
-    closed = p in CLOSED_FORMS
-    if not closed:
-        log_T = np.log(T)  # log 0 = -inf, where psi = t = 0
-    for step_count in range(1, 201):
-        if closed:
-            lam_c = _lam_column(lam)
-            v, root = _closed_terms(p, lam_c, T)
-            sums = _power_sums(v, 2.0 if p == 2.0 else 3.0)  # psi**p: v**2 at p = 2, else v**3
-            values = sums.tolist()
-        else:
-            values, falls, psi, log_psi, dpsi = _dual_sums(p, lam, T, log_T, start)
+    kept = np.empty_like(T)
+    for step_count in range(1, SEARCH_STEPS + 1):
+        lam_c = _lam_column(lam)
+        v, root = _closed_terms(p, lam_c, T)
+        sums = _power_sums(v, 2.0 if p == 2.0 else 3.0)  # psi**p: v**2 at p = 2, else v**3
+        values = sums.tolist()
         stopped, moving = [], []
         for i, value in enumerate(values):
             if iterations[i]:
                 continue
-            lam_i, f = lam[i], value - 1.0
-            if (abs(f) * max(1.0, lam_i / slack_unit[i]) <= LAMBDA_GAP_TOL
-                    or (hi[i] - lo[i]) <= 1e-14 * (1.0 + lam_i) or step_count == 200):
+            if _settled(value, lam[i], lo[i], hi[i], slack_unit[i]) or step_count == SEARCH_STEPS:
                 iterations[i] = step_count
                 stopped.append(i)
                 continue
-            if f > 0:
-                lo[i] = lam_i
+            if value > 1.0:
+                lo[i] = lam[i]
             else:
-                hi[i] = lam_i
+                hi[i] = lam[i]
             moving.append(i)
         if len(stopped) == len(lam):  # the whole block stops here
-            return lam, _closed_psi(p, v) if closed else psi, iterations
+            return lam, _closed_psi(p, v), iterations
         if stopped:
-            kept[stopped] = _closed_psi(p, v, stopped) if closed else psi[stopped]
+            kept[stopped] = _closed_psi(p, v, stopped)
         if not moving:
             return lam, kept, iterations
-        if closed:
-            falls = _closed_falls(p, lam_c, v, root, sums).tolist()
-        previous = lam[:]
+        falls = _closed_falls(p, lam_c, v, root, sums).tolist()
         for i in moving:
             lam_i, value, fall = lam[i], values[i], falls[i]
             newton = math.nan
@@ -270,12 +270,122 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
                 if newton <= lo[i]:  # past lo: redo log S against log lam
                     newton = lam_i * math.exp(log_value * value / (lam_i * fall))
             lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
-        if not closed:
-            log_ratio = _lam_column([math.log(new / old) for new, old in zip(lam, previous)])
-            # -d log psi/d log lam; nan at psi = 0: a cold start
-            w = _lam_column(previous) * dpsi / psi
-            curve = w * (1.0 - (p - 2.0) * w) * (1.0 - (p - 1.0) * w)
-            start = log_psi - log_ratio * w - (0.5 * log_ratio * log_ratio) * curve
+
+
+def _joint_search(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
+    """:func:`_find_lambda_star` at p outside ``CLOSED_FORMS``: Newton steps on
+    the KKT system in ``s = log psi`` and ``lam``, one pass over the block each.
+
+    The system is ``F = x + b - t = 0`` per coordinate, with ``x = exp(s)``
+    and ``b = lam*exp((p-1)*s)``, and the dual sum ``S = sum(x**p) = 1``.  Its
+    Jacobian is an arrowhead, ``D = x + (p-1)*b`` on the diagonal, so a step
+    is solved in O(d) by the Schur complement (Nocedal & Wright, 2006,
+    ch. 18).  With ``e = F/D``, the Newton step in ``s`` at a fixed ``lam``,
+    and ``g = b/D``, the step is ``lam *= 1 + dl`` and ``s -= e + g*dl``, where
+    ``dl = (q*S*expm1(log(S)/q)/p - sum(x**p*e)) / sum(x**p*g)`` solves the
+    target of :func:`_closed_search`.  The first pass is the cold start below
+    at the top of the bracket.
+
+    Each pass also bounds the sum at the exact roots of its ``lam``.  ``F`` is
+    convex in ``s``, so each root lies below ``s - e`` and the sum is at most
+    ``sum(x**p*exp(-p*e))``.  ``F`` is concave in ``x`` for p < 2 and in ``b``
+    for p > 2, so each root lies above that variable's Newton step, and by
+    Bernoulli's inequality the sum is at least ``S - p*sum(x**p*e)``.  A
+    ``lam`` where a bound passes 1 becomes an end of the bracket.  Where the
+    bounds straddle 1 further apart than ``ROOTS_FIRST`` (or are nan), the
+    roots are too far off to tell the side, and the step keeps ``lam`` and
+    refines them; so does a row whose sum already meets the gap rule, where
+    its multiplier step would leave the bracket.  Otherwise a multiplier step
+    that leaves the bracket is redone as ``lam *= exp(dl)``, and bisection
+    takes over where both do.
+
+    After each step every ``s`` is clamped into its root's bracket at the new
+    ``lam``.  The top is the cold start ``min(log t, (log t - log
+    lam)/(p-1))``, where one term is ``t``, or lower where a sum of d powers
+    ``psi**p`` would overflow (``psi <= 1`` at the solution).  The floor is
+    the top less ``log(2)*max(1, 1/(p-1))``, where the larger term is
+    ``t/2`` or below.  Magnitudes below ``FLUSH_TOL`` are taken as 0, which
+    is then their root.  A row stops on the gap or bracket rule together
+    with every root's residual rule, ``|F| <= max(tol, ROOT_FLOOR*eps*t*(1 +
+    |log t|))``, ``tol`` small enough that the roots' error moves the sum by
+    at most ``LAMBDA_GAP_TOL``.
+    """
+    n, pm1 = len(tops), p - 1.0
+    q = p / pm1
+    slack_unit = [max(1.0, m) for m in tops]
+    hi = _lp_norms(tops, scaled, q)
+    lo, lam, iterations = [0.0] * n, hi[:], [0] * n
+    zero = T < FLUSH_TOL
+    flushed = bool(zero.any())
+    if flushed:
+        T = np.where(zero, 0.0, T)
+    log_T = np.log(T)  # log 0 = -inf: s = -inf and psi = 0 there
+    # the top of every root's bracket: where one term is t, or where the sum of
+    # d powers psi**p would overflow
+    top_s = np.minimum(log_T, (math.log(np.finfo(float).max) - math.log(T.shape[1])) / p)
+    pow_s = log_T / pm1
+    width = LOG2 * max(1.0, 1.0 / pm1)
+    kept, tol = np.empty_like(T), None
+    s = np.minimum(top_s, pow_s - _lam_column([math.log(v) / pm1 for v in lam]))
+    for step_count in range(1, SEARCH_STEPS + 1):
+        x = np.exp(s)
+        pw = np.exp(pm1 * s)
+        b = _lam_column(lam) * pw
+        power = x * pw
+        sums = power.sum(axis=1).tolist()
+        F = x + b - T
+        near = [i for i, value in enumerate(sums) if not iterations[i] and (
+            _settled(value, lam[i], lo[i], hi[i], slack_unit[i]) or step_count == SEARCH_STEPS)]
+        if near:
+            if tol is None:  # psi's error moves the sum p-fold; at t = 0 the floor
+                # is 0*inf = nan, which no |F| exceeds
+                tol = np.maximum(min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL),
+                                 ROOT_FLOOR * EPS * T * (1.0 + np.abs(log_T)))
+            open_ = np.any(np.abs(F) > tol, axis=1).tolist()
+            stopped = [i for i in near if not open_[i] or step_count == SEARCH_STEPS]
+            for i in stopped:
+                iterations[i] = step_count
+            if len(stopped) == n:
+                return lam, _flush(np.minimum(x, T)), iterations
+            if stopped:
+                kept[stopped] = _flush(np.minimum(x[stopped], T[stopped]))
+                if all(iterations):
+                    return lam, kept, iterations
+        D = x + pm1 * b
+        if flushed:
+            D[zero] = 1.0  # F = 0 there
+        e, g = F / D, b / D
+        falls = np.einsum("ij,ij->i", power, e).tolist()
+        slopes = np.einsum("ij,ij->i", power, g).tolist()
+        highs = None  # summed once a row needs them
+        ratios = [1.0] * n
+        for i, value in enumerate(sums):
+            if iterations[i]:
+                continue
+            lam_i, low = lam[i], value - p * falls[i]
+            if low > 1.0:
+                lo[i] = lam_i
+            else:
+                if highs is None:
+                    highs = np.einsum("ij,ij->i", power, np.exp(-p * e)).tolist()
+                if highs[i] < 1.0:
+                    hi[i] = lam_i
+                elif not highs[i] - low <= ROOTS_FIRST:  # also nan
+                    continue
+            new = math.nan
+            if value > 0 and slopes[i] > 0:
+                dl = (q * value * math.expm1(math.log(value) / q) / p - falls[i]) / slopes[i]
+                new = lam_i * (1.0 + dl)
+                if not lo[i] < new < hi[i] and dl < 700.0:
+                    new = lam_i * math.exp(dl)
+            if not lo[i] < new < hi[i]:
+                if i in near:  # the sum is settled: keep lam and settle the roots
+                    continue
+                new = 0.5 * (lo[i] + hi[i])
+            lam[i], ratios[i] = new, new / lam_i
+        s = s - e - g * (_lam_column(ratios) - 1.0)
+        cold = np.minimum(top_s, pow_s - _lam_column([math.log(v) / pm1 for v in lam]))
+        s = np.minimum(np.maximum(s, cold - width), cold)
 
 
 def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float, tops: list) -> list:
@@ -628,9 +738,9 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
 
     Row ``i`` of the result equals ``project(ball, Y[i])`` bit for bit.
     For p > 1 one multiplier search runs on the whole block, so each of its
-    dual-sum evaluations is one vectorized call over the whole block, and the
-    block costs its slowest row's evaluations times its rows; p = 1 and p < 1
-    solve row by row, p in {0, inf} in one step.
+    passes is one vectorized call over the whole block, and the block costs
+    its slowest row's passes times its rows; p = 1 and p < 1 solve row by
+    row, p in {0, inf} in one step.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != ball.dim:

@@ -3,8 +3,9 @@
 The control function is the closed-form expression that matches the minimax
 mean squared error over the lp ball up to the explicit constants
 ``C_LOWER = 1/868`` and ``C_UPPER = 6``.  General radii enter through the
-rescaling ``r**2 * m(sigma / r)`` and n i.i.d. samples through the effective
-noise ``tau / sqrt(n)``.
+rescaling ``r**2 * m(sigma / r)``, taken so that neither ``r**2`` nor
+``(sigma/r)**2`` leaves double range on the way, and n i.i.d. samples
+through the effective noise ``tau / sqrt(n)``.
 
 The classifier reports, for a parameter point ``(sigma, p, d, r)``, whether
 constrained least squares is known to be order-optimal (four regimes) or
@@ -16,6 +17,7 @@ rather than resolved by precedence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -47,20 +49,23 @@ class RateQuery:
 
     For ``n > 1`` supply the per-sample noise ``tau`` instead of ``sigma``;
     the effective noise is ``tau / sqrt(n)``.  For ``p = 0`` supply
-    ``sparsity``, and the radius is not used.  The constraint set is checked
-    as :class:`~lpseq.projection.LpBall` checks it, with a finite radius.
+    ``sparsity`` and no radius; at ``p > 0`` the radius defaults to 1, as in
+    ``lpseq project``.  The constraint set is checked as
+    :class:`~lpseq.projection.LpBall` checks it, with a finite radius.
     """
 
     p: float
     d: int
     sigma: float | None = None
-    radius: float = 1.0
+    radius: float | None = None
     sparsity: int | None = None
     n: int = 1
     tau: float | None = None
 
     def __post_init__(self):
-        LpBall(self.p, self.d, None if self.p == 0 else self.radius, self.sparsity)
+        if self.radius is None and self.p != 0:
+            object.__setattr__(self, "radius", 1.0)
+        LpBall(self.p, self.d, self.radius, self.sparsity)
         if self.p > 0 and self.radius == math.inf:
             raise InvalidParameterError(f"radius must be positive and finite, got {self.radius}")
         if not (is_integer(self.n) and self.n >= 1):
@@ -97,12 +102,28 @@ def _unit_control(p: float, d: int, s: float) -> float:
 
 
 def control_function(q: RateQuery) -> float:
-    """Closed-form minimax-rate control value for the query."""
+    """Closed-form minimax-rate control value for the query.
+
+    At p > 0 it is ``r**2 * m(sigma/r)``, ``m`` the control function on the
+    unit ball.  Where ``(sigma/r)**2`` underflows, ``m`` is on its
+    ``(sigma/r)**2 * d`` branch, taken as ``sigma**2 * d`` directly.
+    Elsewhere ``r`` is scaled by the power of 2 that brings it into [0.5, 1)
+    and the product is scaled back, so ``r**2`` cannot overflow; scaling by
+    a power of 2 is exact, so the value is ``r*r*m`` bit for bit wherever
+    that is a normal number.  A value past double range is inf.
+    """
     s = q.effective_sigma
     if q.p == 0:
         return s * s * q.sparsity * math.log(math.e * q.d / q.sparsity)
-    r = q.radius
-    return r * r * _unit_control(q.p, q.d, s / r)
+    u = s / q.radius
+    if u * u < sys.float_info.min:
+        return s * s * q.d
+    k = math.frexp(q.radius)[1]
+    r = math.ldexp(q.radius, -k)
+    try:
+        return math.ldexp(r * r * _unit_control(q.p, q.d, u), 2 * k)
+    except OverflowError:
+        return math.inf
 
 
 class RateBounds(NamedTuple):
@@ -203,17 +224,23 @@ def example_scalings(scenario: str, n: int, delta: float = 0.5) -> ScalingExampl
     if not (is_integer(n) and n >= 3):
         raise InvalidParameterError(f"n must be an integer >= 3, got {n!r}")
     p = 1.0 + delta
+    log_n = math.log(n)  # also for an integer past double range
     if scenario == "log_subopt":
-        d = n ** (p / 2.0) * math.log(n)
-        minimax = math.sqrt((math.log(math.log(n)) / n) ** (1.0 - delta))
-        mle = math.log(n) ** (delta / (1.0 + delta)) / n ** ((1.0 - delta) / 2.0)
+        d = _exp(p / 2.0 * log_n) * log_n
+        minimax = math.exp((1.0 - delta) / 2.0 * (math.log(math.log(log_n)) - log_n))
+        mle = math.exp(delta / (1.0 + delta) * math.log(log_n) - (1.0 - delta) / 2.0 * log_n)
     elif scenario == "poly_subopt":
-        try:
-            d = math.exp(math.sqrt(n))
-        except OverflowError:  # past double range
-            d = math.inf
-        minimax = n ** (-(1.0 - delta) / 4.0)
+        d = _exp(_exp(log_n / 2.0))
+        minimax = math.exp(-(1.0 - delta) / 4.0 * log_n)
         mle = 1.0
     else:
         raise InvalidParameterError(f"unknown scenario {scenario!r}")
     return ScalingExample(scenario, n, delta, d, p, minimax, mle)
+
+
+def _exp(x: float) -> float:
+    """``math.exp``, inf past double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf

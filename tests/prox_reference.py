@@ -1,10 +1,13 @@
-"""Power-penalty proximal operator and weak dual, the tests' reference for the p < 1 solver.
+"""The tests' references: the power-penalty prox and weak dual for the p < 1
+solver, and a bisection projection for p > 1.
 
 The package solves p < 1 through ``branch_roots`` and certifies its point
 from the enumeration's own bounds; it never needs the prox or the dual.  The
 tests use them as independent checks: the weak dual on a dense multiplier
 grid and at its exact maximum, which the returned objective must not be
-below, and the prox's global optimality against a grid search.
+below, and the prox's global optimality against a grid search.  For p > 1,
+:func:`project_reference` finds the multiplier by plain bisection on exact
+roots, with none of the package's multiplier search.
 """
 
 import math
@@ -139,3 +142,34 @@ def weak_dual_max(p: float, ts: np.ndarray, budget: float, primal=None):
             break
         lam = step
     return dual, evals
+
+
+def project_reference(p: float, t: np.ndarray) -> np.ndarray:
+    """Magnitudes of the projection of ``t >= 0`` onto the unit lp ball, p > 1, ``||t||_p > 1``.
+
+    Bisection on the multiplier: at each trial ``lam`` the roots are
+    ``psi_many(p, lam, t)``, and the dual sum ``sum(psi**p)`` falls with
+    ``lam`` from ``||t||_p**p > 1`` at 0 to at most 1 at ``||t||_q``.  The
+    bracket halves in ``log lam`` while its ends differ by more than a factor
+    2, then arithmetically, until the midpoint is one of its ends.  Slow and
+    plain on purpose.
+    """
+    q = p / (p - 1.0)
+    top = float(np.max(t))
+    hi = top * float(np.sum((t / top) ** q)) ** (1.0 / q)
+    lo = hi
+
+    def above(lam):  # the dual sum at lam is above 1
+        psi = psi_many(p, lam, t)
+        return float(np.sum(psi ** p)) > 1.0
+
+    while above(hi):  # rounding of the norm
+        hi *= 1.0 + 1e-12
+    while not above(lo):
+        lo *= 1e-100
+    for _ in range(5000):
+        mid = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 2.0 * lo < hi else 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return psi_many(p, hi, t)

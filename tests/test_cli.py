@@ -95,6 +95,7 @@ def test_project_parse_error_exit_2(capsys):
     ["project", "--p", "inf", "--sparsity", "2", "--input", "1,2"],
     ["rates", "--p", "1.5", "--d", "100", "--sigma", "0.1", "--sparsity", "3"],
     ["rates", "--p", "1.5", "--d", "100", "--n", "1", "--tau", "0.3", "--sigma", "0.1"],
+    ["rates", "--p", "0", "--d", "100", "--sigma", "0.1", "--sparsity", "3", "--radius", "5"],
 ])
 def test_contradictory_flags_exit_2(capsys, argv):
     # each of these used to exit 0 and ignore a flag
@@ -111,6 +112,8 @@ def test_contradictory_flags_exit_2(capsys, argv):
      {"p": 0.0, "dim": 2, "radius": None, "sparsity": 1}),
     (["rates", "--p", "1.5", "--d", "100", "--n", "4", "--tau", "0.2"],
      {"p": 1.5, "d": 100, "sigma": None, "radius": 1.0, "sparsity": None, "n": 4, "tau": 0.2}),
+    (["rates", "--p", "0", "--d", "100", "--sigma", "0.1", "--sparsity", "3"],
+     {"p": 0.0, "d": 100, "sigma": 0.1, "radius": None, "sparsity": 3, "n": 1, "tau": None}),
 ])
 def test_echo_is_the_object_built(capsys, argv, echoed):
     code, _, err = run_cli(capsys, *argv)

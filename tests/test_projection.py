@@ -11,6 +11,7 @@ from lpseq.errors import (
     InvalidParameterError,
     NonFiniteInputError,
 )
+from lpseq.instances import flat_sparse_instance
 from lpseq.projection import (
     LpBall,
     lp_norm,
@@ -22,13 +23,22 @@ from lpseq.projection import (
     _kkt_pieces,
 )
 from lpseq.rng import keyed_generator
-from lpseq.shrinkage import _root_terms, psi_many
-from prox_reference import power_objective, prox_jump_lambda, prox_power_many, weak_dual_max
+from lpseq.shrinkage import psi_many
+from prox_reference import (
+    power_objective,
+    project_reference,
+    prox_jump_lambda,
+    prox_power_many,
+    weak_dual_max,
+)
 
 # closed forms recomputed independently (mpmath): 2 c**1.5 = 1 and the
 # stationarity identity lam = (2 - c)/sqrt(c)
 C_SYMMETRIC = 0.6299605249474366
 LAM_SYMMETRIC = 1.7261415738056466
+
+# indices with no closed form, from next to 1 to next to inf
+GENERIC_P = [1 + 1e-6, 1.02, 1.05, 1.1, 1.3, 1.7, 2.5, 4.0, 10.0, 1e4]
 
 
 def _search(p, T):
@@ -735,7 +745,7 @@ def _block(p, d, r, rng):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 1.3, 1.5, 2.0, 3.0, 1e4, math.inf])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, math.inf] + GENERIC_P)
 def test_project_many_matches_lone_calls_bit_for_bit(p):
     rng = np.random.default_rng(31)
     # benchmark sizes too: the block's einsum row sums must not depend on its row count
@@ -774,17 +784,14 @@ def test_project_many_validation():
         project_many(LpBall(p=1.5, dim=2, radius=1e-300), np.array([[0.1, 0.1], [1e10, 1.0]]))
 
 
-def test_project_warm_starts_inner_roots(monkeypatch):
-    # from its second dual-sum evaluation on, a p = 1.3 projection starts its
-    # roots at the tangent of the previous ones: next to the root, so the
-    # kernel takes fewer Newton steps than from the cold start
+def test_generic_p_search_solves_no_inner_roots(monkeypatch):
+    # outside the closed forms each pass of the multiplier search is one
+    # joint Newton step over the row, two exps (three where it bounds the
+    # sum from above), with no root solve of the shrinkage kernel in it
     import lpseq.projection as projection
     import lpseq.shrinkage as shrinkage
 
-    p, d = 1.3, 1000
-    ball = LpBall(p=p, dim=d, radius=1.0)
-    y = np.random.default_rng(41).standard_normal(d)
-    calls, exps = [], []
+    exps = []
 
     class CountingNumpy:
         def __getattr__(self, name):
@@ -794,27 +801,66 @@ def test_project_warm_starts_inner_roots(monkeypatch):
             exps.append(1)
             return np.exp(x)
 
-    def run(keep_start):
-        calls.clear()
+    def no_roots(*args, **kwargs):
+        raise AssertionError("the multiplier search solved a root")
+
+    y = np.random.default_rng(41).standard_normal(1000)
+    for p in GENERIC_P:
         exps.clear()
-
-        def spy(p, lam, t, log_t, tol, start=None):
-            calls.append((lam, t, start))
-            return _root_terms(p, lam, t, log_t, tol, start if keep_start else None)
-
         with monkeypatch.context() as m:
-            m.setattr(projection, "_root_terms", spy)
-            m.setattr(shrinkage, "np", CountingNumpy())
-            res = project(ball, y)
-        return res, len(exps)
+            m.setattr(shrinkage, "_branch_root", no_roots)
+            m.setattr(projection, "np", CountingNumpy())
+            res = project(LpBall(p=p, dim=y.size, radius=1.0), y)
+        assert res.kkt_residual <= 1e-9 and res.iterations >= 2
+        assert 2 * res.iterations <= len(exps) <= 3 * res.iterations, p
 
-    cold, cold_exps = run(False)
-    warm, warm_exps = run(True)
-    assert warm.iterations == cold.iterations == len(calls) >= 3
-    assert calls[0][2] is None
-    for lam, t, start in calls[1:]:
-        x = np.exp(start)
-        assert np.median(np.abs(x + lam * x ** (p - 1.0) - t) / t) <= 1e-6
-    assert warm_exps <= 0.7 * cold_exps
-    assert warm.kkt_residual <= 1e-9
-    np.testing.assert_allclose(warm.point, cold.point, rtol=1e-9, atol=1e-15)
+
+@pytest.mark.parametrize("p", GENERIC_P)
+def test_generic_p_matches_reference_on_benchmark_shapes(p):
+    # the two figure shapes at d = 1000 and 7017: a spike e_1 with noise
+    # d**(1/p - 1), and the flat k-sparse signal of fig2b (its p = 1.3
+    # sparsity, normalized at p) with noise d**-0.5
+    rng = np.random.default_rng(17)
+    for d in (1000, 7017):
+        spike = np.eye(1, d)[0]
+        k = flat_sparse_instance(d**-0.5, 1.3, d).k
+        flat = np.where(np.arange(d) < k, k ** (-1.0 / p), 0.0)
+        for theta, sigma in ((spike, d ** (1.0 / p - 1.0)), (flat, d**-0.5)):
+            y = theta + sigma * rng.standard_normal(d)
+            res = project(LpBall(p=p, dim=d, radius=1.0), y)
+            assert res.kkt_residual <= 1e-9
+            if res.iterations:
+                ref = np.sign(y) * project_reference(p, np.abs(y))
+                assert np.max(np.abs(res.point - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_generic_p_matches_reference(data):
+    # spike, flat sparse and Gaussian rows, some with exact zeros, at |y|/r
+    # from 1e-150 to 1e150 and radii from 1e-150 to 1e150
+    p = data.draw(st.sampled_from(GENERIC_P))
+    shape = data.draw(st.sampled_from(["spike", "flat", "gaussian"]))
+    d = data.draw(st.integers(1, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    y = rng.standard_normal(d)
+    if shape == "spike":
+        y = 0.1 * y + np.eye(1, d)[0]
+    elif shape == "flat":
+        y = 0.2 * y + (np.arange(d) < rng.integers(1, d + 1))
+    if data.draw(st.booleans()):
+        y[rng.random(d) < 0.4] = 0.0
+    assume(np.any(y))
+    log_r, log_ratio = data.draw(st.floats(-150, 150)), data.draw(st.floats(-150, 150))
+    r = 10.0**log_r
+    y = y / np.max(np.abs(y)) * 10.0 ** (log_r + log_ratio)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = project(LpBall(p=p, dim=d, radius=r), y)
+    assert res.kkt_residual <= 1e-9
+    t = np.abs(y) / r
+    if res.iterations == 0:  # inside the ball
+        assert res.point.tobytes() == y.tobytes() and lp_norm(t, p) <= 1.0 + 1e-9
+    else:
+        ref = np.sign(y) * project_reference(p, t) * r
+        assert np.max(np.abs(res.point - ref)) <= 1e-9 * np.max(np.abs(ref))

@@ -16,6 +16,7 @@ from lpseq.rates import (
     classify_regime,
     control_function,
     example_scalings,
+    _unit_control,
     p_threshold,
     rate_bounds,
 )
@@ -82,6 +83,49 @@ def test_rescaling_identity_exact():
         big = control_function(RateQuery(p=p, d=d, sigma=sigma, radius=r))
         unit = control_function(RateQuery(p=p, d=d, sigma=sigma / r, radius=1.0))
         assert big == r * r * unit  # exact float identity by construction
+
+
+def _log_control(p, d, sigma, r):
+    """log of the control function at p > 0, in logs throughout, thresholds included."""
+    log_u, log_d = math.log(sigma) - math.log(r), math.log(d)
+    if p >= 2:
+        return min(2 * math.log(r) + (1 - 2 / p) * log_d, 2 * math.log(sigma) + log_d)
+    if 2 * log_u >= -math.log1p(log_d):
+        return 2 * math.log(r)
+    if p * log_u <= -log_d:
+        return 2 * math.log(sigma) + log_d
+    return (p * math.log(r) + (2 - p) * math.log(sigma)
+            + (1 - p / 2) * math.log(1 + log_d + p * log_u))
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_rate_bounds_scale_free(p):
+    # sigma and r from 1e-300 to 1e300: no bound is nan (r*r overflowing
+    # against (sigma/r)**2 underflowing gave inf*0), each matches the formula
+    # evaluated in logs, past double range is inf, and wherever the
+    # unit-ball rescaling r*r*m(sigma/r) stays normal it is the value bit for bit
+    scales = [10.0**k for k in range(-300, 301, 20)]
+    for d in (2, 100, 7017):
+        for sigma in scales:
+            for r in scales:
+                q = RateQuery(p=p, d=d, sigma=sigma, radius=r)
+                m, (lower, upper, _) = control_function(q), rate_bounds(q)
+                assert not (math.isnan(m) or math.isnan(lower) or math.isnan(upper))
+                log_m = _log_control(p, d, sigma, r)
+                if log_m > math.log(sys.float_info.max):
+                    assert m == upper == math.inf
+                elif log_m > math.log(sys.float_info.min):
+                    assert m == pytest.approx(math.exp(log_m), rel=1e-12)
+                    assert (lower, upper) == (C_LOWER * m, C_UPPER * m) or p < 1
+                else:
+                    assert 0.0 <= m < 1.01 * sys.float_info.min
+                u = sigma / r
+                rescaled = r * r * _unit_control(p, d, u)
+                if u * u >= sys.float_info.min and sys.float_info.min <= rescaled < math.inf:
+                    assert m == rescaled
+    # the reported case: sigma**2 * d = 1 at radius 1e200
+    assert rate_bounds(RateQuery(p=1.5, d=100, sigma=0.1, radius=1e200)) == pytest.approx(
+        (C_LOWER, C_UPPER, True), rel=1e-15)
 
 
 def test_n_sample_identity_exact():
@@ -226,6 +270,16 @@ def test_example_scalings_formulas():
             example_scalings("log_subopt", n)
     # exp(sqrt(n)) passes double range: math.exp raised OverflowError
     assert example_scalings("poly_subopt", 10**6).d == math.inf
+    # an n past double range: n ** (p/2) and sqrt(n) raised OverflowError
+    n, log_n = 10**400, 400 * math.log(10)
+    ex = example_scalings("log_subopt", n)
+    assert ex.d == pytest.approx(1e300 * log_n, rel=1e-12)
+    assert ex.predicted_minimax == pytest.approx(
+        math.exp(0.25 * (math.log(math.log(log_n)) - log_n)), rel=1e-12)
+    assert ex.predicted_mle_risk == pytest.approx(log_n ** (1 / 3) * 1e-100, rel=1e-12)
+    ex = example_scalings("poly_subopt", n)
+    assert ex.d == math.inf and ex.predicted_mle_risk == 1.0
+    assert ex.predicted_minimax == pytest.approx(1e-50, rel=1e-12)
 
 
 def test_regime_map_script_smoke(monkeypatch, capsys):

@@ -314,16 +314,20 @@ def test_estimate_accepts_a_block():
 def test_benchmark_cells_meet_the_kkt_rule(regime, p, sigma_rule, reps):
     # Every trial's p > 1 projection meets the CLI's exit-3 rule, KKT residual at
     # most 10 * LAMBDA_GAP_TOL = 1e-9, which the benchmark's traced run applies per trial.
-    # No block takes more dual-sum evaluations than these: the search's target
-    # S**(-1/q) - 1 is near linear in lam, exactly so at p = 2.
-    evaluations = {1.5: 4, 1.3: 5, 2.0: 2, 3.0: 8}[p]
+    # No block takes more passes of the multiplier search than these, the
+    # most measured on these cells.  At p in {1.5, 2, 3} a pass evaluates the
+    # dual sum at exact roots, and its target S**(-1/q) - 1 is near linear in
+    # lam, exactly so at p = 2.  At p = 1.3 a pass is one joint Newton step on
+    # the roots and the multiplier: every block takes 6, the first from the
+    # cold start and the last only to certify.
+    passes = {1.5: 4, 1.3: 6, 2.0: 2, 3.0: 8}[p]
     estimators = ("mle", "soft_threshold") if p < 2 else ("mle",)  # soft_threshold needs p < 2
     cfg = ExperimentConfig(regime=regime, p=p, sigma_rule=sigma_rule, reps=reps,
                            estimators=estimators, seed=0)
     mle = [r for r in run_experiment(cfg).rows if r.estimator == "mle"]
     assert [r.d for r in mle] == list(cfg.d_grid)
     for row in mle:
-        assert row.kkt_residual_max <= 1e-9 and 0 < row.iterations_max <= evaluations, row
+        assert row.kkt_residual_max <= 1e-9 and 0 < row.iterations_max <= passes, row
 
 
 def test_health_stays_out_of_csv_and_old_rows_load():
