@@ -41,8 +41,8 @@ ROOT_FLOOR_STEP = 8
 EPS = float(np.finfo(float).eps)
 LOG2 = float(np.log(2.0))
 
-# Indices at which psi_many has a closed form; the others take Newton steps
-# that the p > 1 multiplier search warm-starts.
+# Indices at which psi_many has a closed form, whose intermediates the p > 1
+# multiplier search sums; at the others both take Newton steps.
 CLOSED_FORMS = frozenset({1.0, 1.5, 2.0, 3.0})
 
 
