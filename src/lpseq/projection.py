@@ -33,15 +33,14 @@ from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteInpu
 from .shrinkage import (
     CLOSED_FORMS,
     DEFAULT_TOL,
-    EPS,
     FLUSH_TOL,
     LOG2,
-    ROOT_FLOOR,
     _branch_vanish_lambda,
     _closed_falls,
     _closed_psi,
     _closed_terms,
     _flush,
+    _root_floor,
     branch_roots,
     psi_many,  # not called here; the traced benchmark wraps this name
 )
@@ -306,9 +305,9 @@ def _joint_search(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     the top less ``log(2)*max(1, 1/(p-1))``, where the larger term is
     ``t/2`` or below.  Magnitudes below ``FLUSH_TOL`` are taken as 0, which
     is then their root.  A row stops on the gap or bracket rule together
-    with every root's residual rule, ``|F| <= max(tol, ROOT_FLOOR*eps*t*(1 +
-    |log t|))``, ``tol`` small enough that the roots' error moves the sum by
-    at most ``LAMBDA_GAP_TOL``.
+    with every root's residual rule, ``|F| <= max(tol, _root_floor(t))``,
+    ``tol`` small enough that the roots' error moves the sum by at most
+    ``LAMBDA_GAP_TOL``.
     """
     n, pm1 = len(tops), p - 1.0
     q = p / pm1
@@ -340,7 +339,7 @@ def _joint_search(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
             if tol is None:  # psi's error moves the sum p-fold; at t = 0 the floor
                 # is 0*inf = nan, which no |F| exceeds
                 tol = np.maximum(min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL),
-                                 ROOT_FLOOR * EPS * T * (1.0 + np.abs(log_T)))
+                                 _root_floor(T, log_T))
             open_ = np.any(np.abs(F) > tol, axis=1).tolist()
             stopped = [i for i in near if not open_[i] or step_count == SEARCH_STEPS]
             for i in stopped:
@@ -624,7 +623,10 @@ def _project_quasinorm_unit(p: float, t: np.ndarray, scale: float):
     objective.
     Units are ``max(t)`` and objectives ``sum(x**2/2 - x*t)``, so nothing
     overflows; magnitudes with a vanishing multiplier below ``TINY_LAMBDA``
-    are dropped, with no bound in the gap.  Returns ``(x, lam, gap, evals)``;
+    are dropped.  Where that, not the branch points, sets the largest size,
+    keeping a dropped ``t_i`` lowers the objective by at most ``t_i**2/2``, so
+    the least bound is ``min(floor, best) - 0.5*sum(dropped**2)``, the gap
+    its distance to the best.  Returns ``(x, lam, gap, evals)``;
     a prefix kept as is comes back as the entries of ``t`` themselves.
     """
     order = np.argsort(-t, kind="stable")
@@ -641,8 +643,9 @@ def _project_quasinorm_unit(p: float, t: np.ndarray, scale: float):
         prefix = ts[:k0]
         best = [float(-0.5 * np.sum(prefix**2)), prefix, 0.0, 0.0]
 
-    meets = np.cumsum(((1.0 - p) / (2.0 - p) * ts) ** p)
-    top = min(int(np.count_nonzero(vanish > TINY_LAMBDA)), 1 + int(np.searchsorted(meets, budget)))
+    # no size past reach has a root, and magnitudes from top to reach are dropped
+    reach = 1 + int(np.searchsorted(np.cumsum(((1.0 - p) / (2.0 - p) * ts) ** p), budget))
+    top = min(int(np.count_nonzero(vanish > TINY_LAMBDA)), reach)
     sizes = np.arange(max(k0 + 1, 2), top + 1)
     # 0, then np.geomspace's points without its wrapper: 10**linspace of the
     # ends' log10, the ends themselves exact
@@ -709,8 +712,9 @@ def _project_quasinorm_unit(p: float, t: np.ndarray, scale: float):
     x = np.zeros_like(t)
     kept = order[:best[1].size]
     x[kept] = t[kept] if k0 > 0 and best[1] is prefix else best[1] * scale  # as is: exact
-    gap = (best[0] - floor) * scale * scale if floor < best[0] else 0.0
-    return x, best[2] * scale ** (2.0 - p), gap, evals
+    # keeping a dropped magnitude lowers the objective by at most its t**2/2
+    gap = (best[0] - floor if floor < best[0] else 0.0) + 0.5 * float(np.sum(ts[top:reach] ** 2))
+    return x, best[2] * scale ** (2.0 - p), gap * scale * scale if gap else 0.0, evals
 
 
 def project(ball: LpBall, y: np.ndarray) -> ProjectionResult:

@@ -4,7 +4,8 @@
 - ``psi_many``: the root for p >= 1, which is unique.
 - ``_closed_terms``, ``_closed_psi``, ``_closed_falls``: the closed forms at
   p in {1.5, 2, 3}, whose intermediates the p > 1 multiplier search sums.
-- ``_root_terms``, ``_branch_root``: Newton steps in ``log psi`` at other p.
+- ``_branch_root``, ``_root_floor``: Newton steps in ``log psi`` at other p,
+  and the rounding floor of their residual.
 - ``branch_roots``, ``_branch_vanish_lambda``: the two roots for p < 1.
 
 The kernels use IEEE infinities, NaNs and zero divisions on purpose, and
@@ -34,8 +35,8 @@ ROOT_STEPS = 60
 # 180,000 seeded roots (p from 0.1 to 10, t from 1e-4 to 1e12) the least
 # residual Newton reached was at most 7.5 of these units.  Up to t = 100 the
 # floor stays below the default tol, so only larger magnitudes stop earlier.
-# It applies from step ROOT_FLOOR_STEP on: ordinary roots have stopped by
-# then, so their calls never pay for computing it.
+# The scalar roots apply it from step ROOT_FLOOR_STEP on: ordinary roots have
+# stopped by then, so their calls never pay for computing it.
 ROOT_FLOOR = 8.0
 ROOT_FLOOR_STEP = 8
 EPS = float(np.finfo(float).eps)
@@ -60,15 +61,24 @@ def _flush(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _root_floor(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+    """Rounding floor of the residual of a root at magnitude ``t``,
+    ``ROOT_FLOOR*eps*t*(1 + |log t|)``; ``log_t`` is ``np.log(t)``."""
+    return ROOT_FLOOR * EPS * t * (1.0 + np.abs(log_t))
+
+
 @np.errstate(all="ignore")
 def psi_many(p: float, lam, t) -> np.ndarray:
     """Elementwise positive solution of ``psi + lam*psi**(p-1) = t``, p >= 1.
 
     ``lam`` and ``t`` broadcast together and must be at least 0, or
     ``InvalidParameterError`` is raised (also for NaN); scalars give a 0-d
-    array.  The returned psi lies in ``[0, t]`` with residual at most
-    ``max(DEFAULT_TOL, ROOT_FLOOR*eps*t*(1 + |log t|))``.  At p in
-    ``CLOSED_FORMS`` it is a closed form; elsewhere :func:`_root_terms`.
+    array.  The returned psi lies in ``[0, t]``.  At p in ``CLOSED_FORMS`` it
+    is a closed form; elsewhere it is :func:`_branch_root`'s, whose residual,
+    as its last Newton pass evaluates it, is at most ``max(DEFAULT_TOL,
+    ROOT_FLOOR*eps*t*(1 + |log t|))``; on the returned psi the residual also
+    carries psi's rounding, which the power moves (p-1)-fold.  A root below
+    ``FLUSH_TOL`` is returned as 0.
     """
     lam_arr, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(t, dtype=float))
@@ -79,8 +89,10 @@ def psi_many(p: float, lam, t) -> np.ndarray:
     if p not in CLOSED_FORMS:
         if p < 1.0:
             raise InvalidParameterError("psi_many requires p >= 1; use branch_roots for p < 1")
-        log_t = np.log(t)  # log 0 = -inf, where psi = t = 0
-        return _root_terms(p, np.asarray(lam, dtype=float), t, log_t, DEFAULT_TOL)[0]
+        # lam is left unbroadcast, so a column of multipliers costs one log
+        # each; where t or lam is 0, psi = t
+        lam = np.asarray(lam, dtype=float)
+        return _flush(np.where((t > 0) & (lam > 0), np.minimum(_branch_root(p, lam, t, True), t), t))
     if p == 1.0:
         return _flush(np.maximum(t - lam_arr, 0.0))
     # 0/0 at p = 1.5, lam = t = 0
@@ -145,79 +157,49 @@ def _closed_falls(p: float, lam, v: np.ndarray, root, sums: np.ndarray) -> np.nd
     return p * np.einsum("ij,ij,ij->i", v, v, ratio)
 
 
-def _root_terms(p: float, lam, t: np.ndarray, log_t: np.ndarray, tol: float, start=None):
-    """``psi``, ``log psi`` and ``psi**(p-1)`` of :func:`psi_many` at a generic p > 1.
+def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper) -> np.ndarray:
+    """Root ``x`` of ``x + lam*x**(p-1) = t`` on one branch, for ``lam, t > 0``.
 
-    ``lam >= 0`` is a scalar or an array broadcastable against ``t >= 0``, left
-    unbroadcast so a column of multipliers costs one log each, and ``log_t`` is
-    ``np.log(t)``, which a caller that solves against the same ``t`` many times
-    takes once.  ``tol`` and ``start``, guesses of ``log psi`` such as the
-    log-roots at a nearby ``lam``, go to :func:`_branch_root`; at
-    ``DEFAULT_TOL`` and no ``start`` this is :func:`psi_many`'s ``psi`` bit
-    for bit.  The logarithm and the power are those of the last
-    Newton pass, ``s`` and ``exp((p-1)*s)``; only where ``psi`` is not that
-    pass's ``exp(s)`` (flushed to 0, clamped to ``t``, or ``t`` itself at a
-    zero ``t`` or ``lam``) are they taken from ``psi`` by ``log`` and ``pow``.
+    Newton's method in ``s = log x`` from a cold start that puts one term at
+    ``t``: ``f(s) = e**s + lam*e**((p-1)*s) - t`` is convex, so steps from a
+    start with ``f >= 0`` move monotonically to the root on that side and
+    never overshoot.  For p > 1 (``upper`` True) ``f`` also rises with ``s``,
+    so the steps come down from the cold start; they are clamped at the
+    floor where the larger term is ``t/2`` (``f <= 0``), which only an
+    infinite step reaches, where ``x + lam*x**(p-1)`` overflows at ``t``
+    near double range.  For p < 1 the root must exist, and iterates stay on
+    their branch's side of the turning point ``x_arg``, so a root lost to
+    rounding there comes back as ``x_arg``.  An element stops once ``|f| <=
+    DEFAULT_TOL``, or from step ``ROOT_FLOOR_STEP`` on once ``|f|`` is within
+    its rounding floor, :func:`_root_floor`, whatever its batch.  Returns the
+    ``x = exp(s)`` of the last Newton pass.
     """
-    # where t or lam is 0, psi = t; a power past double range is inf
-    x, log_psi, power = _branch_root(p, lam, t, log_t, True, tol, start)
-    psi = _flush(np.where((t > 0) & (lam > 0), np.minimum(x, t), t))
-    redo = (psi != x) | (psi == 0)  # x may have underflowed to psi = 0
-    if redo.any():
-        log_psi, power = np.asarray(log_psi), np.asarray(power)  # arrays also at 0-d
-        log_psi[redo] = np.log(psi[redo])
-        power[redo] = psi[redo] ** (p - 1.0)
-    return psi, log_psi, power
-
-
-def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, log_t: np.ndarray, upper,
-                 tol: float, start=None):
-    """Root of ``x + lam*x**(p-1) = t`` on one branch, for ``lam, t > 0``.
-
-    Returns ``(x, s, exp((p-1)*s))`` of the last Newton pass, ``x = exp(s)``;
-    ``log_t`` is ``np.log(t)``.
-
-    Newton's method in ``s = log x``: ``f(s) = e**s + lam*e**((p-1)*s) - t``
-    is convex, so steps from a start with ``f >= 0`` move monotonically to the
-    root on that side and never overshoot.  Each cold start puts one term at
-    ``t``.  For p > 1 the root lies between that cold start and the floor
-    where the larger term is ``t/2`` (``f <= 0``); ``start`` is clamped into
-    them (NaN to the cold start), and a step from below the root overshoots
-    once, onto the monotone side, clipped to the cold start.  For p < 1 the
-    root must exist, ``start`` is not used, and iterates stay on their
-    branch's side of the turning point ``x_arg``, so a root lost to rounding
-    there comes back as ``x_arg``.  An element stops once ``|f| <= tol``, or from step
-    ``ROOT_FLOOR_STEP`` on once ``|f|`` is within the rounding floor
-    ``ROOT_FLOOR*eps*t*(1 + |log t|)``, whatever its batch.
-    """
-    log_lam = np.log(lam)
+    log_t, log_lam = np.log(t), np.log(lam)
     s_pow = (log_lam - log_t) / (1.0 - p)  # where lam*x**(p-1) = t
     if p > 1:
         lo, hi = np.minimum(log_t - LOG2, s_pow - LOG2 / (p - 1.0)), np.minimum(log_t, s_pow)
-        s = hi if start is None else np.fmax(np.fmin(start, hi), lo)  # NaN: hi
     else:
         s_arg = np.log(lam * (1.0 - p)) / (2.0 - p)
-        s = np.where(upper, log_t, s_pow)
         lo, hi = np.where(upper, s_arg, s_pow), np.where(upper, log_t, s_arg)
+    s = np.where(upper, hi, lo)  # the cold start
     # where exp((p-1)*s) can pass double range before a tiny lam scales it
     # back, the power is one exp of the summed logs
     wide = (p - 1.0) * (hi if p > 1 else lo) > 700.0
-    guard = wide.any()
+    guard, tol = wide.any(), DEFAULT_TOL
     for step in range(ROOT_STEPS):
-        x, at = np.exp(s), s  # s moves past x when the last step leaves it open
-        power = np.exp((p - 1.0) * s)
-        pw = lam * power
+        x = np.exp(s)
+        pw = lam * np.exp((p - 1.0) * s)
         if guard:
             pw = np.where(wide, np.exp(log_lam + (p - 1.0) * s), pw)
         f = x + pw - t
         if step == ROOT_FLOOR_STEP:
-            tol = np.maximum(tol, ROOT_FLOOR * EPS * t * (1.0 + np.abs(log_t)))
+            tol = np.maximum(tol, _root_floor(t, log_t))
         open_ = np.abs(f) > tol
         if not open_.any():
             break
         # minimum(maximum()) is np.clip's arithmetic without its wrapper's overhead
         s = np.where(open_, np.minimum(np.maximum(s - f / (x + (p - 1.0) * pw), lo), hi), s)
-    return x, at, power
+    return x
 
 
 # --- p < 1: branch structure of x + lam * x**(p-1) = t -----------------------
@@ -260,5 +242,5 @@ def branch_roots(p: float, lam, t, upper) -> np.ndarray:
     live = live if live.shape == shape else np.broadcast_to(live, shape)
     lam, t, upper = (v[live] if v.shape == shape else np.broadcast_to(v, shape)[live]
                      for v in (lam, t, upper))
-    out[live] = _branch_root(p, lam, t, np.log(t), upper, DEFAULT_TOL)[0]
+    out[live] = _branch_root(p, lam, t, upper)
     return out

@@ -717,6 +717,20 @@ def test_quasinorm_root_below_double_range(p, r, y):
     assert _objective(res.point, y) <= _objective(prefix, y) * (1 + 1e-12)
 
 
+def test_quasinorm_gap_bounds_dropped_magnitudes():
+    # at p = 0.01 magnitudes about 1e-146 below a unit top have roots only at
+    # multipliers below TINY_LAMBDA, so the enumeration drops them; keeping
+    # one lowers the objective by at most y_i**2/2, and the gap must count it
+    # (it read 0.0).  The largest dropped magnitude is always among those
+    rng = np.random.default_rng(43)
+    tail = 1e-146 * (1.0 + rng.random(5))
+    y = np.concatenate([[1.0], tail])
+    for r in (0.5, 1.0, 2.0):
+        res = project(LpBall(p=0.01, dim=y.size, radius=r), y)
+        assert res.point[0] == min(1.0, r) and not res.point[1:].any()
+        assert 0.5 * tail.max() ** 2 <= res.duality_gap <= 0.5 * float(np.sum(tail**2))
+
+
 def test_zero_vector_input():
     for p in (0.5, 1.0, 2.0, math.inf):
         ball = LpBall(p=p, dim=3, radius=1.0)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from lpseq.errors import InvalidParameterError
 from lpseq.projection import _power_sums
 from lpseq.shrinkage import (
-    DEFAULT_TOL,
+    FLUSH_TOL,
+    ROOT_FLOOR,
     _branch_vanish_lambda,
     _closed_falls,
     _closed_psi,
     _closed_terms,
-    _root_terms,
     branch_roots,
     psi_many,
     soft_threshold,
@@ -54,6 +54,34 @@ def test_psi_edge_cases():
             assert 0 < psi <= t
             power = math.exp(math.log(lam) + (p - 1.0) * math.log(psi))
             assert abs(psi + power - t) <= 1e-12 * t
+    # a column of multipliers against magnitudes of 0, flushed ones and ones
+    # up to 1e3, and the wide rows above, at generic p from 1 + 1e-9 to 1e4:
+    # psi lies in [0, t] and meets psi_many's residual bound, measured on the
+    # returned psi, so up to the rounding of lam*psi**(p-1), which psi's own
+    # rounding moves (p-1)-fold; a psi flushed to 0 has its root below FLUSH_TOL
+    rng = np.random.default_rng(31)
+    t = 10.0 ** rng.uniform(-6, 3, size=300)
+    t[:10] = 0.0
+    t[10:20] = 10.0 ** rng.uniform(-320, -301, size=10)  # flushed roots
+    lams = np.array([0.0, 1e-300, 1e-6, 0.3, 7.0, 1e5, 1e280])[:, None]
+    blocks = ((lams, np.broadcast_to(t, (lams.size, t.size))),
+              (np.full((2, 1), 1e-300), np.array([[1e300], [1e150]])))
+    eps = np.finfo(float).eps
+    for p in (1.0 + 1e-9, 1.001, 1.1, 1.3, 1.7, 2.5, 4.0, 50.0, 1e4):
+        for lam, T in blocks:
+            psi = psi_many(p, lam, T)
+            assert np.all((psi >= 0) & (psi <= T))
+            with np.errstate(divide="ignore", invalid="ignore"):  # log 0; 0*inf at t or lam 0
+                log_lam, log_psi = np.log(lam), np.log(psi)
+                power = np.exp(log_lam + (p - 1.0) * log_psi)
+                floor = ROOT_FLOOR * eps * T * (1.0 + np.abs(np.log(T)))
+                rounding = np.nan_to_num(
+                    4.0 * eps * power * (1.0 + np.abs(log_lam) + p * (1.0 + np.abs(log_psi))))
+                flushed = FLUSH_TOL + np.exp(log_lam + (p - 1.0) * np.log(FLUSH_TOL)) >= T
+            live = psi > 0
+            resid = np.abs(psi + power - T)[live]
+            assert np.all(resid <= np.fmax(1e-12, floor[live]) + rounding[live]), p
+            assert np.all(flushed[~live]), p
 
 
 def test_psi_invalid_parameters():
@@ -73,48 +101,6 @@ def test_psi_invalid_parameters():
                 psi_many(p, lam, t)
 
 
-@pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1.1, 1.3, 1.7, 2.5, 4.0, 50.0, 1e4])
-def test_root_terms_match_psi_many_and_power_reference(p):
-    # the generic-p dual sum takes psi, log psi and psi**(p-1) from one
-    # kernel: psi is psi_many's bit for bit from a cold start, and, from a
-    # cold or a warm start, the log and the power sum and slope built
-    # on the returned power match those built on pow(psi, p-1).  Both carry
-    # psi's rounding, which the power magnifies (p-1)-fold, so at p = 1e4 they
-    # agree to about p*eps (1e-12), and to 1e-13 up to p = 50.
-    rng = np.random.default_rng(31)
-    t = 10.0 ** rng.uniform(-6, 3, size=300)
-    t[:10] = 0.0
-    t[10:20] = 10.0 ** rng.uniform(-320, -301, size=10)  # flushed roots
-    lams = np.array([0.0, 1e-300, 1e-6, 0.3, 7.0, 1e5, 1e280])[:, None]
-    # rows guarded against the overflow of lam*exp((p-1)*s), as in test_psi_edge_cases
-    wide_t = np.array([[1e300], [1e150]])
-    blocks = ((lams, np.broadcast_to(t, (lams.size, t.size))), (np.full((2, 1), 1e-300), wide_t))
-    rtol = max(1e-13, 4.0 * p * np.finfo(float).eps)
-    for lam, T in blocks:
-        with np.errstate(divide="ignore"):
-            log_t, warm = np.log(T), np.log(psi_many(p, 1.5 * lam, T))
-        for start in (None, warm):
-            with np.errstate(all="ignore"):  # as psi_many and project_many run it
-                psi, log_psi, power = _root_terms(p, lam, T, log_t, DEFAULT_TOL, start)
-            if start is None:
-                np.testing.assert_array_equal(psi, psi_many(p, lam, T))
-            with np.errstate(divide="ignore", over="ignore"):
-                ref_log, ref_power = np.log(psi), psi ** (p - 1.0)
-            np.testing.assert_allclose(log_psi, ref_log, rtol=4e-16, atol=4e-16)
-            # elementwise too, where the power passes double range (inf) and at psi = 0
-            np.testing.assert_allclose(power, ref_power, rtol=rtol, atol=0)
-
-            def sums(pw):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    dpsi = np.where(psi > 0, psi * pw / (psi + lam * (p - 1.0) * pw), 0.0)
-                    return np.sum(psi * pw, axis=1), p * np.sum(pw * dpsi, axis=1)
-
-            for got, ref in zip(sums(power), sums(ref_power)):
-                finite = np.isfinite(ref)
-                assert finite.any() or T is wide_t
-                np.testing.assert_allclose(got[finite], ref[finite], rtol=rtol, atol=0)
-
-
 @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 1.8, 2.0, 2.6, 3.0, 4.5, 50.0])
 def test_psi_residual_on_random_grid(p):
     rng = np.random.default_rng(7)
@@ -125,24 +111,6 @@ def test_psi_residual_on_random_grid(p):
     assert np.all(psi >= 0)
     assert np.all(psi <= t + 1e-15)
     assert resid.max() <= 1e-11
-
-
-@pytest.mark.parametrize("p", [1.05, 1.3, 1.7, 2.6, 4.5, 50.0])
-def test_psi_start_anywhere_meets_residual(p):
-    # a start of the generic-p kernel at the root, far on either side of it,
-    # or not finite at all still gives a root in [0, t] within the residual
-    # bound above
-    rng = np.random.default_rng(8)
-    t = 10.0 ** rng.uniform(-6, 2, size=300)
-    lam = 10.0 ** rng.uniform(-6, 3, size=300)
-    at_root = np.log(psi_many(p, lam, t))
-    for start in (at_root, at_root - 30.0, at_root + 30.0,
-                  np.full(300, np.nan), np.full(300, -np.inf), np.full(300, np.inf)):
-        psi = _root_terms(p, lam, t, np.log(t), DEFAULT_TOL, start)[0]
-        resid = np.abs(psi + lam * psi ** (p - 1.0) - t)
-        assert np.all(psi >= 0)
-        assert np.all(psi <= t + 1e-15)
-        assert resid.max() <= 1e-11
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
