@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, is_integer
+from .errors import InvalidParameterError, inf_past_range, is_integer
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,8 @@ def flat_sparse_instance(sigma: float, p: float, d: int) -> HardInstanceParams:
     delta = default_delta(q)
     m = d - d % 4
     lam_floor = (sigma * m ** (1.0 / q) / 2.0) * (delta / 4.0) ** (1.0 / q)
-    try:
-        k_unclamped = max(math.ceil(lam_floor ** (-p / (2.0 - p))), 1)
-    except (OverflowError, ZeroDivisionError):  # past double range: far beyond the clamp
-        k_unclamped = d
+    # a power past double range is inf, far beyond the clamp
+    k_unclamped = inf_past_range(lambda: max(math.ceil(lam_floor ** (-p / (2.0 - p))), 1))
     k = min(k_unclamped, d // 2)
     theta = np.zeros(d)
     theta[:k] = k ** (-1.0 / p)
@@ -99,7 +97,7 @@ def sparsity_scaling(sigma: float, p: float, d: int) -> float:
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     sigma, p, d = float(sigma), float(p), int(d)  # Python numbers: a power past range raises
     q = p / (p - 1.0)
-    try:
+    try:  # not errors.inf_past_range: the fallback is 0 or inf, as sigma sets
         val = (1.0 / (sigma**q * d)) ** ((p - 1.0) / (2.0 - p))
     except (OverflowError, ZeroDivisionError):
         # sigma**q overflows only at a huge sigma (order 1); at a tiny one the

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteInputError, is_integer
+from .errors import (DimensionMismatchError, InvalidParameterError, NonFiniteInputError,
+                     inf_past_range, is_integer)
 from .shrinkage import (
     CLOSED_FORMS,
     DEFAULT_TOL,
@@ -407,8 +408,13 @@ def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float, tops: list) -
 def _lp_norms(tops: list, scaled: np.ndarray, p: float) -> list:
     """``lp_norm`` of each row of a nonnegative block, for p in (0, inf), from
     its maxima ``tops`` and the block divided by them, ``scaled``: scaling by
-    the largest magnitude first, as hypot does, keeps the powers finite."""
-    return [top * s ** (1.0 / p) if top > 0 else 0.0  # a zero row scales to 0/0
+    the largest magnitude first, as hypot does, keeps the powers finite.  At
+    small p the root ``s**(1/p)`` of a power sum ``s`` in [1, d] can pass
+    double range where the norm does not (``top < 1``); just there the norm
+    is taken in logs."""
+    return [0.0 if not top > 0  # a zero row scales to 0/0
+            else top * root if (root := inf_past_range(pow, s, 1.0 / p)) < math.inf
+            else inf_past_range(math.exp, math.log(top) + math.log(s) / p)
             for top, s in zip(tops, _power_sums(scaled, p).tolist())]
 
 
@@ -428,16 +434,8 @@ def _power_sums(X: np.ndarray, p: float) -> np.ndarray:
 def _inside_unit(tops: list, scaled: np.ndarray, p: float) -> list:
     """Whether each row lies in the unit ball, up to ``SUM_FEAS_TOL`` on the power
     sum and ``10*SUM_FEAS_TOL`` on the norm, the bound that binds below p = 0.1."""
-    bound = min((1.0 + SUM_FEAS_TOL) ** (1.0 / p), 1.0 + 10 * SUM_FEAS_TOL)
+    bound = min(inf_past_range(pow, 1.0 + SUM_FEAS_TOL, 1.0 / p), 1.0 + 10 * SUM_FEAS_TOL)
     return [norm <= bound for norm in _lp_norms(tops, scaled, p)]
-
-
-def _rescaled(lam: float, radius: float, power: float) -> float:
-    """``lam * radius**power``, inf where that passes double range."""
-    try:
-        return lam * radius**power if lam else 0.0
-    except OverflowError:
-        return math.inf
 
 
 def _project_l1_unit(t: np.ndarray, top: float):
@@ -795,7 +793,8 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
     if p < 1:  # a magnitude kept as is is returned as is, not as (|y|/r)*r
         points = np.where(mags == T, Y, points)
     kkts = _kkt_pieces(T, mags, lams, p, tops)
+    lam_scale = inf_past_range(pow, r, 2.0 - p)  # unit-ball multipliers to original ones
     for k, (i, lam) in enumerate(zip(outside, lams)):
-        results[i] = ProjectionResult(points[k], _rescaled(lam, r, 2.0 - p), kkts[k], iters[k],
-                                      gaps[k])
+        results[i] = ProjectionResult(points[k], lam * lam_scale if lam else 0.0, kkts[k],
+                                      iters[k], gaps[k])
     return results

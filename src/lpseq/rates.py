@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import InvalidParameterError, is_integer
+from .errors import InvalidParameterError, inf_past_range, is_integer
 from .projection import LpBall
 
 C_LOWER = 1.0 / 868.0
@@ -120,10 +120,7 @@ def control_function(q: RateQuery) -> float:
         return s * s * q.d
     k = math.frexp(q.radius)[1]
     r = math.ldexp(q.radius, -k)
-    try:
-        return math.ldexp(r * r * _unit_control(q.p, q.d, u), 2 * k)
-    except OverflowError:
-        return math.inf
+    return inf_past_range(math.ldexp, r * r * _unit_control(q.p, q.d, u), 2 * k)
 
 
 class RateBounds(NamedTuple):
@@ -226,21 +223,13 @@ def example_scalings(scenario: str, n: int, delta: float = 0.5) -> ScalingExampl
     p = 1.0 + delta
     log_n = math.log(n)  # also for an integer past double range
     if scenario == "log_subopt":
-        d = _exp(p / 2.0 * log_n) * log_n
+        d = inf_past_range(math.exp, p / 2.0 * log_n) * log_n
         minimax = math.exp((1.0 - delta) / 2.0 * (math.log(math.log(log_n)) - log_n))
         mle = math.exp(delta / (1.0 + delta) * math.log(log_n) - (1.0 - delta) / 2.0 * log_n)
     elif scenario == "poly_subopt":
-        d = _exp(_exp(log_n / 2.0))
+        d = inf_past_range(math.exp, inf_past_range(math.exp, log_n / 2.0))
         minimax = math.exp(-(1.0 - delta) / 4.0 * log_n)
         mle = 1.0
     else:
         raise InvalidParameterError(f"unknown scenario {scenario!r}")
     return ScalingExample(scenario, n, delta, d, p, minimax, mle)
-
-
-def _exp(x: float) -> float:
-    """``math.exp``, inf past double range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError, is_integer
+from .errors import DimensionMismatchError, InvalidParameterError, inf_past_range, is_integer
 from .estimators import ESTIMATOR_KINDS, EstimatorSpec, estimate
 from .instances import sparsity_scaling, spike_instance
 from .projection import LpBall, project_many
@@ -113,6 +113,10 @@ class ExperimentConfig:
             raise InvalidParameterError("soft_threshold requires a norm index in (0, 2)")
         if not (self.p > 0):
             raise InvalidParameterError(f"p must be positive, got {self.p}")
+        for d in self.d_grid:
+            if not math.isfinite(self.sigma_for(d)):
+                raise InvalidParameterError(f"sigma_rule {self.sigma_rule!r} gives a sigma past "
+                                            f"double range at d = {d}, p = {self.p}")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -144,7 +148,7 @@ class ExperimentConfig:
 
     def sigma_for(self, d: int) -> float:
         if self.sigma_rule == "spike":
-            return float(d) ** (1.0 / self.p - 1.0)
+            return inf_past_range(pow, float(d), 1.0 / self.p - 1.0)
         if self.sigma_rule == "flat":
             return float(d) ** (-0.5)
         return float(self.sigma_rule[self.d_grid.index(d)])

@@ -296,6 +296,13 @@ def test_project_extreme_scales_exit_0(capsys, argv, expected):
     assert point == pytest.approx(expected, rel=1e-9)
 
 
+def test_project_tiny_p_exit_0(capsys):
+    # (1 + 1e-10)**(1/p) and the norm's s**(1/p) raised OverflowError (exit 1)
+    code, out, _ = run_cli(capsys, "project", "--p", "1e-6", "--input", "3,1,0.5")
+    assert code == 0
+    assert parse_kv(out)["point"] == "1.0,0.0,0.0"
+
+
 def test_reproduce_partial_exit_4_then_resume(tmp_path, capsys, monkeypatch):
     import lpseq.simulate as sim
 
@@ -409,6 +416,17 @@ def test_simulate_past_double_range_and_default_grid(tmp_path, capsys):
     assert code == 0
     grid = [int(row["d"]) for row in csv.DictReader(out.splitlines())]
     assert tuple(grid) == simulate.default_d_grid()
+
+
+def test_simulate_sigma_rule_past_double_range_exit_2(tmp_path, capsys):
+    # the spike rule d**(1/p - 1) at p = 0.001 raised OverflowError mid-run (exit 1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"regime": "fig2a", "p": 0.001, "d_grid": [100], "reps": 2,
+                                "estimators": ["mle"]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "sigma_rule 'spike'" in err and "d = 100" in err
 
 
 @pytest.mark.parametrize("change", [

@@ -12,6 +12,7 @@ from lpseq.errors import (
     NonFiniteInputError,
 )
 from lpseq.instances import flat_sparse_instance
+from lpseq.oracles import brute_force_projection
 from lpseq.projection import (
     LpBall,
     lp_norm,
@@ -729,6 +730,26 @@ def test_quasinorm_gap_bounds_dropped_magnitudes():
         res = project(LpBall(p=0.01, dim=y.size, radius=r), y)
         assert res.point[0] == min(1.0, r) and not res.point[1:].any()
         assert 0.5 * tail.max() ** 2 <= res.duality_gap <= 0.5 * float(np.sum(tail**2))
+
+
+@pytest.mark.parametrize("tail", [2.248086285767837e-05, 4.070471737544678e-05,
+                                  7.370153125813384e-05])
+def test_quasinorm_narrow_cell_bound(tail):
+    # y = (a, a, tail) with a**p = 1/2: the power sum of the first two is
+    # about exactly the budget, so a sum with the third turns at it, and the
+    # enumeration is left with cells too narrow to split that still hold the
+    # budget; the gap counts them by their bound.  The objective, which is
+    # sum(x**2/2 - x*y), exceeds the oracle's by at most the gap, up to
+    # rounding of the objective
+    p = 0.7
+    a = 0.5 ** (1 / p)
+    y = np.array([a, a, tail])
+    ball = LpBall(p=p, dim=3, radius=1.0)
+    res = project(ball, y)
+    excess = _objective(res.point, y) - _objective(brute_force_projection(ball, y), y)
+    objective = _objective(res.point, y) - 0.5 * float(np.sum(y * y))
+    assert res.duality_gap > 0.0
+    assert excess <= res.duality_gap + 1e-16 * abs(objective)
 
 
 def test_zero_vector_input():
