@@ -62,7 +62,7 @@ def _cmd_project(args) -> int:
     print("iterations:", result.iterations)
     if result.duality_gap is not None:
         print("duality_gap:", repr(result.duality_gap))
-    if result.kkt_residual > 10 * LAMBDA_GAP_TOL:
+    if not result.kkt_residual <= 10 * LAMBDA_GAP_TOL:  # also a NaN certificate
         _log(f"[lpseq] solver diagnostic failure: kkt residual exceeds {10 * LAMBDA_GAP_TOL:g}")
         return EXIT_SOLVER
     return EXIT_OK

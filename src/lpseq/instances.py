@@ -49,6 +49,19 @@ def default_delta(q: float) -> float:
     return 0.5 * (3.0 / 20.0) ** q
 
 
+def _flat_args(caller: str, sigma: float, p: float, d: int, least_d: int):
+    """``(sigma, p, d)`` as Python numbers, in which a power past range raises,
+    once ``caller``'s rules hold: p in (1, 2), an integer d >= ``least_d`` and
+    sigma > 0."""
+    if not (1.0 < p < 2.0):
+        raise InvalidParameterError(f"{caller} requires p in (1, 2), got {p}")
+    if not (is_integer(d) and d >= least_d):
+        raise InvalidParameterError(f"{caller} requires an integer d >= {least_d}, got {d!r}")
+    if not (sigma > 0):
+        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
+    return float(sigma), float(p), int(d)
+
+
 def flat_sparse_instance(sigma: float, p: float, d: int) -> HardInstanceParams:
     """Flat k-sparse boundary signal for intermediate norm indices.
 
@@ -56,13 +69,7 @@ def flat_sparse_instance(sigma: float, p: float, d: int) -> HardInstanceParams:
     the construction matches the explicit lower-bound recipe; the clamp keeps
     ``k`` away from the trivial all-zero and full-support extremes.
     """
-    if not (1.0 < p < 2.0):
-        raise InvalidParameterError(f"flat instance requires p in (1, 2), got {p}")
-    if not (is_integer(d) and d >= 4):
-        raise InvalidParameterError(f"flat instance requires an integer d >= 4, got {d!r}")
-    if not (sigma > 0):
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    sigma, p, d = float(sigma), float(p), int(d)  # Python numbers: a power past range raises
+    sigma, p, d = _flat_args("flat instance", sigma, p, d, 4)
     q = p / (p - 1.0)
     delta = default_delta(q)
     m = d - d % 4
@@ -89,13 +96,7 @@ def sparsity_scaling(sigma: float, p: float, d: int) -> float:
     k up to an explicit constant, hitting order 1 as ``sigma`` approaches
     ``d**(-1/q)`` and order d as it approaches ``d**(-1/p)``.
     """
-    if not (1.0 < p < 2.0):
-        raise InvalidParameterError(f"sparsity_scaling requires p in (1, 2), got {p}")
-    if not (is_integer(d) and d >= 1):
-        raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
-    if not (sigma > 0):
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    sigma, p, d = float(sigma), float(p), int(d)  # Python numbers: a power past range raises
+    sigma, p, d = _flat_args("sparsity_scaling", sigma, p, d, 1)
     q = p / (p - 1.0)
     try:  # not errors.inf_past_range: the fallback is 0 or inf, as sigma sets
         val = (1.0 / (sigma**q * d)) ** ((p - 1.0) / (2.0 - p))

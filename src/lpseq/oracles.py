@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, is_integer
 from .instances import spike_instance
-from .projection import LpBall, lp_norm, project, project_many
+from .projection import LpBall, lp_norm, project, project_many, project_top_s
 from .rates import RateQuery, control_function
 from .rng import keyed_generator
 
@@ -260,11 +260,7 @@ def phi_lower_witness(xi: np.ndarray, p: float, eps: float) -> float:
     if not (eps_min <= eps <= 1.0):
         raise InvalidParameterError(
             f"eps must lie in [{eps_min:.3g}, 1] for d={d}, got {eps}")
-    s = int(math.ceil(eps ** (-2.0 * p / (2.0 - p))))
-    s = min(s, d)
-    idx = np.argsort(-np.abs(xi), kind="stable")[:s]
-    cap = np.zeros(d)
-    cap[idx] = xi[idx]
+    cap = project_top_s(min(math.ceil(eps ** (-2.0 * p / (2.0 - p))), d), xi)
     norm = float(np.linalg.norm(cap))
     if norm == 0.0:
         return 0.0

@@ -192,7 +192,8 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     as :func:`project_many` takes them once per block.
     ``psi <= (t/lam)**(1/(p-1))`` bounds the dual sum ``S`` by
     ``(||t||_q/lam)**q``, so ``[0, ||t||_q]`` brackets the root, and both
-    searches start at its top.  A row stops once ``|S - 1|`` times
+    searches start at its top; where ``||t||_q`` passes double range it
+    raises ``InvalidParameterError``.  A row stops once ``|S - 1|`` times
     ``max(1, lam/max(1, max(t)))`` (the slackness term of the KKT residual) is
     at most ``LAMBDA_GAP_TOL``, or its bracket is as narrow as
     ``1e-14*(1 + lam)``; it keeps its multiplier and the ``psi`` of the pass
@@ -203,11 +204,15 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     At p in ``CLOSED_FORMS`` psi is exact at any ``lam`` and
     :func:`_closed_search` takes Newton steps on the dual sum.  Elsewhere
     :func:`_joint_search` takes Newton steps on the roots and the multiplier
-    together.
+    together.  Both take ``q``, the slackness units ``max(1, max(t))`` and
+    the start: per row ``lo = 0``, ``lam = hi = ||t||_q`` and 0 passes.
     """
-    if p in CLOSED_FORMS:
-        return _closed_search(p, T, tops, scaled)
-    return _joint_search(p, T, tops, scaled)
+    q = p / (p - 1.0)
+    hi = _lp_norms(tops, scaled, q)
+    if not max(hi) < math.inf:  # no NaN: the norms are finite or inf
+        raise InvalidParameterError("||y||_q/r, the top of the multiplier's bracket, overflows")
+    search = _closed_search if p in CLOSED_FORMS else _joint_search
+    return search(p, q, T, [max(1.0, m) for m in tops], [0.0] * len(hi), hi[:], hi, [0] * len(hi))
 
 
 def _settled(value: float, lam: float, lo: float, hi: float, slack_unit: float) -> bool:
@@ -217,7 +222,7 @@ def _settled(value: float, lam: float, lo: float, hi: float, slack_unit: float) 
             or hi - lo <= 1e-14 * (1.0 + lam))
 
 
-def _closed_search(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
+def _closed_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam, hi, iterations):
     """:func:`_find_lambda_star` at p in ``CLOSED_FORMS``.
 
     Newton steps on ``S**(-1/q) - 1``, ``lam + q*S*expm1(log(S)/q)/(-S')``:
@@ -230,10 +235,6 @@ def _closed_search(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     formed only for the rows that stop, and the slopes are summed only where
     some row steps on, so the last pass only confirms.
     """
-    slack_unit = [max(1.0, m) for m in tops]  # slackness is lam*|f|/this
-    q = p / (p - 1.0)
-    hi = _lp_norms(tops, scaled, q)
-    lo, lam, iterations = [0.0] * len(hi), hi[:], [0] * len(hi)
     kept = np.empty_like(T)
     for step_count in range(1, SEARCH_STEPS + 1):
         lam_c = _lam_column(lam)
@@ -272,7 +273,7 @@ def _closed_search(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
             lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
 
 
-def _joint_search(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
+def _joint_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam, hi, iterations):
     """:func:`_find_lambda_star` at p outside ``CLOSED_FORMS``: Newton steps on
     the KKT system in ``s = log psi`` and ``lam``, one pass over the block each.
 
@@ -310,22 +311,21 @@ def _joint_search(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     ``tol`` small enough that the roots' error moves the sum by at most
     ``LAMBDA_GAP_TOL``.
     """
-    n, pm1 = len(tops), p - 1.0
-    q = p / pm1
-    slack_unit = [max(1.0, m) for m in tops]
-    hi = _lp_norms(tops, scaled, q)
-    lo, lam, iterations = [0.0] * n, hi[:], [0] * n
+    n, pm1 = len(lam), p - 1.0
     zero = T < FLUSH_TOL
     flushed = bool(zero.any())
     if flushed:
         T = np.where(zero, 0.0, T)
     log_T = np.log(T)  # log 0 = -inf: s = -inf and psi = 0 there
+    # psi's error moves the sum p-fold; at t = 0 the floor is 0*inf = nan,
+    # which no |F| exceeds
+    tol = np.maximum(min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL), _root_floor(T, log_T))
     # the top of every root's bracket: where one term is t, or where the sum of
     # d powers psi**p would overflow
     top_s = np.minimum(log_T, (math.log(np.finfo(float).max) - math.log(T.shape[1])) / p)
     pow_s = log_T / pm1
     width = LOG2 * max(1.0, 1.0 / pm1)
-    kept, tol = np.empty_like(T), None
+    kept = np.empty_like(T)
     s = np.minimum(top_s, pow_s - _lam_column([math.log(v) / pm1 for v in lam]))
     for step_count in range(1, SEARCH_STEPS + 1):
         x = np.exp(s)
@@ -337,10 +337,6 @@ def _joint_search(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
         near = [i for i, value in enumerate(sums) if not iterations[i] and (
             _settled(value, lam[i], lo[i], hi[i], slack_unit[i]) or step_count == SEARCH_STEPS)]
         if near:
-            if tol is None:  # psi's error moves the sum p-fold; at t = 0 the floor
-                # is 0*inf = nan, which no |F| exceeds
-                tol = np.maximum(min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL),
-                                 _root_floor(T, log_T))
             open_ = np.any(np.abs(F) > tol, axis=1).tolist()
             stopped = [i for i in near if not open_[i] or step_count == SEARCH_STEPS]
             for i in stopped:
@@ -723,8 +719,9 @@ def project(ball: LpBall, y: np.ndarray) -> ProjectionResult:
     :func:`_project_quasinorm_unit`; it keeps a prefix of ``y`` with
     multiplier 0 or lies on the boundary.  For p > 1 the multiplier search
     stops at ``LAMBDA_GAP_TOL``.
-    Raises ``InvalidParameterError`` where ``max|y|/r`` overflows, and for
-    p < 1 where ``(max|y|/r)**(2-p)``, the multiplier's unit, does.
+    Raises ``InvalidParameterError`` where ``max|y|/r`` overflows, for
+    p < 1 where ``(max|y|/r)**(2-p)``, the multiplier's unit, does, and for
+    p > 1 where ``||y||_q/r``, the top of the multiplier's bracket, does.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size != ball.dim:
@@ -763,9 +760,10 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
     # the solvers and the KKT check
     T = np.abs(Y) / r
     tops = np.max(T, axis=1)
-    unit = tops.max() ** (2.0 - p if p < 1 else 1.0)  # p < 1 multipliers are in this unit
-    if not np.isfinite(unit):
-        raise InvalidParameterError(f"max|y|/r (its power 2-p at p < 1) overflows at radius {r!r}")
+    top = tops.max()
+    if not np.isfinite(top ** (2.0 - p if p < 1 else 1.0)):  # p < 1 multipliers are in this unit
+        what = "max|y|/r" if top == math.inf else "(max|y|/r)**(2-p), the multiplier's unit,"
+        raise InvalidParameterError(f"{what} overflows at radius {r!r}")
     scaled = T / tops[:, None]  # 0/0 on a zero row
     tops = tops.tolist()
     feasible_gap = 0.0 if p < 1 else None

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, inf_past_range, is_integer
-from .estimators import ESTIMATOR_KINDS, EstimatorSpec, estimate
+from .estimators import EstimatorSpec, estimate
 from .instances import sparsity_scaling, spike_instance
 from .projection import LpBall, project_many
 from .rates import RateQuery, control_function
@@ -76,6 +76,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # LpBall checks each d, p and the radius; EstimatorSpec each kind
         if self.regime not in REGIMES:
             raise InvalidParameterError(f"unknown regime {self.regime!r}")
         if not (is_integer(self.reps) and self.reps >= 1):
@@ -83,16 +84,9 @@ class ExperimentConfig:
         check_seed(self.seed)
         if len(self.d_grid) == 0:
             raise InvalidParameterError("d_grid must be nonempty")
-        if not all(is_integer(d) and d >= 1 for d in self.d_grid):
-            raise InvalidParameterError(f"d_grid must hold integers >= 1, got {list(self.d_grid)}")
-        if any(b <= a for a, b in zip(self.d_grid, self.d_grid[1:])):
-            raise InvalidParameterError("d_grid must be strictly increasing")
         if not self.estimators or len(set(self.estimators)) != len(self.estimators):
             raise InvalidParameterError(
                 f"estimators must be nonempty and distinct, got {list(self.estimators)}")
-        for kind in self.estimators:
-            if kind not in ESTIMATOR_KINDS:
-                raise InvalidParameterError(f"unknown estimator kind {kind!r}")
         if isinstance(self.sigma_rule, str):
             if self.sigma_rule not in ("spike", "flat"):
                 raise InvalidParameterError(f"unknown sigma_rule {self.sigma_rule!r}")
@@ -103,20 +97,23 @@ class ExperimentConfig:
         elif not all(0.0 < sigma < math.inf for sigma in self.sigma_rule):
             raise InvalidParameterError(
                 f"explicit sigmas must be positive and finite, got {list(self.sigma_rule)}")
-        if not (0.0 < self.radius < math.inf):
-            raise InvalidParameterError(f"radius must be positive and finite, got {self.radius}")
+        if not self.radius < math.inf:
+            raise InvalidParameterError(f"radius must be finite, got {self.radius}")
         if self.regime == "fig2b" and not (1.0 < self.p < 2.0):
             raise InvalidParameterError("fig2b requires a norm index in (1, 2)")
-        if self.regime == "fig2b" and self.d_grid[0] < 2:
-            raise InvalidParameterError("fig2b requires every d >= 2")
         if "soft_threshold" in self.estimators and not (0.0 < self.p < 2.0):
             raise InvalidParameterError("soft_threshold requires a norm index in (0, 2)")
-        if not (self.p > 0):
-            raise InvalidParameterError(f"p must be positive, got {self.p}")
         for d in self.d_grid:
-            if not math.isfinite(self.sigma_for(d)):
+            ball = LpBall(self.p, d, self.radius)
+            if not math.isfinite(sigma := self.sigma_for(d)):
                 raise InvalidParameterError(f"sigma_rule {self.sigma_rule!r} gives a sigma past "
                                             f"double range at d = {d}, p = {self.p}")
+            for kind in self.estimators:
+                EstimatorSpec(kind, ball, sigma)
+        if any(b <= a for a, b in zip(self.d_grid, self.d_grid[1:])):
+            raise InvalidParameterError("d_grid must be strictly increasing")
+        if self.regime == "fig2b" and self.d_grid[0] < 2:
+            raise InvalidParameterError("fig2b requires every d >= 2")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -203,11 +200,6 @@ def sample_observation(theta_star: np.ndarray, sigma: float, trial_key: TrialKey
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     rng = keyed_generator(trial_key.seed, trial_key.cell_id, trial_key.trial)
     return theta_star + sigma * rng.standard_normal(theta_star.size)
-
-
-def _estimator_spec(kind: str, config: ExperimentConfig, d: int, sigma: float) -> EstimatorSpec:
-    ball = LpBall(p=config.p, dim=d, radius=config.radius)
-    return EstimatorSpec(kind=kind, ball=ball, noise_level=sigma)
 
 
 def estimate_risk(spec: EstimatorSpec, theta_star: np.ndarray, sigma: float,
@@ -299,7 +291,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
             row = completed.get(cid)
             if row is None:
                 sigma = config.sigma_for(d)
-                spec = _estimator_spec(kind, config, d, sigma)
+                spec = EstimatorSpec(kind, LpBall(config.p, d, config.radius), sigma)
                 row = estimate_risk(spec, config.theta_for(d), sigma, config.reps,
                                     config.seed, cid)
                 if on_cell_done is not None:

@@ -85,6 +85,12 @@ def test_project_parse_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "project", "--p", "0.5", "--radius", "1e-300",
                            "--input", "1e10,1")
     assert code == 2 and "overflows" in err  # max|y|/r leaves double range
+    # ||y||_q/r, the top of the p > 1 search's bracket, leaves double range:
+    # the search stopped at an infinite multiplier, printed a zero point with
+    # a NaN KKT residual and exited 0
+    code, out, err = run_cli(capsys, "project", "--p", "2.5", "--radius", "1e-308",
+                             "--input", "1,1,1,1")
+    assert code == 2 and out == "" and "overflows" in err
     code, out, err = run_cli(capsys, "project", "--p", "1.5", "--input", " ")
     assert code == 2 and out == "" and "empty input vector" in err
 
@@ -257,8 +263,8 @@ def test_reproduce_over_another_configs_cursor_starts_over(tmp_path, capsys):
 
 
 def test_project_solver_diagnostic_exit_3(capsys, monkeypatch):
-    # exit 3 exactly when the KKT residual exceeds 10 * LAMBDA_GAP_TOL = 1e-9
-    for kkt, expected in ((1e-9, 0), (1e-6, 3)):
+    # exit 3 exactly when the KKT residual is not within 10 * LAMBDA_GAP_TOL = 1e-9
+    for kkt, expected in ((1e-9, 0), (1e-6, 3), (math.inf, 3), (math.nan, 3)):
         monkeypatch.setattr(cli, "project", lambda ball, y: dataclasses.replace(
             project(ball, y), kkt_residual=kkt))
         code, out, err = run_cli(capsys, "project", "--p", "2", "--input", "3,4")
@@ -266,6 +272,14 @@ def test_project_solver_diagnostic_exit_3(capsys, monkeypatch):
         point = [float(v) for v in parse_kv(out)["point"].split(",")]  # printed either way
         np.testing.assert_allclose(point, [0.6, 0.8], atol=1e-9)
         assert ("diagnostic" in err) == (expected == 3)
+
+
+def test_project_exits_0_only_on_a_certified_point(capsys):
+    # at p = 3 the closed form overflows for |y|/r near 1e308, returning a
+    # zero point with an infinite multiplier and a NaN KKT residual, which
+    # the exit-3 rule let through with exit 0
+    code, out, _ = run_cli(capsys, "project", "--p", "3", "--input", "8.9e307,8.9e307")
+    assert (code == 0) == (float(parse_kv(out)["kkt_residual"]) <= 1e-9)
 
 
 def test_project_near_one_flushed_zero_exit_0(capsys):
@@ -330,6 +344,26 @@ def test_reproduce_partial_exit_4_then_resume(tmp_path, capsys, monkeypatch):
     rows = list(csv.DictReader((out_dir / "results.csv").open()))
     assert len(rows) == 4  # two dims x two estimators, completed after resume
     assert not (out_dir / "cursor.json").exists()
+
+
+def test_reproduce_interrupted_exit_4(tmp_path, capsys, monkeypatch):
+    # Ctrl-C in a cell keeps the cells done so far in the cursor
+    import lpseq.simulate as sim
+
+    real = sim.estimate_risk
+    calls = {"n": 0}
+
+    def interrupted(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "estimate_risk", interrupted)
+    code, _, err = run_cli(capsys, "reproduce", "--figure", "2a", "--max-d", "160",
+                           "--reps", "1", "--out", str(tmp_path))
+    assert code == 4 and "interrupted" in err
+    assert len(json.loads((tmp_path / "cursor.json").read_text())["cells"]) == 1
 
 
 def test_reproduce_resumed_matches_clean_run(tmp_path, capsys, monkeypatch):

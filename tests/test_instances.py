@@ -76,6 +76,15 @@ def test_flat_instance_validation():
             flat_sparse_instance(0.1, 1.5, d)
         with pytest.raises(InvalidParameterError, match="integer"):
             sparsity_scaling(0.1, 1.5, d)
+    for f, least_d in ((flat_sparse_instance, 4), (sparsity_scaling, 1)):
+        for p in (1.0, 2.0, 0.9, math.nan):
+            with pytest.raises(InvalidParameterError, match=r"p in \(1, 2\)"):
+                f(0.1, p, 10)
+        for sigma in (0.0, -1.0, math.nan):
+            with pytest.raises(InvalidParameterError, match="sigma"):
+                f(sigma, 1.5, 10)
+        with pytest.raises(InvalidParameterError, match=f"integer d >= {least_d}"):
+            f(0.1, 1.5, least_d - 1)
 
 
 def test_instances_past_double_range():

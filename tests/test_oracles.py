@@ -47,6 +47,8 @@ def test_brute_force_p0_and_dim_guard():
     np.testing.assert_array_equal(got, [3.0, 0.0, 2.0])
     with pytest.raises(InvalidParameterError):
         brute_force_projection(LpBall(p=2.0, dim=4, radius=1.0), np.zeros(4))
+    with pytest.raises(InvalidParameterError, match="length"):
+        brute_force_projection(LpBall(p=2.0, dim=3, radius=1.0), np.zeros(2))
 
 
 def test_sparse_cap_full_dimension_is_chi_square():
@@ -75,6 +77,7 @@ def test_phi_witness_single_coordinate():
     xi[0] = 1.0
     for eps in (0.4, 0.7, 1.0):
         assert phi_lower_witness(xi, 0.5, eps) == pytest.approx(eps)
+        assert phi_lower_witness(np.zeros(16), 0.5, eps) == 0.0  # a zero cap
 
 
 def test_phi_witness_feasibility_many_draws():
@@ -93,6 +96,9 @@ def test_phi_witness_eps_range_guard():
         phi_lower_witness(xi, 0.5, 1.5)
     with pytest.raises(InvalidParameterError):
         phi_lower_witness(xi, 0.5, 1e-6)
+    for p in (0.0, 1.0, 1.5, math.nan):
+        with pytest.raises(InvalidParameterError, match="p in"):
+            phi_lower_witness(xi, p, 0.5)
 
 
 def test_phi_witness_below_two_dim_supremum():

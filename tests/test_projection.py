@@ -461,15 +461,38 @@ def test_l1_water_filling_scale_safe(y, r, expected):
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
 def test_overflowing_rescale_rejected(p):
     # |y|/r leaves double range: a parameter error, before any warning; for
-    # p < 1 so does (max|y|/r)**(2-p), the unit its multiplier is reported in
-    cases = [(1e-300, [1e10, 1.0])]
+    # p < 1 so does (max|y|/r)**(2-p), the unit its multiplier is reported in.
+    # The message names what overflowed at this p.
+    cases = [(1e-300, [1e10, 1.0]), (1e-300, [1e10, 1.0, -1.0])]
     if p < 1:
-        cases.append((1.0, [1e300, 1e300, -2e299]))
+        cases += [(1.0, [1e300, 1e300, -2e299]), (1.0, [1e210, 1.0])]
     for r, y in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidParameterError, match="overflows"):
+            with pytest.raises(InvalidParameterError, match="overflows") as info:
                 project(LpBall(p=p, dim=len(y), radius=r), np.array(y))
+        named = "max|y|/r overflows" if r < 1 else "(max|y|/r)**(2-p), the multiplier's unit,"
+        assert str(info.value).startswith(named)
+
+
+BIG = [1.7e308, 1.5e308, 1e308]
+
+
+@pytest.mark.parametrize("p, r, y", [(p, 1.0, BIG) for p in (1.3, 1.5, 2.5, 10.0)]
+                         + [(p, 1e-308, [1.0] * 4) for p in (2.0, 2.5, 10.0)])
+def test_bracket_top_past_range_rejected(p, r, y):
+    # max|y|/r is finite but ||y||_q/r, the top of the multiplier's bracket,
+    # is not: the search read [0, inf] as settled and returned the zero point
+    with pytest.raises(InvalidParameterError, match="bracket"):
+        project(LpBall(p=p, dim=len(y), radius=r), np.array(y))
+
+
+@pytest.mark.parametrize("p, r, y", [(1 + 1e-9, 1.0, BIG), (1.3, 1e-308, [1.0] * 4),
+                                     (1.5, 1e-308, [1.0] * 4)])
+def test_bracket_top_in_range_projects(p, r, y):
+    # the same inputs where ||y||_q/r stays in range: d**(1/q) < 1.8 or q huge
+    res = project(LpBall(p=p, dim=len(y), radius=r), np.array(y))
+    assert res.kkt_residual <= 1e-9 and res.point.max() > 0  # not the zero point
 
 
 def _independent_dual(p, y, r, points=200, jumps=None):

@@ -63,6 +63,17 @@ def test_config_validation():
         with pytest.raises(InvalidParameterError, match="soft_threshold"):
             small_config(p=p, estimators=("mle", "soft_threshold"))
     assert small_config(p=2.5, estimators=("mle",)).p == 2.5
+    # the dimension, p, the radius and the kinds are checked by LpBall and
+    # EstimatorSpec, once per d and kind
+    bad = ([dict(d_grid=()), dict(estimators=("bogus",)), dict(estimators=("zero", "bogus"))]
+           + [dict(p=p, estimators=("mle",)) for p in (0.0, -1.0, math.nan)]
+           + [dict(d_grid=(d, 25)) for d in (0, 2.5, True)] + [dict(d_grid=(10, 2.5))]
+           + [dict(radius=r) for r in (0.0, -1.0, math.nan, math.inf)]
+           + [dict(regime="fig2b", sigma_rule="flat", p=p) for p in (1.0, 2.0, 2.5, math.nan)]
+           + [dict(regime="fig2b", sigma_rule="flat", d_grid=(1, 25))])
+    for kw in bad:
+        with pytest.raises(InvalidParameterError):
+            small_config(**kw)
 
 
 def test_config_seed_range():
@@ -118,6 +129,15 @@ def test_sample_observation_limits():
     assert np.max(np.abs(centered.mean(axis=0))) <= 4 * stderr
     var = centered.var()
     assert abs(var - 1.0) <= 0.05
+
+
+def test_noise_level_must_be_positive():
+    theta = spike_instance(5)
+    for sigma in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParameterError, match="sigma"):
+            sample_observation(theta, sigma, TrialKey(0, "cell", 0))
+        with pytest.raises(InvalidParameterError, match="sigma"):
+            estimate_risk(EstimatorSpec(kind="zero"), theta, sigma, 3, seed=1)
 
 
 def test_observation_reproducible_and_distinct():
