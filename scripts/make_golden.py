@@ -3,7 +3,7 @@
     PYTHONPATH=src python3 scripts/make_golden.py
 
 Runs, in-process, ``lpseq reproduce --figure 2a|2b --max-d 1000 --reps 20
---seed 0`` and README's four ``lpseq project`` examples, and writes under
+--seed 0`` and README's five ``lpseq project`` examples, and writes under
 ``tests/data/golden/``: each run's ``results.csv`` and ``slopes.json``, and
 ``project.json`` with each example's argv, exit code and stdout.
 ``manifest.json`` records the python and numpy versions that wrote them.
@@ -35,6 +35,7 @@ PROJECT = (
     ["project", "--p", "0", "--sparsity", "2", "--input", "3,-1,2"],
     ["project", "--p", "inf", "--radius", "1", "--input", "2,-0.5"],
     ["project", "--p", "0.5", "--radius", "1", "--input", "1.2,0.3,-0.2,0.1"],
+    ["project", "--p", "3", "--radius", "1", "--input", "9e307,1"],
 )
 
 

@@ -5,8 +5,8 @@ the solvers work on the unit ball, on ``t = |y|/r``, and the point is mapped
 back.  Which function does what:
 
 - ``_find_lambda_star``: p > 1, the search for the multiplier at which the
-  dual sum is 1.  At p in {1.5, 2, 3} ``_closed_search`` takes Newton steps
-  on the sum, evaluated from the closed forms' intermediates; elsewhere
+  dual sum is 1.  At p = 1.5 ``_closed_search`` takes Newton steps on the
+  sum, evaluated from the closed form's intermediates; elsewhere
   ``_joint_search`` takes Newton steps on the roots and the multiplier
   together, one pass over the block each, with no inner root solve.
 - ``_project_l1_unit``: p = 1, sort-and-threshold water filling.
@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (DimensionMismatchError, InvalidParameterError, NonFiniteInputError,
                      inf_past_range, is_integer)
 from .shrinkage import (
-    CLOSED_FORMS,
     DEFAULT_TOL,
     FLUSH_TOL,
     LOG2,
@@ -56,7 +55,7 @@ SUM_FEAS_TOL = 1e-10
 LAMBDA_GAP_TOL = 1e-10
 SEARCH_STEPS = 200
 
-# Outside the closed forms, a pass whose bounds on the dual sum straddle 1 and
+# Outside p = 1.5, a pass whose bounds on the dual sum straddle 1 and
 # lie further apart than this refines the roots at the same multiplier.
 ROOTS_FIRST = 0.1
 
@@ -142,8 +141,8 @@ class ProjectionResult:
     multiplier it scales with ``r**2`` and is ``inf`` where that passes
     double range, except that a 0 stays 0.
     ``iterations`` counts the multiplier search's work.  For p > 1 it is its
-    passes over the row, the one that stops included: at p in {1.5, 2, 3}
-    each evaluates the dual sum at exact roots, elsewhere each is one joint
+    passes over the row, the one that stops included: at p = 1.5 each
+    evaluates the dual sum at exact roots, elsewhere each is one joint
     Newton step on the roots and the multiplier.  For p in (0, 1) it is the
     primal search's multiplier evaluations.  It is 0 for p in {0, 1, inf}
     and for inputs inside the ball.
@@ -201,17 +200,17 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     block costs its slowest row's passes times its rows.  ``iterations``
     counts those passes, the stopping one included.
 
-    At p in ``CLOSED_FORMS`` psi is exact at any ``lam`` and
-    :func:`_closed_search` takes Newton steps on the dual sum.  Elsewhere
-    :func:`_joint_search` takes Newton steps on the roots and the multiplier
-    together.  Both take ``q``, the slackness units ``max(1, max(t))`` and
+    At p = 1.5, the one index with a closed form here, psi is exact at any
+    ``lam`` and :func:`_closed_search` takes Newton steps on the dual sum.
+    Elsewhere, p = 2 and 3 included, :func:`_joint_search` takes Newton
+    steps on the roots and the multiplier together.  Both take ``q``, the slackness units ``max(1, max(t))`` and
     the start: per row ``lo = 0``, ``lam = hi = ||t||_q`` and 0 passes.
     """
     q = p / (p - 1.0)
     hi = _lp_norms(tops, scaled, q)
     if not max(hi) < math.inf:  # no NaN: the norms are finite or inf
         raise InvalidParameterError("||y||_q/r, the top of the multiplier's bracket, overflows")
-    search = _closed_search if p in CLOSED_FORMS else _joint_search
+    search = _closed_search if p == 1.5 else _joint_search
     return search(p, q, T, [max(1.0, m) for m in tops], [0.0] * len(hi), hi[:], hi, [0] * len(hi))
 
 
@@ -223,12 +222,11 @@ def _settled(value: float, lam: float, lo: float, hi: float, slack_unit: float) 
 
 
 def _closed_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam, hi, iterations):
-    """:func:`_find_lambda_star` at p in ``CLOSED_FORMS``.
+    """:func:`_find_lambda_star` at p = 1.5.
 
     Newton steps on ``S**(-1/q) - 1``, ``lam + q*S*expm1(log(S)/q)/(-S')``:
     where the roots follow the power law ``psi ~ (t/lam)**(1/(p-1))`` this
-    target is linear in ``lam``, and at p = 2, ``(1 + lam)/||t||_2 - 1``, it is
-    linear everywhere, so one step lands.  A step that passes ``lo`` is redone
+    target is linear in ``lam``.  A step that passes ``lo`` is redone
     on ``log S`` against ``log lam``, and bisection takes over where both leave
     the bracket.  Each pass takes the closed form's intermediates,
     ``_closed_terms``, over the whole block and sums their powers; psi is
@@ -238,8 +236,8 @@ def _closed_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam,
     kept = np.empty_like(T)
     for step_count in range(1, SEARCH_STEPS + 1):
         lam_c = _lam_column(lam)
-        v, root = _closed_terms(p, lam_c, T)
-        sums = _power_sums(v, 2.0 if p == 2.0 else 3.0)  # psi**p: v**2 at p = 2, else v**3
+        u, root = _closed_terms(lam_c, T)
+        sums = _power_sums(u, 3.0)  # psi**1.5 = u**3
         values = sums.tolist()
         stopped, moving = [], []
         for i, value in enumerate(values):
@@ -255,12 +253,12 @@ def _closed_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam,
                 hi[i] = lam[i]
             moving.append(i)
         if len(stopped) == len(lam):  # the whole block stops here
-            return lam, _closed_psi(p, v), iterations
+            return lam, _closed_psi(u), iterations
         if stopped:
-            kept[stopped] = _closed_psi(p, v, stopped)
+            kept[stopped] = _closed_psi(u, stopped)
         if not moving:
             return lam, kept, iterations
-        falls = _closed_falls(p, lam_c, v, root, sums).tolist()
+        falls = _closed_falls(u, root).tolist()
         for i in moving:
             lam_i, value, fall = lam[i], values[i], falls[i]
             newton = math.nan
@@ -274,7 +272,7 @@ def _closed_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam,
 
 
 def _joint_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam, hi, iterations):
-    """:func:`_find_lambda_star` at p outside ``CLOSED_FORMS``: Newton steps on
+    """:func:`_find_lambda_star` at p other than 1.5: Newton steps on
     the KKT system in ``s = log psi`` and ``lam``, one pass over the block each.
 
     The system is ``F = x + b - t = 0`` per coordinate, with ``x = exp(s)``

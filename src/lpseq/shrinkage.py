@@ -2,8 +2,8 @@
 
 - ``soft_threshold``: the p = 1 shrinkage of signed entries.
 - ``psi_many``: the root for p >= 1, which is unique.
-- ``_closed_terms``, ``_closed_psi``, ``_closed_falls``: the closed forms at
-  p in {1.5, 2, 3}, whose intermediates the p > 1 multiplier search sums.
+- ``_closed_terms``, ``_closed_psi``, ``_closed_falls``: the closed form at
+  p = 1.5, whose intermediates the p > 1 multiplier search sums.
 - ``_branch_root``, ``_root_floor``: Newton steps in ``log psi`` at other p,
   and the rounding floor of their residual.
 - ``branch_roots``, ``_branch_vanish_lambda``: the two roots for p < 1.
@@ -42,10 +42,6 @@ ROOT_FLOOR_STEP = 8
 EPS = float(np.finfo(float).eps)
 LOG2 = float(np.log(2.0))
 
-# Indices at which psi_many has a closed form, whose intermediates the p > 1
-# multiplier search sums; at the others both take Newton steps.
-CLOSED_FORMS = frozenset({1.0, 1.5, 2.0, 3.0})
-
 
 def soft_threshold(y: np.ndarray, lam: float) -> np.ndarray:
     """Coordinatewise soft threshold of an array."""
@@ -73,12 +69,12 @@ def psi_many(p: float, lam, t) -> np.ndarray:
 
     ``lam`` and ``t`` broadcast together and must be at least 0, or
     ``InvalidParameterError`` is raised (also for NaN); scalars give a 0-d
-    array.  The returned psi lies in ``[0, t]``.  At p in ``CLOSED_FORMS`` it
-    is a closed form; elsewhere it is :func:`_branch_root`'s, whose residual,
-    as its last Newton pass evaluates it, is at most ``max(DEFAULT_TOL,
-    ROOT_FLOOR*eps*t*(1 + |log t|))``; on the returned psi the residual also
-    carries psi's rounding, which the power moves (p-1)-fold.  A root below
-    ``FLUSH_TOL`` is returned as 0.
+    array.  The returned psi lies in ``[0, t]``.  At p = 1 it is the soft
+    threshold and at p = 1.5 a closed form; elsewhere it is
+    :func:`_branch_root`'s, whose residual, as its last Newton pass evaluates
+    it, is at most ``max(DEFAULT_TOL, ROOT_FLOOR*eps*t*(1 + |log t|))``; on
+    the returned psi the residual also carries psi's rounding, which the
+    power moves (p-1)-fold.  A root below ``FLUSH_TOL`` is returned as 0.
     """
     lam_arr, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(t, dtype=float))
@@ -86,75 +82,55 @@ def psi_many(p: float, lam, t) -> np.ndarray:
         raise InvalidParameterError("psi_many requires lam >= 0 and t >= 0")
     if t.ndim == 0:  # solved as a block of one, so the kernels below index an array
         return psi_many(p, lam_arr[None], t[None]).reshape(())
-    if p not in CLOSED_FORMS:
-        if p < 1.0:
-            raise InvalidParameterError("psi_many requires p >= 1; use branch_roots for p < 1")
-        # lam is left unbroadcast, so a column of multipliers costs one log
-        # each; where t or lam is 0, psi = t
-        lam = np.asarray(lam, dtype=float)
-        return _flush(np.where((t > 0) & (lam > 0), np.minimum(_branch_root(p, lam, t, True), t), t))
     if p == 1.0:
         return _flush(np.maximum(t - lam_arr, 0.0))
-    # 0/0 at p = 1.5, lam = t = 0
-    return _flush(np.where(lam_arr == 0, t, _closed_psi(p, _closed_terms(p, lam, t)[0])))
+    if p == 1.5:  # 0/0 at lam = t = 0
+        return _flush(np.where(lam_arr == 0, t, _closed_psi(_closed_terms(lam, t)[0])))
+    if p < 1.0:
+        raise InvalidParameterError("psi_many requires p >= 1; use branch_roots for p < 1")
+    # lam is left unbroadcast, so a column of multipliers costs one log each;
+    # where t or lam is 0, psi = t
+    lam = np.asarray(lam, dtype=float)
+    return _flush(np.where((t > 0) & (lam > 0), np.minimum(_branch_root(p, lam, t, True), t), t))
 
 
-def _closed_terms(p: float, lam, t):
-    """``(v, root)``, the intermediates of the closed form at p in {1.5, 2, 3}.
+def _closed_terms(lam, t):
+    """``(u, root)``, the intermediates of the closed form at p = 1.5.
 
     ``lam > 0`` broadcasts against ``t >= 0``; multipliers are scaled and
     squared before they are broadcast, so a column of them costs one operation
-    per row.  psi is ``v*v`` at p = 1.5 and ``v`` at p = 2 and 3, flushed by
-    :func:`_closed_psi`.  A block's rows of ``psi**p`` sum as ``v**2`` at p =
-    2 and ``v**3`` otherwise, and :func:`_closed_falls` sums those of
-    ``-d(psi**p)/dlam`` from ``v`` and ``root``, as products in one pass with
-    no power or slope array.  With ``-d psi/dlam = psi**(p-1)/(1 +
-    lam*(p-1)*psi**(p-2))``: at p = 1.5, ``u = sqrt(psi)`` solves ``u*u +
-    lam*u = t``: with ``h = lam/2`` and ``root = sqrt(h*h + t) = u + h``,
-    ``v = u = t/(h + root)`` (the conjugate
-    form, free of cancellation), the sum is ``sum(u**3)`` and the slope sum
-    ``1.5*sum(u*u*(u/root))``.  At p = 2 ``v = t/(1 + lam)``, ``root`` is None
-    and the slope sum is ``2*sum/(1 + lam)``; at p = 3, with ``root = sqrt(1 +
-    4*lam*t) = 1 + 2*lam*psi``, ``v = 2*t/(1 + root)`` and the slope sum is
-    ``3*sum(psi*psi*(psi**2/root))``.  A flushed psi adds 0 to both sums.
+    per row.  ``u = sqrt(psi)`` solves ``u*u + lam*u = t``: with ``h =
+    lam/2`` and ``root = sqrt(h*h + t) = u + h``, ``u = t/(h + root)`` (the
+    conjugate form, free of cancellation).  psi is ``u*u``, flushed by
+    :func:`_closed_psi`.  A block's rows of ``psi**1.5`` sum as ``u**3``, and
+    :func:`_closed_falls` sums those of ``-d(psi**1.5)/dlam``, with ``-d
+    psi/dlam = sqrt(psi)/(1 + lam/(2*sqrt(psi)))``, as ``1.5*sum(u*u*(u/root))``:
+    products in one pass with no power or slope array.  A flushed psi adds 0
+    to both sums.
     """
     lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
-    if p == 2.0:
-        return t / (1.0 + lam), None
-    if p == 1.5:
-        # h*h overflows once lam passes 2.6e154, where hypot takes over (chosen
-        # per element, so a result does not depend on the other lams of its call)
-        h = 0.5 * lam
-        root = np.sqrt(h * h + t)
-        if lam.max() >= 1e150:
-            root = np.where(lam < 1e150, root, np.hypot(h, np.sqrt(t)))
-        return t / (h + root), root
-    root = np.sqrt(1.0 + 4.0 * lam * t)  # p == 3
-    if np.isinf(root).any():  # where 4*lam*t overflows, the 1 beside it is below rounding
-        root = np.where(np.isinf(root), 2.0 * np.sqrt(lam) * np.sqrt(t), root)
-    return 2.0 * t / (1.0 + root), root
+    # h*h overflows once lam passes 2.6e154, where hypot takes over (chosen
+    # per element, so a result does not depend on the other lams of its call)
+    h = 0.5 * lam
+    root = np.sqrt(h * h + t)
+    if lam.max() >= 1e150:
+        root = np.where(lam < 1e150, root, np.hypot(h, np.sqrt(t)))
+    return t / (h + root), root
 
 
-def _closed_psi(p: float, v: np.ndarray, rows=...) -> np.ndarray:
-    """psi on ``rows`` of ``v`` from :func:`_closed_terms` (all rows by default).
-
-    At p = 2 and 3 psi on all rows is ``v`` itself, flushed in place."""
-    return _flush(np.square(v[rows]) if p == 1.5 else v[rows])
+def _closed_psi(u: np.ndarray, rows=...) -> np.ndarray:
+    """psi on ``rows`` of ``u`` from :func:`_closed_terms` (all rows by default)."""
+    return _flush(np.square(u[rows]))
 
 
-def _closed_falls(p: float, lam, v: np.ndarray, root, sums: np.ndarray) -> np.ndarray:
-    """Each row's sum of ``-d(psi**p)/dlam`` over a block ``(v, root)`` from
-    :func:`_closed_terms` at the multipliers ``lam`` it was taken at; ``sums``
-    are the rows' sums of ``psi**p``, which it scales at p = 2."""
-    if p == 2.0:
-        return np.ravel(2.0 / (1.0 + lam)) * sums
-    # 0/0 at p = 1.5 and t = 0 where h*h underflows; v*v past double range
-    ratio = v / root if p == 1.5 else np.square(v) / root
-    if p == 1.5:  # zero where psi = u*u is flushed, t = 0 too; at p = 3 v*v underflows there
-        least = float(v.min())
-        if least * least < FLUSH_TOL:
-            ratio[np.square(v) < FLUSH_TOL] = 0.0
-    return p * np.einsum("ij,ij,ij->i", v, v, ratio)
+def _closed_falls(u: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``-d(psi**1.5)/dlam`` over a block ``(u, root)`` from
+    :func:`_closed_terms`."""
+    ratio = u / root  # 0/0 at t = 0 where h*h underflows
+    least = float(u.min())
+    if least * least < FLUSH_TOL:  # zero where psi = u*u is flushed, t = 0 too
+        ratio[np.square(u) < FLUSH_TOL] = 0.0
+    return 1.5 * np.einsum("ij,ij,ij->i", u, u, ratio)
 
 
 def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper) -> np.ndarray:
@@ -165,14 +141,15 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper) -> np.ndarray:
     start with ``f >= 0`` move monotonically to the root on that side and
     never overshoot.  For p > 1 (``upper`` True) ``f`` also rises with ``s``,
     so the steps come down from the cold start; they are clamped at the
-    floor where the larger term is ``t/2`` (``f <= 0``), which only an
-    infinite step reaches, where ``x + lam*x**(p-1)`` overflows at ``t``
-    near double range.  For p < 1 the root must exist, and iterates stay on
-    their branch's side of the turning point ``x_arg``, so a root lost to
-    rounding there comes back as ``x_arg``.  An element stops once ``|f| <=
-    DEFAULT_TOL``, or from step ``ROOT_FLOOR_STEP`` on once ``|f|`` is within
-    its rounding floor, :func:`_root_floor`, whatever its batch.  Returns the
-    ``x = exp(s)`` of the last Newton pass.
+    floor where the larger term is ``t/2`` (``f <= 0``).  Where some ``t``
+    of a p > 1 call passes ``2**1022``, ``x + lam*x**(p-1)`` can overflow,
+    and the call takes ``f`` and its slope in units of ``t``.  For p < 1
+    the root must exist, and iterates stay on their branch's side of the
+    turning point ``x_arg``, so a root lost to rounding there comes back as
+    ``x_arg``.  An element stops once ``|f| <= DEFAULT_TOL``, or from step
+    ``ROOT_FLOOR_STEP`` on once ``|f|`` is within its rounding floor,
+    :func:`_root_floor`, whatever its batch.  Returns the ``x = exp(s)`` of
+    the last Newton pass.
     """
     log_t, log_lam = np.log(t), np.log(lam)
     s_pow = (log_lam - log_t) / (1.0 - p)  # where lam*x**(p-1) = t
@@ -186,19 +163,21 @@ def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper) -> np.ndarray:
     # back, the power is one exp of the summed logs
     wide = (p - 1.0) * (hi if p > 1 else lo) > 700.0
     guard, tol = wide.any(), DEFAULT_TOL
+    scaled = p > 1 and bool((t > 2.0**1022).any())
     for step in range(ROOT_STEPS):
         x = np.exp(s)
         pw = lam * np.exp((p - 1.0) * s)
         if guard:
             pw = np.where(wide, np.exp(log_lam + (p - 1.0) * s), pw)
-        f = x + pw - t
+        xu, pwu = (x / t, pw / t) if scaled else (x, pw)
+        f = xu + pwu - (1.0 if scaled else t)
         if step == ROOT_FLOOR_STEP:
             tol = np.maximum(tol, _root_floor(t, log_t))
-        open_ = np.abs(f) > tol
+        open_ = np.abs(f * t if scaled else f) > tol
         if not open_.any():
             break
         # minimum(maximum()) is np.clip's arithmetic without its wrapper's overhead
-        s = np.where(open_, np.minimum(np.maximum(s - f / (x + (p - 1.0) * pw), lo), hi), s)
+        s = np.where(open_, np.minimum(np.maximum(s - f / (xu + (p - 1.0) * pwu), lo), hi), s)
     return x
 
 

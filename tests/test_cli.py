@@ -275,11 +275,14 @@ def test_project_solver_diagnostic_exit_3(capsys, monkeypatch):
 
 
 def test_project_exits_0_only_on_a_certified_point(capsys):
-    # at p = 3 the closed form overflows for |y|/r near 1e308, returning a
-    # zero point with an infinite multiplier and a NaN KKT residual, which
-    # the exit-3 rule let through with exit 0
-    code, out, _ = run_cli(capsys, "project", "--p", "3", "--input", "8.9e307,8.9e307")
-    assert (code == 0) == (float(parse_kv(out)["kkt_residual"]) <= 1e-9)
+    # at p = 3 a closed form overflowed for |y|/r near 1e308: it returned a
+    # NaN point (exit 3), an infinite one, and a zero point with an infinite
+    # multiplier and a NaN KKT residual, which the exit-3 rule once let
+    # through with exit 0.  The joint search certifies all three
+    for y in ("9e307", "1.3e308", "8.9e307,8.9e307"):
+        code, out, _ = run_cli(capsys, "project", "--p", "3", "--input", y)
+        kkt = float(parse_kv(out)["kkt_residual"])
+        assert code == 0 and kkt <= 1e-9, (y, code, kkt)
 
 
 def test_project_near_one_flushed_zero_exit_0(capsys):

@@ -1,7 +1,7 @@
 """Reruns the golden outputs under ``tests/data/golden`` in-process.
 
 ``scripts/make_golden.py`` wrote them: two ``lpseq reproduce`` runs and
-README's four ``lpseq project`` examples.  Every CSV column but ``mse_mean``
+README's five ``lpseq project`` examples.  Every CSV column but ``mse_mean``
 and ``mse_stderr`` must match exactly; those two, every number in
 ``slopes.json`` (the slopes and the anchored reference curve follow from the
 means), and the projected points and multipliers must match to ``REL``

@@ -38,14 +38,15 @@ from prox_reference import (
 C_SYMMETRIC = 0.6299605249474366
 LAM_SYMMETRIC = 1.7261415738056466
 
-# indices with no closed form, from next to 1 to next to inf
+# indices of the joint search other than 2 and 3, from next to 1 to next to inf
 GENERIC_P = [1 + 1e-6, 1.02, 1.05, 1.1, 1.3, 1.7, 2.5, 4.0, 10.0, 1e4]
 
 
 def _search(p, T):
     """The p > 1 multiplier search on ``T`` with the row maxima project_many hands it."""
     tops = np.max(T, axis=1)
-    return _find_lambda_star(p, T, tops.tolist(), T / tops[:, None])
+    with np.errstate(all="ignore"):  # the error state project_many sets
+        return _find_lambda_star(p, T, tops.tolist(), T / tops[:, None])
 
 
 def _kkt(T, M, lam, p):
@@ -177,9 +178,10 @@ def test_find_lambda_star_direct():
 
 
 def test_p2_search_lands_in_one_step():
-    # at p = 2 the search's target S**(-1/2) - 1 = (1 + lam)/||t||_2 - 1 is
-    # linear, so its first Newton step lands on lam = ||t||_2 - 1 and the
-    # second evaluation confirms it
+    # at p = 2 the joint search's cold start at lam = ||t||_2 puts each root
+    # at t/||t||_2, the solution's, and the residual is linear in lam there,
+    # so its first Newton step lands on lam = ||t||_2 - 1 and the second pass
+    # confirms it
     rng = np.random.default_rng(61)
     for d in (1, 2, 10, 1000):
         for scale in (1e-3, 1.0, 1e3):
@@ -487,12 +489,24 @@ def test_bracket_top_past_range_rejected(p, r, y):
         project(LpBall(p=p, dim=len(y), radius=r), np.array(y))
 
 
+def _near_range_rows(d):
+    """300 rows of magnitudes 0.3 to 1 times 1.8e308/d, with random signs."""
+    rng = np.random.default_rng(d)
+    return (rng.uniform(0.3, 1.0, (300, d)) * (np.finfo(float).max / d)
+            * rng.choice([-1.0, 1.0], (300, d)))
+
+
 @pytest.mark.parametrize("p, r, y", [(1 + 1e-9, 1.0, BIG), (1.3, 1e-308, [1.0] * 4),
-                                     (1.5, 1e-308, [1.0] * 4)])
+                                     (1.5, 1e-308, [1.0] * 4)]
+                         + [(p, 1.0, _near_range_rows(d))
+                            for p in (1.5, 2.0, 3.0) for d in (1, 2, 3, 10)])
 def test_bracket_top_in_range_projects(p, r, y):
-    # the same inputs where ||y||_q/r stays in range: d**(1/q) < 1.8 or q huge
-    res = project(LpBall(p=p, dim=len(y), radius=r), np.array(y))
-    assert res.kkt_residual <= 1e-9 and res.point.max() > 0  # not the zero point
+    # the same inputs where ||y||_q/r stays in range: d**(1/q) < 1.8 or q huge;
+    # and blocks of rows near double range, where the p = 3 closed form
+    # returned NaN, inf or zero points
+    Y = np.atleast_2d(np.array(y))
+    for res in project_many(LpBall(p=p, dim=Y.shape[1], radius=r), Y):
+        assert res.kkt_residual <= 1e-9 and np.abs(res.point).max() > 0  # not the zero point
 
 
 def _independent_dual(p, y, r, points=200, jumps=None):
@@ -843,9 +857,9 @@ def test_project_many_validation():
 
 
 def test_generic_p_search_solves_no_inner_roots(monkeypatch):
-    # outside the closed forms each pass of the multiplier search is one
-    # joint Newton step over the row, two exps (three where it bounds the
-    # sum from above), with no root solve of the shrinkage kernel in it
+    # outside p = 1.5 each pass of the multiplier search is one joint Newton
+    # step over the row, two exps (three where it bounds the sum from above),
+    # with no root solve of the shrinkage kernel in it
     import lpseq.projection as projection
     import lpseq.shrinkage as shrinkage
 
@@ -863,7 +877,7 @@ def test_generic_p_search_solves_no_inner_roots(monkeypatch):
         raise AssertionError("the multiplier search solved a root")
 
     y = np.random.default_rng(41).standard_normal(1000)
-    for p in GENERIC_P:
+    for p in GENERIC_P + [2.0, 3.0]:
         exps.clear()
         with monkeypatch.context() as m:
             m.setattr(shrinkage, "_branch_root", no_roots)
@@ -873,7 +887,7 @@ def test_generic_p_search_solves_no_inner_roots(monkeypatch):
         assert 2 * res.iterations <= len(exps) <= 3 * res.iterations, p
 
 
-@pytest.mark.parametrize("p", GENERIC_P)
+@pytest.mark.parametrize("p", GENERIC_P + [2.0, 3.0])
 def test_generic_p_matches_reference_on_benchmark_shapes(p):
     # the two figure shapes at d = 1000 and 7017: a spike e_1 with noise
     # d**(1/p - 1), and the flat k-sparse signal of fig2b (its p = 1.3

@@ -42,7 +42,7 @@ def test_psi_edge_cases():
     assert psi_many(1.7, 2.0, [0.0])[0] == 0.0
     assert psi_many(1.0, 2.0, [5.0])[0] == 3.0
     assert psi_many(1.0, 2.0, [1.0])[0] == 0.0
-    # lam = 0 leaves t as is at the closed forms too, with no 0/0 at t = 0
+    # lam = 0 leaves t as is, with no 0/0 at t = 0 in the p = 1.5 closed form
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in (1.5, 2.0, 3.0):
@@ -113,38 +113,53 @@ def test_psi_residual_on_random_grid(p):
     assert resid.max() <= 1e-11
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_closed_terms_match_power_and_generic_slope(p):
-    # multipliers on both sides of the p = 1.5 hypot switch (1e150), magnitudes
-    # that flush, and products 4*lam*t that overflow the p = 3 root
+@pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1.3, 2.0, 2.5, 3.0, 10.0])
+def test_psi_near_double_range(p):
+    # t near 1.8e308, where psi + lam*psi**(p-1) passes double range before it
+    # meets t: the root returned 0.0 or NaN.  The residual relative to t is
+    # taken in logs, since psi**(p-1) overflows at p = 3
+    rng = np.random.default_rng(30)
+    t = rng.uniform(0.5, 1.0, 2000) * np.finfo(float).max
+    lam = 10.0 ** rng.uniform(-3.0, 3.0, 2000)
+    t[0], lam[0] = 9.959842587084872e307, 8.715648425215976e307  # root about 1.24e307
+    psi = psi_many(p, lam, t)
+    assert np.all((psi > 0) & (psi <= t))
+    power = np.exp(np.log(lam) + (p - 1.0) * np.log(psi) - np.log(t))
+    assert np.max(np.abs(psi / t + power - 1.0)) <= 1e-12
+
+
+def test_closed_terms_match_power_and_generic_slope():
+    # the p = 1.5 closed form: multipliers on both sides of its hypot switch
+    # (1e150), and magnitudes that flush
+    p = 1.5
     lams = np.array([1e-300, 1.0, 1e149, 1e151, 1e300])
     t = np.array([0.0, 1e-305, 1e-150, 1e-5, 1.0, 7.5, 1e150, 1e300])
 
-    def sums(v):  # each row's sum of psi**p, as the multiplier search takes it
-        return _power_sums(v, 2.0 if p == 2.0 else 3.0)
+    def sums(u):  # each row's sum of psi**1.5 = u**3, as the multiplier search takes it
+        return _power_sums(u, 3.0)
 
     # the kernels run under the error state psi_many and project_many set
     with np.errstate(all="ignore"):
-        v, root = _closed_terms(p, lams[:, None], t)
+        u, root = _closed_terms(lams[:, None], t)
         rows = [3, 0, 4]  # psi of some rows is those rows of psi
-        picked = _closed_psi(p, v, rows)
-        psi = _closed_psi(p, v.copy())
+        picked = _closed_psi(u, rows)
+        psi = _closed_psi(u.copy())
     np.testing.assert_array_equal(psi_many(p, lams[:, None], t), psi)
     np.testing.assert_array_equal(picked, psi[rows])
     for k, lam in enumerate(lams):  # a scalar multiplier gives its row of the block
         with np.errstate(all="ignore"):
-            alone_terms = _closed_terms(p, lam, t[None])
-        for alone, in_block in zip(alone_terms, (v, root)):
-            np.testing.assert_array_equal(alone, in_block if in_block is None else in_block[k:k + 1])
+            alone_terms = _closed_terms(lam, t[None])
+        for alone, in_block in zip(alone_terms, (u, root)):
+            np.testing.assert_array_equal(alone, in_block[k:k + 1])
     # each element on a row of its own, so each row sum is one element's
-    # power or slope: against psi**p and the slope the dual sum takes outside
-    # CLOSED_FORMS, p*psi**(p-1)*dpsi, with dpsi = pw/(1 + lam*(p-1)*psi**(p-2))
+    # power or slope: against psi**p and the slope the dual sum takes at
+    # other p, p*psi**(p-1)*dpsi, with dpsi = pw/(1 + lam*(p-1)*psi**(p-2))
     # (finite wherever the slope itself is)
     lam_e = np.repeat(lams, t.size)[:, None]
     with np.errstate(all="ignore"):
-        v_e, root_e = _closed_terms(p, lam_e, np.tile(t, lams.size)[:, None])
-        power = sums(v_e)
-        slope = _closed_falls(p, lam_e, v_e, root_e, power)
+        u_e, root_e = _closed_terms(lam_e, np.tile(t, lams.size)[:, None])
+        power = sums(u_e)
+        slope = _closed_falls(u_e, root_e)
     psi, lam = psi.ravel(), lam_e.ravel()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pw = psi ** (p - 1.0)
@@ -160,18 +175,17 @@ def test_closed_terms_match_power_and_generic_slope(p):
         np.testing.assert_allclose(fused[finite], reference[finite], rtol=1e-13, atol=tiny)
         assert np.all(fused[~finite] == np.inf)
     # a block row sums its elements' powers and slopes
-    block = lams[:, None]
     with np.errstate(all="ignore"):
-        np.testing.assert_allclose(sums(v), exact.reshape(v.shape).sum(axis=1),
+        np.testing.assert_allclose(sums(u), exact.reshape(u.shape).sum(axis=1),
                                    rtol=1e-13, atol=tiny)
-        np.testing.assert_allclose(_closed_falls(p, block, v, root, sums(v)),
-                                   generic.reshape(v.shape).sum(axis=1), rtol=1e-13, atol=tiny)
+        np.testing.assert_allclose(_closed_falls(u, root),
+                                   generic.reshape(u.shape).sum(axis=1), rtol=1e-13, atol=tiny)
     # every psi of these magnitudes is flushed, and adds 0 to both sums
     with np.errstate(all="ignore"):
-        v, root = _closed_terms(p, block, np.array([0.0, 1e-305]))
-        falls = _closed_falls(p, block, v, root, sums(v))
-        psi = _closed_psi(p, v)
-    assert np.all(sums(v) == 0) and np.all(falls == 0)
+        u, root = _closed_terms(lams[:, None], np.array([0.0, 1e-305]))
+        falls = _closed_falls(u, root)
+        psi = _closed_psi(u)
+    assert np.all(sums(u) == 0) and np.all(falls == 0)
     assert np.all(psi == 0)
 
 

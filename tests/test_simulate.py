@@ -328,19 +328,21 @@ def test_estimate_accepts_a_block():
 @pytest.mark.parametrize("regime, p, sigma_rule, reps", [
     ("fig2a", 1.5, "spike", 16),  # the fig2a benchmark workload at seed 0
     ("fig2b", 1.3, "flat", 4),  # the fig2b_p13 benchmark workload at seed 0
-    ("fig2a", 2.0, "spike", 16),  # the other closed-form indices
+    ("fig2a", 2.0, "spike", 16),  # two indices no workload runs
     ("fig2a", 3.0, "spike", 16),
 ])
 def test_benchmark_cells_meet_the_kkt_rule(regime, p, sigma_rule, reps):
     # Every trial's p > 1 projection meets the CLI's exit-3 rule, KKT residual at
     # most 10 * LAMBDA_GAP_TOL = 1e-9, which the benchmark's traced run applies per trial.
     # No block takes more passes of the multiplier search than these, the
-    # most measured on these cells.  At p in {1.5, 2, 3} a pass evaluates the
-    # dual sum at exact roots, and its target S**(-1/q) - 1 is near linear in
-    # lam, exactly so at p = 2.  At p = 1.3 a pass is one joint Newton step on
-    # the roots and the multiplier: every block takes 6, the first from the
-    # cold start and the last only to certify.
-    passes = {1.5: 4, 1.3: 6, 2.0: 2, 3.0: 8}[p]
+    # most measured on these cells.  At p = 1.5 a pass evaluates the dual sum
+    # at exact roots, and its target S**(-1/q) - 1 is near linear in lam.  At
+    # the other indices a pass is one joint Newton step on the roots and the
+    # multiplier: at p = 1.3 every block takes 6, the first from the cold
+    # start and the last only to certify; at p = 2 the cold start at the top
+    # of the bracket already holds the solution's roots, so the first step
+    # lands and the second pass certifies.
+    passes = {1.5: 4, 1.3: 6, 2.0: 2, 3.0: 9}[p]
     estimators = ("mle", "soft_threshold") if p < 2 else ("mle",)  # soft_threshold needs p < 2
     cfg = ExperimentConfig(regime=regime, p=p, sigma_rule=sigma_rule, reps=reps,
                            estimators=estimators, seed=0)
