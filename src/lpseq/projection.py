@@ -6,9 +6,10 @@ back.  Which function does what:
 
 - ``_find_lambda_star``: p > 1, the search for the multiplier at which the
   dual sum is 1.  At p = 1.5 ``_closed_search`` takes Newton steps on the
-  sum, evaluated from the closed form's intermediates; elsewhere
-  ``_joint_search`` takes Newton steps on the roots and the multiplier
-  together, one pass over the block each, with no inner root solve.
+  sum, evaluated from the intermediates of the roots' closed form
+  (``_closed_terms``, ``_closed_falls``); elsewhere ``_joint_search`` takes
+  Newton steps on the roots and the multiplier together, one pass over the
+  block each, with no inner root solve.
 - ``_project_l1_unit``: p = 1, sort-and-threshold water filling.
 - ``_project_quasinorm_unit``: p in (0, 1), the global minimizer by certified
   enumeration of prefix supports (``_prefix_points``, ``_cell_shapes``,
@@ -36,9 +37,6 @@ from .shrinkage import (
     FLUSH_TOL,
     LOG2,
     _branch_vanish_lambda,
-    _closed_falls,
-    _closed_psi,
-    _closed_terms,
     _flush,
     _root_floor,
     branch_roots,
@@ -203,8 +201,9 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     At p = 1.5, the one index with a closed form here, psi is exact at any
     ``lam`` and :func:`_closed_search` takes Newton steps on the dual sum.
     Elsewhere, p = 2 and 3 included, :func:`_joint_search` takes Newton
-    steps on the roots and the multiplier together.  Both take ``q``, the slackness units ``max(1, max(t))`` and
-    the start: per row ``lo = 0``, ``lam = hi = ||t||_q`` and 0 passes.
+    steps on the roots and the multiplier together.  Both take ``q``, the
+    slackness units ``max(1, max(t))`` and the start: per row ``lo = 0``,
+    ``lam = hi = ||t||_q`` and 0 passes.
     """
     q = p / (p - 1.0)
     hi = _lp_norms(tops, scaled, q)
@@ -221,15 +220,50 @@ def _settled(value: float, lam: float, lo: float, hi: float, slack_unit: float) 
             or hi - lo <= 1e-14 * (1.0 + lam))
 
 
+def _closed_terms(lam, t):
+    """``(u, root)``, the intermediates of the closed form of the roots at p = 1.5.
+
+    ``lam > 0`` broadcasts against ``t >= 0``; multipliers are scaled and
+    squared before they are broadcast, so a column of them costs one operation
+    per row.  ``u = sqrt(psi)`` solves ``u*u + lam*u = t``: with ``h =
+    lam/2`` and ``root = sqrt(h*h + t) = u + h``, ``u = t/(h + root)`` (the
+    conjugate form, free of cancellation).  psi is ``u*u``, which its caller
+    flushes.  A block's rows of ``psi**1.5`` sum as ``u**3``, and
+    :func:`_closed_falls` sums those of ``-d(psi**1.5)/dlam``, with ``-d
+    psi/dlam = sqrt(psi)/(1 + lam/(2*sqrt(psi)))``, as ``1.5*sum(u*u*(u/root))``:
+    products in one pass with no power or slope array.  A flushed psi adds 0
+    to both sums.
+    """
+    lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
+    # h*h overflows once lam passes 2.6e154, where hypot takes over (chosen
+    # per element, so a result does not depend on the other lams of its call)
+    h = 0.5 * lam
+    root = np.sqrt(h * h + t)
+    if lam.max() >= 1e150:
+        root = np.where(lam < 1e150, root, np.hypot(h, np.sqrt(t)))
+    return t / (h + root), root
+
+
+def _closed_falls(u: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``-d(psi**1.5)/dlam`` over a block ``(u, root)`` from
+    :func:`_closed_terms`."""
+    ratio = u / root  # 0/0 at t = 0 where h*h underflows
+    least = float(u.min())
+    if least * least < FLUSH_TOL:  # zero where psi = u*u is flushed, t = 0 too
+        ratio[np.square(u) < FLUSH_TOL] = 0.0
+    return 1.5 * np.einsum("ij,ij,ij->i", u, u, ratio)
+
+
 def _closed_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam, hi, iterations):
-    """:func:`_find_lambda_star` at p = 1.5.
+    """:func:`_find_lambda_star` at p = 1.5, where the roots have a closed form.
 
     Newton steps on ``S**(-1/q) - 1``, ``lam + q*S*expm1(log(S)/q)/(-S')``:
     where the roots follow the power law ``psi ~ (t/lam)**(1/(p-1))`` this
-    target is linear in ``lam``.  A step that passes ``lo`` is redone
-    on ``log S`` against ``log lam``, and bisection takes over where both leave
-    the bracket.  Each pass takes the closed form's intermediates,
-    ``_closed_terms``, over the whole block and sums their powers; psi is
+    target is linear in ``lam``.  A step that would leave the bracket is
+    replaced by a bisection step, which the figure runs never take; rows
+    whose magnitudes spread over many decades, with the radius just below
+    their norm, take a few.  Each pass takes the closed form's intermediates,
+    :func:`_closed_terms`, over the whole block and sums their powers; psi is
     formed only for the rows that stop, and the slopes are summed only where
     some row steps on, so the last pass only confirms.
     """
@@ -253,9 +287,9 @@ def _closed_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam,
                 hi[i] = lam[i]
             moving.append(i)
         if len(stopped) == len(lam):  # the whole block stops here
-            return lam, _closed_psi(u), iterations
+            return lam, _flush(np.square(u)), iterations
         if stopped:
-            kept[stopped] = _closed_psi(u, stopped)
+            kept[stopped] = _flush(np.square(u[stopped]))
         if not moving:
             return lam, kept, iterations
         falls = _closed_falls(u, root).tolist()
@@ -263,11 +297,8 @@ def _closed_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam,
             lam_i, value, fall = lam[i], values[i], falls[i]
             newton = math.nan
             if value > 0 and lam_i * fall > 0:
-                log_value = math.log(value)
                 # S**(1/q) - 1 by expm1, exact also where q is huge (p near 1)
-                newton = lam_i + q * value * math.expm1(log_value / q) / fall
-                if newton <= lo[i]:  # past lo: redo log S against log lam
-                    newton = lam_i * math.exp(log_value * value / (lam_i * fall))
+                newton = lam_i + q * value * math.expm1(math.log(value) / q) / fall
             lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
 
 

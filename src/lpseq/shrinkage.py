@@ -2,9 +2,7 @@
 
 - ``soft_threshold``: the p = 1 shrinkage of signed entries.
 - ``psi_many``: the root for p >= 1, which is unique.
-- ``_closed_terms``, ``_closed_psi``, ``_closed_falls``: the closed form at
-  p = 1.5, whose intermediates the p > 1 multiplier search sums.
-- ``_branch_root``, ``_root_floor``: Newton steps in ``log psi`` at other p,
+- ``_branch_root``, ``_root_floor``: Newton steps in ``log psi`` at p != 1,
   and the rounding floor of their residual.
 - ``branch_roots``, ``_branch_vanish_lambda``: the two roots for p < 1.
 
@@ -70,67 +68,24 @@ def psi_many(p: float, lam, t) -> np.ndarray:
     ``lam`` and ``t`` broadcast together and must be at least 0, or
     ``InvalidParameterError`` is raised (also for NaN); scalars give a 0-d
     array.  The returned psi lies in ``[0, t]``.  At p = 1 it is the soft
-    threshold and at p = 1.5 a closed form; elsewhere it is
-    :func:`_branch_root`'s, whose residual, as its last Newton pass evaluates
-    it, is at most ``max(DEFAULT_TOL, ROOT_FLOOR*eps*t*(1 + |log t|))``; on
-    the returned psi the residual also carries psi's rounding, which the
-    power moves (p-1)-fold.  A root below ``FLUSH_TOL`` is returned as 0.
+    threshold; at every other p it is :func:`_branch_root`'s, clamped to t,
+    whose residual, as its last Newton pass evaluates it, is at most
+    ``max(DEFAULT_TOL, ROOT_FLOOR*eps*t*(1 + |log t|))``; on the returned psi
+    the residual also carries psi's rounding, which the power moves
+    (p-1)-fold.  A root below ``FLUSH_TOL`` is returned as 0.
     """
     lam_arr, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(t, dtype=float))
     if not ((lam_arr >= 0).all() and (t >= 0).all()):  # also NaN
         raise InvalidParameterError("psi_many requires lam >= 0 and t >= 0")
-    if t.ndim == 0:  # solved as a block of one, so the kernels below index an array
-        return psi_many(p, lam_arr[None], t[None]).reshape(())
-    if p == 1.0:
-        return _flush(np.maximum(t - lam_arr, 0.0))
-    if p == 1.5:  # 0/0 at lam = t = 0
-        return _flush(np.where(lam_arr == 0, t, _closed_psi(_closed_terms(lam, t)[0])))
+    if p == 1.0:  # np.where gives an array also for 0-d arguments, which _flush indexes
+        return _flush(np.where(t > lam_arr, t - lam_arr, 0.0))
     if p < 1.0:
         raise InvalidParameterError("psi_many requires p >= 1; use branch_roots for p < 1")
     # lam is left unbroadcast, so a column of multipliers costs one log each;
     # where t or lam is 0, psi = t
     lam = np.asarray(lam, dtype=float)
     return _flush(np.where((t > 0) & (lam > 0), np.minimum(_branch_root(p, lam, t, True), t), t))
-
-
-def _closed_terms(lam, t):
-    """``(u, root)``, the intermediates of the closed form at p = 1.5.
-
-    ``lam > 0`` broadcasts against ``t >= 0``; multipliers are scaled and
-    squared before they are broadcast, so a column of them costs one operation
-    per row.  ``u = sqrt(psi)`` solves ``u*u + lam*u = t``: with ``h =
-    lam/2`` and ``root = sqrt(h*h + t) = u + h``, ``u = t/(h + root)`` (the
-    conjugate form, free of cancellation).  psi is ``u*u``, flushed by
-    :func:`_closed_psi`.  A block's rows of ``psi**1.5`` sum as ``u**3``, and
-    :func:`_closed_falls` sums those of ``-d(psi**1.5)/dlam``, with ``-d
-    psi/dlam = sqrt(psi)/(1 + lam/(2*sqrt(psi)))``, as ``1.5*sum(u*u*(u/root))``:
-    products in one pass with no power or slope array.  A flushed psi adds 0
-    to both sums.
-    """
-    lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
-    # h*h overflows once lam passes 2.6e154, where hypot takes over (chosen
-    # per element, so a result does not depend on the other lams of its call)
-    h = 0.5 * lam
-    root = np.sqrt(h * h + t)
-    if lam.max() >= 1e150:
-        root = np.where(lam < 1e150, root, np.hypot(h, np.sqrt(t)))
-    return t / (h + root), root
-
-
-def _closed_psi(u: np.ndarray, rows=...) -> np.ndarray:
-    """psi on ``rows`` of ``u`` from :func:`_closed_terms` (all rows by default)."""
-    return _flush(np.square(u[rows]))
-
-
-def _closed_falls(u: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """Each row's sum of ``-d(psi**1.5)/dlam`` over a block ``(u, root)`` from
-    :func:`_closed_terms`."""
-    ratio = u / root  # 0/0 at t = 0 where h*h underflows
-    least = float(u.min())
-    if least * least < FLUSH_TOL:  # zero where psi = u*u is flushed, t = 0 too
-        ratio[np.square(u) < FLUSH_TOL] = 0.0
-    return 1.5 * np.einsum("ij,ij,ij->i", u, u, ratio)
 
 
 def _branch_root(p: float, lam: np.ndarray, t: np.ndarray, upper) -> np.ndarray:

@@ -58,7 +58,7 @@ def test_errstate_only_decorates_the_entries():
 
 def _entry_calls():
     """Calls of the three entries that meet 0/0, log 0 and overflow inside."""
-    psi_many(1.5, 0.0, 0.0)  # 0-d, solved as a block of one
+    psi_many(1.5, 0.0, 0.0)  # 0-d; log 0 and inf - inf in the root kernel
     psi_many(1.3, 1e300, 1e-300)
     branch_roots(0.5, 1e300, 1e300, True)
     project(LpBall(p=1.3, dim=3, radius=1.0), np.array([1e300, -1e-300, 0.0]))

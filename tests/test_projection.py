@@ -887,7 +887,7 @@ def test_generic_p_search_solves_no_inner_roots(monkeypatch):
         assert 2 * res.iterations <= len(exps) <= 3 * res.iterations, p
 
 
-@pytest.mark.parametrize("p", GENERIC_P + [2.0, 3.0])
+@pytest.mark.parametrize("p", GENERIC_P + [1.5, 2.0, 3.0])
 def test_generic_p_matches_reference_on_benchmark_shapes(p):
     # the two figure shapes at d = 1000 and 7017: a spike e_1 with noise
     # d**(1/p - 1), and the flat k-sparse signal of fig2b (its p = 1.3
@@ -910,8 +910,9 @@ def test_generic_p_matches_reference_on_benchmark_shapes(p):
 @settings(max_examples=300, deadline=None)
 def test_generic_p_matches_reference(data):
     # spike, flat sparse and Gaussian rows, some with exact zeros, at |y|/r
-    # from 1e-150 to 1e150 and radii from 1e-150 to 1e150
-    p = data.draw(st.sampled_from(GENERIC_P))
+    # from 1e-150 to 1e150 and radii from 1e-150 to 1e150; p = 1.5 checks the
+    # closed-form search against the reference's Newton roots
+    p = data.draw(st.sampled_from(GENERIC_P + [1.5]))
     shape = data.draw(st.sampled_from(["spike", "flat", "gaussian"]))
     d = data.draw(st.integers(1, 40))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpseq.errors import InvalidParameterError
-from lpseq.projection import _power_sums
+from lpseq.projection import _closed_falls, _closed_terms, _power_sums
 from lpseq.shrinkage import (
     FLUSH_TOL,
     ROOT_FLOOR,
     _branch_vanish_lambda,
-    _closed_falls,
-    _closed_psi,
-    _closed_terms,
+    _flush,
     branch_roots,
     psi_many,
     soft_threshold,
@@ -42,7 +40,7 @@ def test_psi_edge_cases():
     assert psi_many(1.7, 2.0, [0.0])[0] == 0.0
     assert psi_many(1.0, 2.0, [5.0])[0] == 3.0
     assert psi_many(1.0, 2.0, [1.0])[0] == 0.0
-    # lam = 0 leaves t as is, with no 0/0 at t = 0 in the p = 1.5 closed form
+    # lam = 0 leaves t as is, with no warning at t = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in (1.5, 2.0, 3.0):
@@ -55,10 +53,11 @@ def test_psi_edge_cases():
             power = math.exp(math.log(lam) + (p - 1.0) * math.log(psi))
             assert abs(psi + power - t) <= 1e-12 * t
     # a column of multipliers against magnitudes of 0, flushed ones and ones
-    # up to 1e3, and the wide rows above, at generic p from 1 + 1e-9 to 1e4:
-    # psi lies in [0, t] and meets psi_many's residual bound, measured on the
-    # returned psi, so up to the rounding of lam*psi**(p-1), which psi's own
-    # rounding moves (p-1)-fold; a psi flushed to 0 has its root below FLUSH_TOL
+    # up to 1e3, and the wide rows above, at p from 1 + 1e-9 to 1e4 (at 1.5
+    # a closed form once rounded psi above t): psi lies in [0, t] and meets
+    # psi_many's residual bound, measured on the returned psi, so up to the
+    # rounding of lam*psi**(p-1), which psi's own rounding moves (p-1)-fold;
+    # a psi flushed to 0 has its root below FLUSH_TOL
     rng = np.random.default_rng(31)
     t = 10.0 ** rng.uniform(-6, 3, size=300)
     t[:10] = 0.0
@@ -67,7 +66,7 @@ def test_psi_edge_cases():
     blocks = ((lams, np.broadcast_to(t, (lams.size, t.size))),
               (np.full((2, 1), 1e-300), np.array([[1e300], [1e150]])))
     eps = np.finfo(float).eps
-    for p in (1.0 + 1e-9, 1.001, 1.1, 1.3, 1.7, 2.5, 4.0, 50.0, 1e4):
+    for p in (1.0 + 1e-9, 1.001, 1.1, 1.3, 1.5, 1.7, 2.5, 4.0, 50.0, 1e4):
         for lam, T in blocks:
             psi = psi_many(p, lam, T)
             assert np.all((psi >= 0) & (psi <= T))
@@ -113,11 +112,12 @@ def test_psi_residual_on_random_grid(p):
     assert resid.max() <= 1e-11
 
 
-@pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1.3, 2.0, 2.5, 3.0, 10.0])
+@pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1.3, 1.5, 2.0, 2.5, 3.0, 10.0])
 def test_psi_near_double_range(p):
     # t near 1.8e308, where psi + lam*psi**(p-1) passes double range before it
-    # meets t: the root returned 0.0 or NaN.  The residual relative to t is
-    # taken in logs, since psi**(p-1) overflows at p = 3
+    # meets t: the root returned 0.0 or NaN, and at p = 1.5 the closed form's
+    # u*u rounded above t.  The residual relative to t is taken in logs, since
+    # psi**(p-1) overflows at p = 3
     rng = np.random.default_rng(30)
     t = rng.uniform(0.5, 1.0, 2000) * np.finfo(float).max
     lam = 10.0 ** rng.uniform(-3.0, 3.0, 2000)
@@ -138,14 +138,13 @@ def test_closed_terms_match_power_and_generic_slope():
     def sums(u):  # each row's sum of psi**1.5 = u**3, as the multiplier search takes it
         return _power_sums(u, 3.0)
 
-    # the kernels run under the error state psi_many and project_many set
+    # the kernels run under the error state project_many sets
     with np.errstate(all="ignore"):
         u, root = _closed_terms(lams[:, None], t)
-        rows = [3, 0, 4]  # psi of some rows is those rows of psi
-        picked = _closed_psi(u, rows)
-        psi = _closed_psi(u.copy())
-    np.testing.assert_array_equal(psi_many(p, lams[:, None], t), psi)
-    np.testing.assert_array_equal(picked, psi[rows])
+        psi = _flush(np.square(u))
+    # against the independent Newton root; an element at the flush boundary
+    # may be flushed on one side only
+    np.testing.assert_allclose(psi_many(p, lams[:, None], t), psi, rtol=1e-9, atol=2 * FLUSH_TOL)
     for k, lam in enumerate(lams):  # a scalar multiplier gives its row of the block
         with np.errstate(all="ignore"):
             alone_terms = _closed_terms(lam, t[None])
@@ -184,7 +183,7 @@ def test_closed_terms_match_power_and_generic_slope():
     with np.errstate(all="ignore"):
         u, root = _closed_terms(lams[:, None], np.array([0.0, 1e-305]))
         falls = _closed_falls(u, root)
-        psi = _closed_psi(u)
+        psi = _flush(np.square(u))
     assert np.all(sums(u) == 0) and np.all(falls == 0)
     assert np.all(psi == 0)
 
