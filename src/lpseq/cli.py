@@ -139,11 +139,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     regime = f"fig{args.figure}"  # argparse allows only 2a and 2b
+    d_grid = simulate.default_d_grid(max_d=args.max_d)
+    if not d_grid:
+        raise ValueError(f"--max-d must be at least {simulate.default_d_grid()[0]},"
+                         f" got {args.max_d}")
     config = simulate.ExperimentConfig(
         regime=regime,
         p=1.5,
         radius=1.0,
-        d_grid=simulate.default_d_grid(max_d=args.max_d),
+        d_grid=d_grid,
         sigma_rule="spike" if regime == "fig2a" else "flat",
         reps=args.reps,
         estimators=("mle", "soft_threshold"),
@@ -236,6 +240,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         _log(f"[lpseq] error: {exc}")
+        return EXIT_PARSE
+    except RuntimeError as exc:  # a failed cell names itself; a parameter error is its cause
+        if not isinstance(exc.__cause__, ValueError):
+            raise
+        _log(f"[lpseq] error: {exc}: {exc.__cause__}")
         return EXIT_PARSE
 
 

@@ -5,11 +5,11 @@ the solvers work on the unit ball, on ``t = |y|/r``, and the point is mapped
 back.  Which function does what:
 
 - ``_find_lambda_star``: p > 1, the search for the multiplier at which the
-  dual sum is 1.  At p = 1.5 ``_closed_search`` takes Newton steps on the
-  sum, evaluated from the intermediates of the roots' closed form
-  (``_closed_terms``, ``_closed_falls``); elsewhere ``_joint_search`` takes
-  Newton steps on the roots and the multiplier together, one pass over the
-  block each, with no inner root solve.
+  dual sum is 1, one pass over the block per step.  Each pass takes the
+  roots at the current multiplier: exact at p = 1.5, from the closed form
+  ``_closed_terms``; elsewhere from one Newton step on the roots and the
+  multiplier together, with no inner root solve.  Every p then shares one
+  stop rule, one bracket rule and one multiplier step.
 - ``_project_l1_unit``: p = 1, sort-and-threshold water filling.
 - ``_project_quasinorm_unit``: p in (0, 1), the global minimizer by certified
   enumeration of prefix supports (``_prefix_points``, ``_cell_shapes``,
@@ -53,8 +53,9 @@ SUM_FEAS_TOL = 1e-10
 LAMBDA_GAP_TOL = 1e-10
 SEARCH_STEPS = 200
 
-# Outside p = 1.5, a pass whose bounds on the dual sum straddle 1 and
-# lie further apart than this refines the roots at the same multiplier.
+# A pass whose bounds on the dual sum straddle 1 and lie further apart than
+# this refines the roots at the same multiplier (never at p = 1.5, where the
+# roots are exact and both bounds are the sum).
 ROOTS_FIRST = 0.1
 
 # The p < 1 primal search's multiplier grid, and its refinement: QUASI_ROUNDS
@@ -139,9 +140,9 @@ class ProjectionResult:
     multiplier it scales with ``r**2`` and is ``inf`` where that passes
     double range, except that a 0 stays 0.
     ``iterations`` counts the multiplier search's work.  For p > 1 it is its
-    passes over the row, the one that stops included: at p = 1.5 each
-    evaluates the dual sum at exact roots, elsewhere each is one joint
-    Newton step on the roots and the multiplier.  For p in (0, 1) it is the
+    passes over the row, the one that stops included; each takes one
+    multiplier step, from exact roots at p = 1.5 and with one joint Newton
+    step on the roots elsewhere.  For p in (0, 1) it is the
     primal search's multiplier evaluations.  It is 0 for p in {0, 1, inf}
     and for inputs inside the ball.
     """
@@ -182,44 +183,6 @@ def _lam_column(lam: list):
     return lam[0] if len(lam) == 1 else np.array(lam)[:, None]
 
 
-def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
-    """``(lam, psi, iterations)`` per row of ``T``: dual sum 1 at ``lam``, given ||t||_p > 1.
-
-    ``tops`` are the rows' maxima and ``scaled`` is ``T`` divided by them,
-    as :func:`project_many` takes them once per block.
-    ``psi <= (t/lam)**(1/(p-1))`` bounds the dual sum ``S`` by
-    ``(||t||_q/lam)**q``, so ``[0, ||t||_q]`` brackets the root, and both
-    searches start at its top; where ``||t||_q`` passes double range it
-    raises ``InvalidParameterError``.  A row stops once ``|S - 1|`` times
-    ``max(1, lam/max(1, max(t)))`` (the slackness term of the KKT residual) is
-    at most ``LAMBDA_GAP_TOL``, or its bracket is as narrow as
-    ``1e-14*(1 + lam)``; it keeps its multiplier and the ``psi`` of the pass
-    where it stopped, so each row takes the iterates it would alone and a
-    block costs its slowest row's passes times its rows.  ``iterations``
-    counts those passes, the stopping one included.
-
-    At p = 1.5, the one index with a closed form here, psi is exact at any
-    ``lam`` and :func:`_closed_search` takes Newton steps on the dual sum.
-    Elsewhere, p = 2 and 3 included, :func:`_joint_search` takes Newton
-    steps on the roots and the multiplier together.  Both take ``q``, the
-    slackness units ``max(1, max(t))`` and the start: per row ``lo = 0``,
-    ``lam = hi = ||t||_q`` and 0 passes.
-    """
-    q = p / (p - 1.0)
-    hi = _lp_norms(tops, scaled, q)
-    if not max(hi) < math.inf:  # no NaN: the norms are finite or inf
-        raise InvalidParameterError("||y||_q/r, the top of the multiplier's bracket, overflows")
-    search = _closed_search if p == 1.5 else _joint_search
-    return search(p, q, T, [max(1.0, m) for m in tops], [0.0] * len(hi), hi[:], hi, [0] * len(hi))
-
-
-def _settled(value: float, lam: float, lo: float, hi: float, slack_unit: float) -> bool:
-    """Whether a row's multiplier search may stop at dual sum ``value``: the
-    gap rule or the bracket rule of :func:`_find_lambda_star`."""
-    return (abs(value - 1.0) * max(1.0, lam / slack_unit) <= LAMBDA_GAP_TOL
-            or hi - lo <= 1e-14 * (1.0 + lam))
-
-
 def _closed_terms(lam, t):
     """``(u, root)``, the intermediates of the closed form of the roots at p = 1.5.
 
@@ -228,11 +191,10 @@ def _closed_terms(lam, t):
     per row.  ``u = sqrt(psi)`` solves ``u*u + lam*u = t``: with ``h =
     lam/2`` and ``root = sqrt(h*h + t) = u + h``, ``u = t/(h + root)`` (the
     conjugate form, free of cancellation).  psi is ``u*u``, which its caller
-    flushes.  A block's rows of ``psi**1.5`` sum as ``u**3``, and
-    :func:`_closed_falls` sums those of ``-d(psi**1.5)/dlam``, with ``-d
-    psi/dlam = sqrt(psi)/(1 + lam/(2*sqrt(psi)))``, as ``1.5*sum(u*u*(u/root))``:
-    products in one pass with no power or slope array.  A flushed psi adds 0
-    to both sums.
+    flushes.  In the terms of :func:`_find_lambda_star`, ``x**p = u**3`` and
+    ``g = lam/root``, so a row sums its powers as ``u**3`` and its slope
+    ``sum(x**p*g)`` as ``lam*sum(u*u*(u/root))``: products in one pass with
+    no power or slope array.
     """
     lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
     # h*h overflows once lam passes 2.6e154, where hypot takes over (chosen
@@ -244,150 +206,144 @@ def _closed_terms(lam, t):
     return t / (h + root), root
 
 
-def _closed_falls(u: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """Each row's sum of ``-d(psi**1.5)/dlam`` over a block ``(u, root)`` from
-    :func:`_closed_terms`."""
-    ratio = u / root  # 0/0 at t = 0 where h*h underflows
-    least = float(u.min())
-    if least * least < FLUSH_TOL:  # zero where psi = u*u is flushed, t = 0 too
-        ratio[np.square(u) < FLUSH_TOL] = 0.0
-    return 1.5 * np.einsum("ij,ij,ij->i", u, u, ratio)
+def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
+    """``(lam, psi, iterations)`` per row of ``T``: dual sum 1 at ``lam``, given ||t||_p > 1.
 
+    ``tops`` are the rows' maxima and ``scaled`` is ``T`` divided by them,
+    as :func:`project_many` takes them once per block.
+    ``psi <= (t/lam)**(1/(p-1))`` bounds the dual sum ``S`` by
+    ``(||t||_q/lam)**q``, so ``[0, ||t||_q]`` brackets the root, and the
+    search starts at its top; where ``||t||_q`` passes double range it raises
+    ``InvalidParameterError``.
 
-def _closed_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam, hi, iterations):
-    """:func:`_find_lambda_star` at p = 1.5, where the roots have a closed form.
-
-    Newton steps on ``S**(-1/q) - 1``, ``lam + q*S*expm1(log(S)/q)/(-S')``:
-    where the roots follow the power law ``psi ~ (t/lam)**(1/(p-1))`` this
-    target is linear in ``lam``.  A step that would leave the bracket is
-    replaced by a bisection step, which the figure runs never take; rows
-    whose magnitudes spread over many decades, with the radius just below
-    their norm, take a few.  Each pass takes the closed form's intermediates,
-    :func:`_closed_terms`, over the whole block and sums their powers; psi is
-    formed only for the rows that stop, and the slopes are summed only where
-    some row steps on, so the last pass only confirms.
-    """
-    kept = np.empty_like(T)
-    for step_count in range(1, SEARCH_STEPS + 1):
-        lam_c = _lam_column(lam)
-        u, root = _closed_terms(lam_c, T)
-        sums = _power_sums(u, 3.0)  # psi**1.5 = u**3
-        values = sums.tolist()
-        stopped, moving = [], []
-        for i, value in enumerate(values):
-            if iterations[i]:
-                continue
-            if _settled(value, lam[i], lo[i], hi[i], slack_unit[i]) or step_count == SEARCH_STEPS:
-                iterations[i] = step_count
-                stopped.append(i)
-                continue
-            if value > 1.0:
-                lo[i] = lam[i]
-            else:
-                hi[i] = lam[i]
-            moving.append(i)
-        if len(stopped) == len(lam):  # the whole block stops here
-            return lam, _flush(np.square(u)), iterations
-        if stopped:
-            kept[stopped] = _flush(np.square(u[stopped]))
-        if not moving:
-            return lam, kept, iterations
-        falls = _closed_falls(u, root).tolist()
-        for i in moving:
-            lam_i, value, fall = lam[i], values[i], falls[i]
-            newton = math.nan
-            if value > 0 and lam_i * fall > 0:
-                # S**(1/q) - 1 by expm1, exact also where q is huge (p near 1)
-                newton = lam_i + q * value * math.expm1(math.log(value) / q) / fall
-            lam[i] = newton if lo[i] < newton < hi[i] else 0.5 * (lo[i] + hi[i])
-
-
-def _joint_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam, hi, iterations):
-    """:func:`_find_lambda_star` at p other than 1.5: Newton steps on
-    the KKT system in ``s = log psi`` and ``lam``, one pass over the block each.
-
-    The system is ``F = x + b - t = 0`` per coordinate, with ``x = exp(s)``
-    and ``b = lam*exp((p-1)*s)``, and the dual sum ``S = sum(x**p) = 1``.  Its
-    Jacobian is an arrowhead, ``D = x + (p-1)*b`` on the diagonal, so a step
-    is solved in O(d) by the Schur complement (Nocedal & Wright, 2006,
-    ch. 18).  With ``e = F/D``, the Newton step in ``s`` at a fixed ``lam``,
-    and ``g = b/D``, the step is ``lam *= 1 + dl`` and ``s -= e + g*dl``, where
-    ``dl = (q*S*expm1(log(S)/q)/p - sum(x**p*e)) / sum(x**p*g)`` solves the
-    target of :func:`_closed_search`.  The first pass is the cold start below
-    at the top of the bracket.
+    Each pass takes the roots at the current ``lam`` over the whole block.
+    At p = 1.5 they are exact, from the closed form :func:`_closed_terms`.
+    Elsewhere they come from one Newton step on the KKT system in ``s = log
+    psi`` and ``lam`` together, with no inner root solve: ``F = x + b - t =
+    0`` per coordinate, with ``x = exp(s)`` and ``b = lam*exp((p-1)*s)``, and
+    the dual sum ``S = sum(x**p) = 1``.  Its Jacobian is an arrowhead, ``D =
+    x + (p-1)*b`` on the diagonal, so a step is solved in O(d) by the Schur
+    complement (Nocedal & Wright, 2006, ch. 18).  With ``e = F/D``, the
+    Newton step in ``s`` at a fixed ``lam``, and ``g = b/D``, every p shares
+    the multiplier step ``lam *= 1 + dl``, with ``dl = (q*S*expm1(log(S)/q)/p
+    - sum(x**p*e)) / sum(x**p*g)``, a Newton step on ``S**(-1/q) - 1``, which
+    is linear in ``lam`` where the roots follow the power law ``psi ~
+    (t/lam)**(1/(p-1))``; the roots move by ``s -= e + g*dl``.  At exact roots
+    ``e = 0`` and ``sum(x**p*g) = -lam*S'/p``, so this is Newton's step on
+    that target along the roots.
 
     Each pass also bounds the sum at the exact roots of its ``lam``.  ``F`` is
     convex in ``s``, so each root lies below ``s - e`` and the sum is at most
     ``sum(x**p*exp(-p*e))``.  ``F`` is concave in ``x`` for p < 2 and in ``b``
     for p > 2, so each root lies above that variable's Newton step, and by
-    Bernoulli's inequality the sum is at least ``S - p*sum(x**p*e)``.  A
-    ``lam`` where a bound passes 1 becomes an end of the bracket.  Where the
-    bounds straddle 1 further apart than ``ROOTS_FIRST`` (or are nan), the
-    roots are too far off to tell the side, and the step keeps ``lam`` and
-    refines them; so does a row whose sum already meets the gap rule, where
-    its multiplier step would leave the bracket.  Otherwise a multiplier step
-    that leaves the bracket is redone as ``lam *= exp(dl)``, and bisection
-    takes over where both do.
+    Bernoulli's inequality the sum is at least ``S - p*sum(x**p*e)``.  At
+    exact roots both bounds are ``S``.  A ``lam`` where a bound passes 1
+    becomes an end of the bracket.  Where the bounds straddle 1 further apart
+    than ``ROOTS_FIRST`` (or are nan), the roots are too far off to tell the
+    side, and the step keeps ``lam`` and refines them; so does a row whose
+    sum already meets the gap rule, where its multiplier step would leave the
+    bracket.  Otherwise a multiplier step that leaves the bracket is redone
+    as ``lam *= exp(dl)``, and bisection takes over where both do.
 
-    After each step every ``s`` is clamped into its root's bracket at the new
+    Newton roots are clamped after each step into their bracket at the new
     ``lam``.  The top is the cold start ``min(log t, (log t - log
     lam)/(p-1))``, where one term is ``t``, or lower where a sum of d powers
-    ``psi**p`` would overflow (``psi <= 1`` at the solution).  The floor is
-    the top less ``log(2)*max(1, 1/(p-1))``, where the larger term is
-    ``t/2`` or below.  Magnitudes below ``FLUSH_TOL`` are taken as 0, which
-    is then their root.  A row stops on the gap or bracket rule together
-    with every root's residual rule, ``|F| <= max(tol, _root_floor(t))``,
-    ``tol`` small enough that the roots' error moves the sum by at most
-    ``LAMBDA_GAP_TOL``.
+    ``psi**p`` would overflow (``psi <= 1`` at the solution); the first pass
+    is the cold start at the top of the multiplier's bracket.  The floor is
+    the top less ``log(2)*max(1, 1/(p-1))``, where the larger term is ``t/2``
+    or below.  Magnitudes below ``FLUSH_TOL`` are taken as 0, which is then
+    their root.
+
+    A row stops once ``|S - 1|`` times ``max(1, lam/max(1, max(t)))`` (the
+    slackness term of the KKT residual) is at most ``LAMBDA_GAP_TOL``, or
+    its bracket is as narrow as ``1e-14*(1 + lam)``, and Newton roots also
+    meet their residual rule, ``|F| <= max(tol, _root_floor(t))``, ``tol``
+    small enough that the roots' error moves the sum by at most
+    ``LAMBDA_GAP_TOL``.  It keeps its multiplier and the ``psi`` of the pass
+    where it stopped, so each row takes the iterates it would alone and a
+    block costs its slowest row's passes times its rows.  ``iterations``
+    counts those passes, the stopping one included; ``psi`` is formed only
+    for the rows that stop.
     """
-    n, pm1 = len(lam), p - 1.0
-    zero = T < FLUSH_TOL
-    flushed = bool(zero.any())
-    if flushed:
-        T = np.where(zero, 0.0, T)
-    log_T = np.log(T)  # log 0 = -inf: s = -inf and psi = 0 there
-    # psi's error moves the sum p-fold; at t = 0 the floor is 0*inf = nan,
-    # which no |F| exceeds
-    tol = np.maximum(min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL), _root_floor(T, log_T))
-    # the top of every root's bracket: where one term is t, or where the sum of
-    # d powers psi**p would overflow
-    top_s = np.minimum(log_T, (math.log(np.finfo(float).max) - math.log(T.shape[1])) / p)
-    pow_s = log_T / pm1
-    width = LOG2 * max(1.0, 1.0 / pm1)
+    q = p / (p - 1.0)
+    hi = _lp_norms(tops, scaled, q)
+    if not max(hi) < math.inf:  # no NaN: the norms are finite or inf
+        raise InvalidParameterError("||y||_q/r, the top of the multiplier's bracket, overflows")
+    n, pm1, exact = len(hi), p - 1.0, p == 1.5
+    slack_unit = [max(1.0, m) for m in tops]
+    lo, lam, iterations = [0.0] * n, hi[:], [0] * n
+    if not exact:
+        zero = T < FLUSH_TOL
+        flushed = bool(zero.any())
+        if flushed:
+            T = np.where(zero, 0.0, T)
+        log_T = np.log(T)  # log 0 = -inf: s = -inf and psi = 0 there
+        # psi's error moves the sum p-fold; at t = 0 the floor is 0*inf = nan,
+        # which no |F| exceeds
+        tol = np.maximum(min(LAMBDA_GAP_TOL / (10 * p), DEFAULT_TOL), _root_floor(T, log_T))
+        # the top of every root's bracket: where one term is t, or where the sum of
+        # d powers psi**p would overflow
+        top_s = np.minimum(log_T, (math.log(np.finfo(float).max) - math.log(T.shape[1])) / p)
+        pow_s = log_T / pm1
+        width = LOG2 * max(1.0, 1.0 / pm1)
+        s = np.minimum(top_s, pow_s - _lam_column([math.log(v) / pm1 for v in lam]))
     kept = np.empty_like(T)
-    s = np.minimum(top_s, pow_s - _lam_column([math.log(v) / pm1 for v in lam]))
     for step_count in range(1, SEARCH_STEPS + 1):
-        x = np.exp(s)
-        pw = np.exp(pm1 * s)
-        b = _lam_column(lam) * pw
-        power = x * pw
-        sums = power.sum(axis=1).tolist()
-        F = x + b - T
-        near = [i for i, value in enumerate(sums) if not iterations[i] and (
-            _settled(value, lam[i], lo[i], hi[i], slack_unit[i]) or step_count == SEARCH_STEPS)]
+        lam_c = _lam_column(lam)
+        if exact:
+            u, root = _closed_terms(lam_c, T)
+            sums = _power_sums(u, 3.0).tolist()  # psi**1.5 = u**3
+        else:
+            x = np.exp(s)
+            pw = np.exp(pm1 * s)
+            b = lam_c * pw
+            power = x * pw
+            sums = power.sum(axis=1).tolist()
+            F = x + b - T
+        near = []  # a loop: a comprehension would make the names it reads closure cells
+        for i, value in enumerate(sums):
+            if not iterations[i] and (
+                    abs(value - 1.0) * max(1.0, lam[i] / slack_unit[i]) <= LAMBDA_GAP_TOL
+                    or hi[i] - lo[i] <= 1e-14 * (1.0 + lam[i]) or step_count == SEARCH_STEPS):
+                near.append(i)
         if near:
-            open_ = np.any(np.abs(F) > tol, axis=1).tolist()
-            stopped = [i for i in near if not open_[i] or step_count == SEARCH_STEPS]
-            for i in stopped:
+            done = near
+            if not exact:
+                open_ = np.any(np.abs(F) > tol, axis=1).tolist()
+                last = step_count == SEARCH_STEPS
+                done = [i for i in near if not open_[i] or last]
+            for i in done:
                 iterations[i] = step_count
-            if len(stopped) == n:
-                return lam, _flush(np.minimum(x, T)), iterations
-            if stopped:
-                kept[stopped] = _flush(np.minimum(x[stopped], T[stopped]))
+            if len(done) == n:  # the whole block stops here
+                return lam, _flush(np.square(u) if exact else np.minimum(x, T)), iterations
+            if done:
+                kept[done] = _flush(np.square(u[done]) if exact else np.minimum(x[done], T[done]))
                 if all(iterations):
                     return lam, kept, iterations
-        D = x + pm1 * b
-        if flushed:
-            D[zero] = 1.0  # F = 0 there
-        e, g = F / D, b / D
-        falls = np.einsum("ij,ij->i", power, e).tolist()
-        slopes = np.einsum("ij,ij->i", power, g).tolist()
-        highs = None  # summed once a row needs them
-        ratios = [1.0] * n
+        if exact:  # e = 0: both bounds are S
+            # in root's buffer, not read again: a third block array kept alive into
+            # the next pass cost 15% of a lone d = 7017 call; 0/0 at t = 0 where h*h
+            # underflows
+            ratio = np.divide(u, root, out=root)
+            if float(u.min()) ** 2 < FLUSH_TOL:  # a flushed psi = u*u adds 0
+                ratio[np.square(u) < FLUSH_TOL] = 0.0
+            slopes = np.einsum("ij,ij,ij->i", u, u, ratio).tolist()
+            highs = sums
+        else:
+            D = x + pm1 * b
+            if flushed:
+                D[zero] = 1.0  # F = 0 there
+            e, g = F / D, b / D
+            falls = np.einsum("ij,ij->i", power, e).tolist()
+            slopes = np.einsum("ij,ij->i", power, g).tolist()
+            highs = None  # summed once a row needs them
+            ratios = [1.0] * n
         for i, value in enumerate(sums):
             if iterations[i]:
                 continue
-            lam_i, low = lam[i], value - p * falls[i]
+            lam_i = lam[i]
+            fall, slope = (0.0, lam_i * slopes[i]) if exact else (falls[i], slopes[i])
+            low = value - p * fall
             if low > 1.0:
                 lo[i] = lam_i
             else:
@@ -398,8 +354,8 @@ def _joint_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam, 
                 elif not highs[i] - low <= ROOTS_FIRST:  # also nan
                     continue
             new = math.nan
-            if value > 0 and slopes[i] > 0:
-                dl = (q * value * math.expm1(math.log(value) / q) / p - falls[i]) / slopes[i]
+            if value > 0 and slope > 0:
+                dl = (q * value * math.expm1(math.log(value) / q) / p - fall) / slope
                 new = lam_i * (1.0 + dl)
                 if not lo[i] < new < hi[i] and dl < 700.0:
                     new = lam_i * math.exp(dl)
@@ -407,10 +363,13 @@ def _joint_search(p: float, q: float, T: np.ndarray, slack_unit: list, lo, lam, 
                 if i in near:  # the sum is settled: keep lam and settle the roots
                     continue
                 new = 0.5 * (lo[i] + hi[i])
-            lam[i], ratios[i] = new, new / lam_i
-        s = s - e - g * (_lam_column(ratios) - 1.0)
-        cold = np.minimum(top_s, pow_s - _lam_column([math.log(v) / pm1 for v in lam]))
-        s = np.minimum(np.maximum(s, cold - width), cold)
+            lam[i] = new
+            if not exact:
+                ratios[i] = new / lam_i
+        if not exact:
+            s = s - e - g * (_lam_column(ratios) - 1.0)
+            cold = np.minimum(top_s, pow_s - _lam_column([math.log(v) / pm1 for v in lam]))
+            s = np.minimum(np.maximum(s, cold - width), cold)
 
 
 def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float, tops: list) -> list:

@@ -198,6 +198,9 @@ def sample_observation(theta_star: np.ndarray, sigma: float, trial_key: TrialKey
     """One draw ``theta_star + sigma * xi`` from the trial's own stream."""
     if not (sigma > 0):
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
+    theta_star = np.asarray(theta_star, dtype=float)
+    if theta_star.ndim != 1:
+        raise DimensionMismatchError(f"theta_star must be a vector, got shape {theta_star.shape}")
     rng = keyed_generator(trial_key.seed, trial_key.cell_id, trial_key.trial)
     return theta_star + sigma * rng.standard_normal(theta_star.size)
 
@@ -218,9 +221,11 @@ def estimate_risk(spec: EstimatorSpec, theta_star: np.ndarray, sigma: float,
         raise InvalidParameterError(f"reps must be an integer >= 1, got {reps!r}")
     if not (sigma > 0):
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    if np.ndim(theta_star) != 1 or np.size(theta_star) == 0:
-        raise DimensionMismatchError(f"theta_star must be a nonempty vector, got shape "
-                                     f"{np.shape(theta_star)}")
+    theta_star = np.asarray(theta_star, dtype=float)
+    dim = theta_star.size if spec.ball is None else spec.ball.dim
+    if theta_star.shape != (dim,) or dim == 0:
+        raise DimensionMismatchError(f"theta_star must be a nonempty vector of length {dim},"
+                                     f" got shape {theta_star.shape}")
     errors = np.empty(reps)
     kkt, iterations = 0.0, 0
     rows = max(1, BLOCK_ELEMENTS // theta_star.size)

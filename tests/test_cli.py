@@ -217,6 +217,17 @@ def test_reproduce_smoke(tmp_path, capsys):
     assert len(done) == 2 and "est=mle kkt_max=" in done[0] and "iterations_max=" in done[0]
 
 
+def test_reproduce_max_d_below_the_grid_exit_2(tmp_path, capsys):
+    # it named d_grid, a field the user never typed
+    out_dir = tmp_path / "fig"
+    code, out, err = run_cli(capsys, "reproduce", "--figure", "2a", "--max-d", "50",
+                             "--reps", "1", "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert "--max-d must be at least 100, got 50" in err and "d_grid" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_reproduce_seed_out_of_range_exit_2(tmp_path, capsys, seed):
     out_dir = tmp_path / "fig"
@@ -464,6 +475,20 @@ def test_simulate_sigma_rule_past_double_range_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "config error" in err and "sigma_rule 'spike'" in err and "d = 100" in err
+
+
+def test_simulate_failed_cell_exit_2(tmp_path, capsys):
+    # a parameter error inside a cell printed a traceback and exited 1, the
+    # code for failed verification; at radius 1e-310 max|y|/r overflows
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"regime": "fig2a", "p": 1.5, "radius": 1e-310,
+                                "d_grid": [100, 200], "reps": 2}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    failures = [line for line in err.splitlines() if "failed in cell" in line]
+    assert len(failures) == 1 and failures[0].startswith("[lpseq] ")
+    assert "d=100|est=mle" in failures[0] and "overflows" in failures[0]
 
 
 @pytest.mark.parametrize("change", [

@@ -20,11 +20,13 @@ from lpseq.projection import (
     project_clip,
     project_many,
     project_top_s,
+    _closed_terms,
     _find_lambda_star,
     _kkt_pieces,
+    _power_sums,
 )
 from lpseq.rng import keyed_generator
-from lpseq.shrinkage import psi_many
+from lpseq.shrinkage import FLUSH_TOL, _flush, psi_many
 from prox_reference import (
     power_objective,
     project_reference,
@@ -175,6 +177,87 @@ def test_find_lambda_star_direct():
     assert abs(np.sum(psi_many(1.5, lam, [2.0, 2.0]) ** 1.5) - 1.0) <= 1e-9
     # an input inside the ball never reaches the search: its multiplier is 0
     assert project(LpBall(p=2.0, dim=2, radius=1.0), np.array([0.1, 0.1])).multiplier == 0.0
+
+
+def test_closed_terms_match_power_and_generic_slope(monkeypatch):
+    # the search's exact roots at p = 1.5: multipliers on both sides of the
+    # closed form's hypot switch (1e150), and magnitudes that flush
+    p = 1.5
+    lams = np.array([1e-300, 1.0, 1e149, 1e151, 1e300])
+    t = np.array([0.0, 1e-305, 1e-150, 1e-5, 1.0, 7.5, 1e150, 1e300])
+
+    def sums(u):  # each row's sum of psi**1.5 = u**3, as the search takes it
+        return _power_sums(u, 3.0)
+
+    def slopes(u, root):
+        # each row's sum(x**p*g), g = b/D = lam/root, per unit of lam, as the
+        # search sums it from the same (u, root): sum(u*u*(u/root)), with 0
+        # where psi = u*u is flushed
+        ratio = u / root
+        if float(u.min()) ** 2 < FLUSH_TOL:
+            ratio[np.square(u) < FLUSH_TOL] = 0.0
+        return np.einsum("ij,ij,ij->i", u, u, ratio)
+
+    # the kernels run under the error state project_many sets
+    with np.errstate(all="ignore"):
+        u, root = _closed_terms(lams[:, None], t)
+        psi = _flush(np.square(u))
+    # against the independent Newton root; an element at the flush boundary
+    # may be flushed on one side only
+    np.testing.assert_allclose(psi_many(p, lams[:, None], t), psi, rtol=1e-9, atol=2 * FLUSH_TOL)
+    for k, lam in enumerate(lams):  # a scalar multiplier gives its row of the block
+        with np.errstate(all="ignore"):
+            alone_terms = _closed_terms(lam, t[None])
+        for alone, in_block in zip(alone_terms, (u, root)):
+            np.testing.assert_array_equal(alone, in_block[k:k + 1])
+    # each element on a row of its own, so each row sum is one element's
+    # power or slope: against psi**p and the slope the dual sum takes at
+    # other p, p*psi**(p-1)*dpsi, with dpsi = pw/(1 + lam*(p-1)*psi**(p-2))
+    # (finite wherever the slope itself is); -S' = p*sum(x**p*g)/lam
+    lam_e = np.repeat(lams, t.size)[:, None]
+    with np.errstate(all="ignore"):
+        u_e, root_e = _closed_terms(lam_e, np.tile(t, lams.size)[:, None])
+        power = sums(u_e)
+        slope = p * slopes(u_e, root_e)
+    psi, lam = psi.ravel(), lam_e.ravel()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pw = psi ** (p - 1.0)
+        dpsi = np.where(psi > 0, pw / (1.0 + lam * (p - 1.0) * psi ** (p - 2.0)), 0.0)
+        exact, generic = psi**p, p * pw * dpsi
+    assert not np.any(np.isnan(psi) | np.isnan(power) | np.isnan(slope))
+    assert np.all(power[psi == 0] == 0) and np.all(slope[psi == 0] == 0)
+    # below the normal range only absolute agreement is possible; a reference
+    # past double range is inf, and so is the sum
+    tiny = np.finfo(float).tiny
+    for fused, reference in ((power, exact), (slope, generic)):
+        finite = np.isfinite(reference)
+        np.testing.assert_allclose(fused[finite], reference[finite], rtol=1e-13, atol=tiny)
+        assert np.all(fused[~finite] == np.inf)
+    # a block row sums its elements' powers and slopes
+    with np.errstate(all="ignore"):
+        np.testing.assert_allclose(sums(u), exact.reshape(u.shape).sum(axis=1),
+                                   rtol=1e-13, atol=tiny)
+        np.testing.assert_allclose(p * slopes(u, root),
+                                   generic.reshape(u.shape).sum(axis=1), rtol=1e-13, atol=tiny)
+    # every psi of these magnitudes is flushed, and adds 0 to both sums
+    with np.errstate(all="ignore"):
+        u, root = _closed_terms(lams[:, None], np.array([0.0, 1e-305]))
+        falls = slopes(u, root)
+        psi = _flush(np.square(u))
+    assert np.all(sums(u) == 0) and np.all(falls == 0)
+    assert np.all(psi == 0)
+    # and the search sums just these: allowed two passes, it stops on the
+    # second at its first step from lam = ||t||_3, Newton's on S**(-1/q) - 1
+    # with the slope lam*slopes
+    import lpseq.projection as projection
+    monkeypatch.setattr(projection, "SEARCH_STEPS", 2)
+    T = np.array([[2.0, 1.0, 0.5, 1e-5, 0.0]])
+    top = lp_norm(T[0], 3.0)
+    with np.errstate(all="ignore"):
+        u, root = _closed_terms(top, T)
+    value = float(sums(u)[0])
+    dl = 3.0 * value * math.expm1(math.log(value) / 3.0) / p / (top * float(slopes(u, root)[0]))
+    assert _search(p, T)[0::2] == ([top * (1.0 + dl)], [2])
 
 
 def test_p2_search_lands_in_one_step():
@@ -806,7 +889,10 @@ def test_project_p0_dispatch():
 
 def _block(p, d, r, rng):
     """Rows that stop at different steps: infeasible, zero, inside, near the
-    boundary, scaled by 1e150 and 1e-150, and one with ties and zeros."""
+    boundary, scaled by 1e150 and 1e-150, and one with ties and zeros.  At
+    p = 1.5 also wide rows, magnitudes spread over 12 decades with r from
+    0.5 to 0.9999 times the row's norm, where the multiplier search can step
+    out of its bracket and retry the step as ``lam*exp(dl)``."""
     rows = [rng.standard_normal(d) * s for s in (1.0, 3.0, 0.0, 0.05, 1e150, 1e-150)]
     tied = 2.0 * rng.standard_normal(d)
     tied[::3], tied[1::3] = 0.0, tied[0 + 2 if d > 2 else 0]
@@ -814,14 +900,33 @@ def _block(p, d, r, rng):
     if 0 < p < math.inf:
         u = rng.standard_normal(d)
         rows += [u * (r / lp_norm(u, p)) * (1 + e) for e in (-1e-12, 1e-9, 1e-3)]
+    if p == 1.5 and d > 1:
+        for frac in np.append(rng.uniform(0.5, 0.9999, 4), [0.9999] * 12):
+            w = np.sign(rng.standard_normal(d)) * 10.0 ** rng.uniform(-6, 6, d)
+            rows.append(w * (r / (frac * lp_norm(w, p))))
     return np.array(rows)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, math.inf] + GENERIC_P)
-def test_project_many_matches_lone_calls_bit_for_bit(p):
+def test_project_many_matches_lone_calls_bit_for_bit(p, monkeypatch):
+    import lpseq.projection as projection
+
+    retries = []  # at p = 1.5 the search calls math.exp only to retry a step as lam*exp(dl)
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def exp(self, x):
+            retries.append(x)
+            return math.exp(x)
+
+    monkeypatch.setattr(projection, "math", CountingMath())
     rng = np.random.default_rng(31)
     # benchmark sizes too: the block's einsum row sums must not depend on its row count
     sizes = ((1, 0.7), (7, 1.0), (40, 2.5)) + (((1001, 1.0),) if p in (1.3, 1.5, 2.0, 3.0) else ())
+    if p == 1.5:  # the wide rows from d = 2 to 50
+        sizes += ((2, 1.0), (50, 0.3))
     for d, r in sizes:
         if p == 0:
             ball = LpBall(p=p, dim=d, sparsity=max(1, d // 3))
@@ -837,8 +942,12 @@ def test_project_many_matches_lone_calls_bit_for_bit(p):
             assert got.kkt_residual == lone.kkt_residual
             assert got.iterations == lone.iterations
             assert got.duality_gap == lone.duality_gap
+            if p == 1.5:
+                assert got.kkt_residual <= 1e-9
         if 1 < p < math.inf and d > 1:
             assert len({res.iterations for res in many}) > 2  # rows stop at different steps
+    if p == 1.5:
+        assert retries  # some wide rows (at d = 40) take the retry
 
 
 def test_project_many_validation():

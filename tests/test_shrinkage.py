@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpseq.errors import InvalidParameterError
-from lpseq.projection import _closed_falls, _closed_terms, _power_sums
 from lpseq.shrinkage import (
     FLUSH_TOL,
     ROOT_FLOOR,
     _branch_vanish_lambda,
-    _flush,
     branch_roots,
     psi_many,
     soft_threshold,
@@ -126,66 +124,6 @@ def test_psi_near_double_range(p):
     assert np.all((psi > 0) & (psi <= t))
     power = np.exp(np.log(lam) + (p - 1.0) * np.log(psi) - np.log(t))
     assert np.max(np.abs(psi / t + power - 1.0)) <= 1e-12
-
-
-def test_closed_terms_match_power_and_generic_slope():
-    # the p = 1.5 closed form: multipliers on both sides of its hypot switch
-    # (1e150), and magnitudes that flush
-    p = 1.5
-    lams = np.array([1e-300, 1.0, 1e149, 1e151, 1e300])
-    t = np.array([0.0, 1e-305, 1e-150, 1e-5, 1.0, 7.5, 1e150, 1e300])
-
-    def sums(u):  # each row's sum of psi**1.5 = u**3, as the multiplier search takes it
-        return _power_sums(u, 3.0)
-
-    # the kernels run under the error state project_many sets
-    with np.errstate(all="ignore"):
-        u, root = _closed_terms(lams[:, None], t)
-        psi = _flush(np.square(u))
-    # against the independent Newton root; an element at the flush boundary
-    # may be flushed on one side only
-    np.testing.assert_allclose(psi_many(p, lams[:, None], t), psi, rtol=1e-9, atol=2 * FLUSH_TOL)
-    for k, lam in enumerate(lams):  # a scalar multiplier gives its row of the block
-        with np.errstate(all="ignore"):
-            alone_terms = _closed_terms(lam, t[None])
-        for alone, in_block in zip(alone_terms, (u, root)):
-            np.testing.assert_array_equal(alone, in_block[k:k + 1])
-    # each element on a row of its own, so each row sum is one element's
-    # power or slope: against psi**p and the slope the dual sum takes at
-    # other p, p*psi**(p-1)*dpsi, with dpsi = pw/(1 + lam*(p-1)*psi**(p-2))
-    # (finite wherever the slope itself is)
-    lam_e = np.repeat(lams, t.size)[:, None]
-    with np.errstate(all="ignore"):
-        u_e, root_e = _closed_terms(lam_e, np.tile(t, lams.size)[:, None])
-        power = sums(u_e)
-        slope = _closed_falls(u_e, root_e)
-    psi, lam = psi.ravel(), lam_e.ravel()
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pw = psi ** (p - 1.0)
-        dpsi = np.where(psi > 0, pw / (1.0 + lam * (p - 1.0) * psi ** (p - 2.0)), 0.0)
-        exact, generic = psi**p, p * pw * dpsi
-    assert not np.any(np.isnan(psi) | np.isnan(power) | np.isnan(slope))
-    assert np.all(power[psi == 0] == 0) and np.all(slope[psi == 0] == 0)
-    # below the normal range only absolute agreement is possible; a reference
-    # past double range is inf, and so is the sum
-    tiny = np.finfo(float).tiny
-    for fused, reference in ((power, exact), (slope, generic)):
-        finite = np.isfinite(reference)
-        np.testing.assert_allclose(fused[finite], reference[finite], rtol=1e-13, atol=tiny)
-        assert np.all(fused[~finite] == np.inf)
-    # a block row sums its elements' powers and slopes
-    with np.errstate(all="ignore"):
-        np.testing.assert_allclose(sums(u), exact.reshape(u.shape).sum(axis=1),
-                                   rtol=1e-13, atol=tiny)
-        np.testing.assert_allclose(_closed_falls(u, root),
-                                   generic.reshape(u.shape).sum(axis=1), rtol=1e-13, atol=tiny)
-    # every psi of these magnitudes is flushed, and adds 0 to both sums
-    with np.errstate(all="ignore"):
-        u, root = _closed_terms(lams[:, None], np.array([0.0, 1e-305]))
-        falls = _closed_falls(u, root)
-        psi = _flush(np.square(u))
-    assert np.all(sums(u) == 0) and np.all(falls == 0)
-    assert np.all(psi == 0)
 
 
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])

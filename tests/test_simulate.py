@@ -182,6 +182,33 @@ def test_estimate_risk_rejects_a_theta_star_that_is_not_a_vector(theta):
             estimate_risk(EstimatorSpec(kind=kind), theta, 0.5, 5, seed=1)
 
 
+def test_theta_star_may_be_a_list():
+    # a list raised AttributeError (.size) in both
+    theta = spike_instance(6)
+    key = TrialKey(3, "c", 1)
+    assert sample_observation(list(theta), 0.5, key).tobytes() == \
+        sample_observation(theta, 0.5, key).tobytes()
+    spec = EstimatorSpec(kind="mle", ball=LpBall(p=1.5, dim=6, radius=1.0))
+    assert estimate_risk(spec, list(theta), 0.5, 4, seed=2) == \
+        estimate_risk(spec, theta, 0.5, 4, seed=2)
+    with pytest.raises(DimensionMismatchError, match="theta_star"):
+        sample_observation([[1.0, 0.0]], 0.5, key)
+
+
+def test_estimate_risk_rejects_a_theta_star_off_the_ball_dimension(monkeypatch):
+    # it surfaced as a RuntimeError from inside the first block; now no trial is drawn
+    import lpseq.simulate as sim
+
+    def no_draws(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(sim, "trial_streams", no_draws)
+    for kind in ("mle", "soft_threshold"):
+        spec = EstimatorSpec(kind=kind, ball=LpBall(p=1.5, dim=4, radius=1.0), noise_level=0.5)
+        with pytest.raises(DimensionMismatchError, match=r"length 4, got shape \(5,\)"):
+            estimate_risk(spec, spike_instance(5), 0.5, 3, seed=1)
+
+
 def test_estimate_risk_identity_chi_square():
     d, sigma, reps = 60, 0.7, 400
     theta = spike_instance(d)
