@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles, simulate
-from .projection import LAMBDA_GAP_TOL, LpBall, project
+from .projection import KKT_BAR, LpBall, project
 from .rates import RateQuery, classify_regime
 from .rng import check_seed
 
@@ -62,8 +62,8 @@ def _cmd_project(args) -> int:
     print("iterations:", result.iterations)
     if result.duality_gap is not None:
         print("duality_gap:", repr(result.duality_gap))
-    if not result.kkt_residual <= 10 * LAMBDA_GAP_TOL:  # also a NaN certificate
-        _log(f"[lpseq] solver diagnostic failure: kkt residual exceeds {10 * LAMBDA_GAP_TOL:g}")
+    if not result.kkt_residual <= KKT_BAR:  # also a NaN certificate
+        _log(f"[lpseq] solver diagnostic failure: kkt residual exceeds {KKT_BAR:g}")
         return EXIT_SOLVER
     return EXIT_OK
 

@@ -33,7 +33,8 @@ class EstimatorSpec:
     """Which estimator to run, plus the context it needs.
 
     ``ball`` supplies the constraint for ``mle`` and the norm index for the
-    soft threshold level; ``noise_level`` is required by ``soft_threshold``.
+    soft threshold level; ``noise_level`` is required by ``soft_threshold``,
+    which is rejected here wherever :func:`st_lambda` is not defined.
     """
 
     kind: EstimatorKind
@@ -46,8 +47,9 @@ class EstimatorSpec:
         if self.kind in ("mle", "soft_threshold") and self.ball is None:
             raise InvalidParameterError(f"{self.kind} requires a ball")
         if self.kind == "soft_threshold":
-            if self.noise_level is None or not (self.noise_level > 0):
+            if self.noise_level is None:
                 raise InvalidParameterError("soft_threshold requires noise_level > 0")
+            st_lambda(self.noise_level, self.ball.dim, self.ball.p)  # it owns the level's domain
 
 
 def st_lambda(sigma: float, d: int, p: float) -> float:
@@ -57,11 +59,11 @@ def st_lambda(sigma: float, d: int, p: float) -> float:
     one, which is the regime where no shrinkage is called for.
     """
     if not (sigma > 0):
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
+        raise InvalidParameterError(f"soft_threshold requires sigma > 0, got {sigma}")
     if not (is_integer(d) and d >= 1):
-        raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
+        raise InvalidParameterError(f"soft_threshold requires an integer d >= 1, got {d!r}")
     if not (0 < p < 2):
-        raise InvalidParameterError(f"st_lambda requires p in (0, 2), got {p}")
+        raise InvalidParameterError(f"soft_threshold requires p in (0, 2), got {p}")
     arg = d * sigma**p * math.e
     if arg <= 1.0:
         return 0.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, is_integer
 from .instances import spike_instance
-from .projection import LpBall, lp_norm, project, project_many, project_top_s
+from .projection import KKT_BAR, LpBall, lp_norm, project, project_many, project_top_s
 from .rates import RateQuery, control_function
 from .rng import keyed_generator
 
@@ -363,7 +363,7 @@ def _suite_kkt(seed: int) -> list[CheckReport]:
                     ident = lp_norm(y - res.point, q) / lp_norm(res.point, p) ** (p / q)
                     worst_ident = max(worst_ident,
                                       abs(res.multiplier - ident) / ident)
-    reports.append(_report("kkt_residual_max", worst_resid, 1e-8, trials, seed, "<="))
+    reports.append(_report("kkt_residual_max", worst_resid, KKT_BAR, trials, seed, "<="))
     reports.append(_report("multiplier_norm_identity", worst_ident, 1e-5,
                            trials, seed, "<="))
     return reports

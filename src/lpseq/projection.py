@@ -53,6 +53,11 @@ SUM_FEAS_TOL = 1e-10
 LAMBDA_GAP_TOL = 1e-10
 SEARCH_STEPS = 200
 
+# A projection is certified when its KKT residual is at most this bar, ten
+# times the search's gap: ``lpseq project`` exits 3 above it, and ``lpseq
+# verify --suite kkt`` holds every row to it.
+KKT_BAR = 1e-9
+
 # A pass whose bounds on the dual sum straddle 1 and lie further apart than
 # this refines the roots at the same multiplier (never at p = 1.5, where the
 # roots are exact and both bounds are the sum).
@@ -403,13 +408,11 @@ def _lp_norms(tops: list, scaled: np.ndarray, p: float) -> list:
 
 
 def _power_sums(X: np.ndarray, p: float) -> np.ndarray:
-    """Each row's sum of ``X**p`` for ``X >= 0``; at p in {1.5, 2, 3} by exact
-    products summed in one pass, where a general power costs two to three
-    times as much."""
+    """Each row's sum of ``X**p`` for ``X >= 0``; at p in {1.5, 3}, the figures'
+    index and its conjugate, by exact products summed in one pass, where a
+    general power costs two to three times as much."""
     if p == 1.5:
         return np.einsum("ij,ij->i", X, np.sqrt(X))
-    if p == 2.0:
-        return np.einsum("ij,ij->i", X, X)
     if p == 3.0:
         return np.einsum("ij,ij,ij->i", X, X, X)
     return np.sum(X**p, axis=1)

@@ -76,7 +76,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # LpBall checks each d, p and the radius; EstimatorSpec each kind
+        # the objects a run builds check the rest: LpBall each d, p and the
+        # radius, RateQuery a finite radius, EstimatorSpec each kind and the
+        # soft threshold's domain
         if self.regime not in REGIMES:
             raise InvalidParameterError(f"unknown regime {self.regime!r}")
         if not (is_integer(self.reps) and self.reps >= 1):
@@ -97,17 +99,14 @@ class ExperimentConfig:
         elif not all(0.0 < sigma < math.inf for sigma in self.sigma_rule):
             raise InvalidParameterError(
                 f"explicit sigmas must be positive and finite, got {list(self.sigma_rule)}")
-        if not self.radius < math.inf:
-            raise InvalidParameterError(f"radius must be finite, got {self.radius}")
         if self.regime == "fig2b" and not (1.0 < self.p < 2.0):
             raise InvalidParameterError("fig2b requires a norm index in (1, 2)")
-        if "soft_threshold" in self.estimators and not (0.0 < self.p < 2.0):
-            raise InvalidParameterError("soft_threshold requires a norm index in (0, 2)")
         for d in self.d_grid:
             ball = LpBall(self.p, d, self.radius)
             if not math.isfinite(sigma := self.sigma_for(d)):
                 raise InvalidParameterError(f"sigma_rule {self.sigma_rule!r} gives a sigma past "
                                             f"double range at d = {d}, p = {self.p}")
+            RateQuery(self.p, d, sigma, self.radius)  # the control value's query
             for kind in self.estimators:
                 EstimatorSpec(kind, ball, sigma)
         if any(b <= a for a, b in zip(self.d_grid, self.d_grid[1:])):

@@ -6,7 +6,9 @@ counts as used when the code of ``src/``, ``scripts/`` or ``perfbench/``
 refers to it outside its own definition, as a name, an attribute or a string
 (the benchmark looks names up by string), or when ``lpseq.__all__`` exports it.
 Likewise every defaulted parameter of a private function must be passed by
-some call there, by keyword or by position.
+some call there, by keyword or by position, and every module-level UPPER_CASE
+constant must be read there outside its own assignment, so that a retired
+bar or tolerance does not linger as an orphan.
 """
 
 import ast
@@ -81,3 +83,27 @@ def test_every_default_of_a_private_function_is_passed():
     assert defaults  # the scan sees the package
     assert sorted(f"{name}:{param}" for name, params in defaults.items() for param in params
                   if (name, param) not in passed) == []
+
+
+def test_every_constant_has_a_reader():
+    constants = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    constants[target.id] = path.name
+    read = set(lpseq.__all__)
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                # a Name that is loaded, an attribute, or a name looked up by string
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    assert constants  # the scan sees the package
+    assert sorted(f"{file}:{name}" for name, file in constants.items() if name not in read) == []

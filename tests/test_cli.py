@@ -12,7 +12,8 @@ import pytest
 
 from lpseq import cli, simulate
 from lpseq.cli import main
-from lpseq.projection import project
+from lpseq.oracles import run_suite
+from lpseq.projection import KKT_BAR, project
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -274,8 +275,10 @@ def test_reproduce_over_another_configs_cursor_starts_over(tmp_path, capsys):
 
 
 def test_project_solver_diagnostic_exit_3(capsys, monkeypatch):
-    # exit 3 exactly when the KKT residual is not within 10 * LAMBDA_GAP_TOL = 1e-9
-    for kkt, expected in ((1e-9, 0), (1e-6, 3), (math.inf, 3), (math.nan, 3)):
+    # exit 3 exactly when the KKT residual is not within KKT_BAR = 1e-9
+    assert KKT_BAR == 1e-9
+    for kkt, expected in ((KKT_BAR, 0), (math.nextafter(KKT_BAR, 1.0), 3), (1e-6, 3),
+                          (math.inf, 3), (math.nan, 3)):
         monkeypatch.setattr(cli, "project", lambda ball, y: dataclasses.replace(
             project(ball, y), kkt_residual=kkt))
         code, out, err = run_cli(capsys, "project", "--p", "2", "--input", "3,4")
@@ -283,6 +286,15 @@ def test_project_solver_diagnostic_exit_3(capsys, monkeypatch):
         point = [float(v) for v in parse_kv(out)["point"].split(",")]  # printed either way
         np.testing.assert_allclose(point, [0.6, 0.8], atol=1e-9)
         assert ("diagnostic" in err) == (expected == 3)
+
+
+def test_verify_kkt_holds_the_bar_of_project(capsys):
+    # verify --suite kkt once passed residuals up to 1e-8, ten times the bar
+    # above which project exits 3 (test_project_solver_diagnostic_exit_3)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "kkt", "--seed", "0")
+    line = next(line for line in out.splitlines() if "kkt_residual_max" in line)
+    bar = float(re.search(r"threshold=(\S+)", line).group(1))
+    assert code == 0 and bar == KKT_BAR == run_suite("kkt", 0)[0].threshold
 
 
 def test_project_exits_0_only_on_a_certified_point(capsys):

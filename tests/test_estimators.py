@@ -20,6 +20,15 @@ def test_spec_validation():
         EstimatorSpec(kind="soft_threshold", ball=LpBall(p=1.5, dim=3, radius=1.0))
 
 
+def test_soft_threshold_domain_checked_at_construction():
+    # a spec outside st_lambda's domain once built, and estimate_risk failed
+    # only after drawing its first block
+    for p, sigma in ((2.5, 0.1), (2.0, 0.1), (math.inf, 0.1), (1.5, 0.0), (1.5, math.nan)):
+        with pytest.raises(InvalidParameterError, match="soft_threshold"):
+            EstimatorSpec("soft_threshold", LpBall(p, 4, 1.0), sigma)
+    assert EstimatorSpec("soft_threshold", LpBall(1.5, 4, 1.0), 0.1).noise_level == 0.1
+
+
 def test_trivial_estimators():
     y = np.array([1.0, -2.0, 0.5])
     np.testing.assert_array_equal(estimate(EstimatorSpec(kind="zero"), y), np.zeros(3))

@@ -59,7 +59,7 @@ def test_config_validation():
         small_config(sigma_rule=(0.1,))  # misaligned with d_grid
     with pytest.raises(InvalidParameterError):
         small_config(regime="custom")  # custom needs explicit sigmas
-    for p in (2.5, 2.0, 0.0):  # the threshold level is defined for p in (0, 2)
+    for p in (2.5, 2.0):  # the threshold level is defined for p in (0, 2); p = 0 is in `bad`
         with pytest.raises(InvalidParameterError, match="soft_threshold"):
             small_config(p=p, estimators=("mle", "soft_threshold"))
     assert small_config(p=2.5, estimators=("mle",)).p == 2.5
