@@ -97,24 +97,15 @@ def _run_resumable(config: simulate.ExperimentConfig, out_dir: Path):
         else:
             _log("[lpseq] cursor belongs to a different config; starting over")
 
-    def flush():
-        cursor_path.write_text(
-            json.dumps({"fingerprint": fingerprint, "cells": completed}),
-            encoding="utf-8")
-
-    def on_cell_done(cell_id, row):
+    def on_cell_done(cell_id, row):  # the cursor holds every cell done so far
         completed[cell_id] = dataclasses.asdict(row)
-        flush()
+        cursor_path.write_text(json.dumps({"fingerprint": fingerprint, "cells": completed}),
+                               encoding="utf-8")
         _log(f"[lpseq] cell done: {cell_id} kkt_max={row.kkt_residual_max:.3g}"
              f" iterations_max={row.iterations_max}")
 
     resumed = {cid: simulate.RiskEstimate(**row) for cid, row in completed.items()}
-    try:
-        result = simulate.run_experiment(config, completed=resumed,
-                                         on_cell_done=on_cell_done)
-    except BaseException:
-        flush()
-        raise
+    result = simulate.run_experiment(config, completed=resumed, on_cell_done=on_cell_done)
     csv_path = out_dir / "results.csv"
     simulate.write_csv(result, csv_path)
     cursor_path.unlink(missing_ok=True)
@@ -138,21 +129,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    regime = f"fig{args.figure}"  # argparse allows only 2a and 2b
     d_grid = simulate.default_d_grid(max_d=args.max_d)
     if not d_grid:
         raise ValueError(f"--max-d must be at least {simulate.default_d_grid()[0]},"
                          f" got {args.max_d}")
-    config = simulate.ExperimentConfig(
-        regime=regime,
-        p=1.5,
-        radius=1.0,
-        d_grid=d_grid,
-        sigma_rule="spike" if regime == "fig2a" else "flat",
-        reps=args.reps,
-        estimators=("mle", "soft_threshold"),
-        seed=args.seed,
-    )
+    # argparse allows only 2a and 2b; p, the radius, the sigma rule and the
+    # estimators are the config's defaults
+    config = simulate.ExperimentConfig(regime=f"fig{args.figure}", d_grid=d_grid,
+                                       reps=args.reps, seed=args.seed)
     _echo_config("reproduce", config.to_dict())
     out_dir = Path(args.out)
     try:

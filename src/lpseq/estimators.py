@@ -19,7 +19,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError, is_integer
+from .errors import DimensionMismatchError, InvalidParameterError, inf_past_range, is_integer
 from .projection import LpBall, project
 from .shrinkage import soft_threshold
 
@@ -56,7 +56,9 @@ def st_lambda(sigma: float, d: int, p: float) -> float:
     """Soft-threshold level ``sqrt(2 sigma^2 log(e d sigma^p))``.
 
     The level is clamped at zero once the logarithm's argument falls below
-    one, which is the regime where no shrinkage is called for.
+    one, which is the regime where no shrinkage is called for.  Where
+    ``sigma**2`` or ``sigma**p`` passes double range, the level is taken in
+    logs; every level the direct formula gives finite is that formula's.
     """
     if not (sigma > 0):
         raise InvalidParameterError(f"soft_threshold requires sigma > 0, got {sigma}")
@@ -64,23 +66,30 @@ def st_lambda(sigma: float, d: int, p: float) -> float:
         raise InvalidParameterError(f"soft_threshold requires an integer d >= 1, got {d!r}")
     if not (0 < p < 2):
         raise InvalidParameterError(f"soft_threshold requires p in (0, 2), got {p}")
-    arg = d * sigma**p * math.e
+    arg = d * inf_past_range(pow, sigma, p) * math.e
     if arg <= 1.0:
         return 0.0
-    return math.sqrt(2.0 * sigma**2 * math.log(arg))
+    level = inf_past_range(lambda: math.sqrt(2.0 * sigma**2 * math.log(arg)))
+    if level == math.inf:  # sigma**2 or sigma**p past double range: the level in logs
+        level = sigma * math.sqrt(2.0 * (math.log(d) + p * math.log(sigma) + 1.0))
+    return level
 
 
 def estimate(spec: EstimatorSpec, y: np.ndarray) -> np.ndarray:
     """Apply the estimator to one observation vector; every kind but ``mle`` also
-    takes an (n, d) block, row by row (``project_many`` projects a block)."""
+    takes an (n, d) block, row by row (``project_many`` projects a block).  A
+    spec with a ball takes rows of the ball's dimension only."""
     y = np.asarray(y, dtype=float)
+    if spec.ball is not None and y.shape[-1:] != (spec.ball.dim,):
+        raise DimensionMismatchError(f"{spec.kind} takes rows of length {spec.ball.dim},"
+                                     f" got shape {y.shape}")
     if spec.kind == "zero":
         return np.zeros_like(y)
     if spec.kind == "identity":
         return y.copy()
     if spec.kind == "mle":
         return project(spec.ball, y).point
-    lam = st_lambda(spec.noise_level, y.shape[-1], spec.ball.p)
+    lam = st_lambda(spec.noise_level, spec.ball.dim, spec.ball.p)
     return soft_threshold(y, lam)
 
 

@@ -26,7 +26,7 @@ import io
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,24 +61,31 @@ class ExperimentConfig:
 
     ``sigma_rule`` is ``"spike"`` (``sigma = d**(1/p-1)``), ``"flat"``
     (``sigma = d**(-1/2)``), or an explicit list of positive finite sigmas
-    aligned with ``d_grid``.  The ``custom`` regime requires an explicit list
-    and uses the spike signal.  ``estimators`` names distinct kinds, at least
-    one, since each (d, kind) pair is one cell with its own id.
+    aligned with ``d_grid``; left out, it is the regime's own rule, spike for
+    ``fig2a`` and flat for ``fig2b``.  The ``custom`` regime requires an
+    explicit list and uses the spike signal.  ``estimators`` names distinct
+    kinds, at least one, since each (d, kind) pair is one cell with its own id.
     """
 
     regime: str = "fig2a"
     p: float = 1.5
     radius: float = 1.0
     d_grid: tuple[int, ...] = field(default_factory=default_d_grid)
-    sigma_rule: str | tuple[float, ...] = "spike"
+    sigma_rule: str | tuple[float, ...] | None = None
     reps: int = 100
     estimators: tuple[str, ...] = ("mle", "soft_threshold")
     seed: int = 0
 
     def __post_init__(self):
-        # the objects a run builds check the rest: LpBall each d, p and the
-        # radius, RateQuery a finite radius, EstimatorSpec each kind and the
-        # soft threshold's domain
+        # sequences as tuples and sigmas as floats, as the fingerprint writes them
+        object.__setattr__(self, "d_grid", tuple(self.d_grid))
+        object.__setattr__(self, "estimators", tuple(self.estimators))
+        rule = self.sigma_rule
+        if rule is None:  # the regime's own rule
+            rule = {"fig2a": "spike", "fig2b": "flat"}.get(self.regime)
+        elif not isinstance(rule, str):
+            rule = tuple(float(sigma) for sigma in rule)
+        object.__setattr__(self, "sigma_rule", rule)
         if self.regime not in REGIMES:
             raise InvalidParameterError(f"unknown regime {self.regime!r}")
         if not (is_integer(self.reps) and self.reps >= 1):
@@ -89,45 +96,26 @@ class ExperimentConfig:
         if not self.estimators or len(set(self.estimators)) != len(self.estimators):
             raise InvalidParameterError(
                 f"estimators must be nonempty and distinct, got {list(self.estimators)}")
-        if isinstance(self.sigma_rule, str):
-            if self.sigma_rule not in ("spike", "flat"):
-                raise InvalidParameterError(f"unknown sigma_rule {self.sigma_rule!r}")
-            if self.regime == "custom":
-                raise InvalidParameterError("custom regime requires an explicit sigma list")
-        elif len(self.sigma_rule) != len(self.d_grid):
+        if self.regime == "custom" and not isinstance(rule, tuple):
+            raise InvalidParameterError("custom regime requires an explicit sigma list")
+        if isinstance(rule, str) and rule not in ("spike", "flat"):
+            raise InvalidParameterError(f"unknown sigma_rule {rule!r}")
+        if isinstance(rule, tuple) and len(rule) != len(self.d_grid):
             raise InvalidParameterError("explicit sigma list must align with d_grid")
-        elif not all(0.0 < sigma < math.inf for sigma in self.sigma_rule):
-            raise InvalidParameterError(
-                f"explicit sigmas must be positive and finite, got {list(self.sigma_rule)}")
-        if self.regime == "fig2b" and not (1.0 < self.p < 2.0):
-            raise InvalidParameterError("fig2b requires a norm index in (1, 2)")
-        for d in self.d_grid:
-            ball = LpBall(self.p, d, self.radius)
-            if not math.isfinite(sigma := self.sigma_for(d)):
-                raise InvalidParameterError(f"sigma_rule {self.sigma_rule!r} gives a sigma past "
-                                            f"double range at d = {d}, p = {self.p}")
-            RateQuery(self.p, d, sigma, self.radius)  # the control value's query
-            for kind in self.estimators:
-                EstimatorSpec(kind, ball, sigma)
         if any(b <= a for a, b in zip(self.d_grid, self.d_grid[1:])):
             raise InvalidParameterError("d_grid must be strictly increasing")
         if self.regime == "fig2b" and self.d_grid[0] < 2:
             raise InvalidParameterError("fig2b requires every d >= 2")
+        for _ in self.cells():  # the objects a run builds check the rest
+            pass
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
-        payload = dict(payload)
-        for key in ("d_grid", "estimators"):
-            if key in payload and payload[key] is not None:
-                payload[key] = tuple(payload[key])
-        if isinstance(payload.get("sigma_rule"), list):
-            payload["sigma_rule"] = tuple(float(v) for v in payload["sigma_rule"])
-        if payload.get("d_grid") is None:
-            payload.pop("d_grid", None)
+        if payload.get("d_grid", ()) is None:  # a null grid is the default one
+            payload = {key: value for key, value in payload.items() if key != "d_grid"}
         return cls(**payload)
 
     @classmethod
@@ -136,11 +124,28 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return asdict(self)
+
+    def cells(self):
+        """Each cell's ``(cell id, EstimatorSpec, theta_star, sigma, query)`` in
+        run order, ``query`` being the ``RateQuery`` of the d's control value.
+
+        Building them checks the config: ``LpBall`` each d, p and the radius,
+        ``RateQuery`` a finite radius, ``theta_for`` the fig2b index through
+        ``sparsity_scaling``, and ``EstimatorSpec`` each kind and the soft
+        threshold's domain.
+        """
+        for d in self.d_grid:
+            ball = LpBall(self.p, d, self.radius)
+            if not 0.0 < (sigma := self.sigma_for(d)) < math.inf:
+                raise InvalidParameterError(f"sigma_rule {self.sigma_rule!r} gives sigma {sigma!r}"
+                                            f" at d = {d}, p = {self.p}; it must be positive"
+                                            " and finite")
+            query = RateQuery(self.p, d, sigma, self.radius)
+            theta = self.theta_for(d)
+            for kind in self.estimators:
+                spec = EstimatorSpec(kind, ball, sigma)
+                yield cell_id_for(self, d, kind), spec, theta, sigma, query
 
     def sigma_for(self, d: int) -> float:
         if self.sigma_rule == "spike":
@@ -288,24 +293,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
     if threads != 1:
         raise InvalidParameterError(f"cells run serially; threads must be 1, got {threads}")
     completed = completed or {}
-    rows = []
-    for d in config.d_grid:
-        for kind in config.estimators:
-            cid = cell_id_for(config, d, kind)
-            row = completed.get(cid)
-            if row is None:
-                sigma = config.sigma_for(d)
-                spec = EstimatorSpec(kind, LpBall(config.p, d, config.radius), sigma)
-                row = estimate_risk(spec, config.theta_for(d), sigma, config.reps,
-                                    config.seed, cid)
-                if on_cell_done is not None:
-                    on_cell_done(cid, row)
-            rows.append(row)
-    control = {
-        d: control_function(RateQuery(p=config.p, d=d, sigma=config.sigma_for(d),
-                                      radius=config.radius))
-        for d in config.d_grid
-    }
+    rows, queries = [], {}
+    for cid, spec, theta, sigma, query in config.cells():
+        row = completed.get(cid)
+        if row is None:
+            row = estimate_risk(spec, theta, sigma, config.reps, config.seed, cid)
+            if on_cell_done is not None:
+                on_cell_done(cid, row)
+        rows.append(row)
+        queries[query.d] = query
+    control = {d: control_function(query) for d, query in queries.items()}
     return ExperimentResult(config, config.fingerprint(), tuple(rows), control)
 
 

@@ -489,6 +489,18 @@ def test_simulate_sigma_rule_past_double_range_exit_2(tmp_path, capsys):
     assert "config error" in err and "sigma_rule 'spike'" in err and "d = 100" in err
 
 
+def test_simulate_soft_threshold_sigma_past_double_range(tmp_path, capsys):
+    # st_lambda squared sigma = 1e200 in Python floats: exit 1 with a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"regime": "custom", "p": 1.5, "d_grid": [10],
+                                "sigma_rule": [1e200], "reps": 2}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [row["estimator"] for row in rows] == ["mle", "soft_threshold"]
+    assert all(math.isfinite(float(row["mse_mean"])) for row in rows)
+
+
 def test_simulate_failed_cell_exit_2(tmp_path, capsys):
     # a parameter error inside a cell printed a traceback and exited 1, the
     # code for failed verification; at radius 1e-310 max|y|/r overflows

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -58,6 +59,37 @@ def test_st_lambda_validation():
             st_lambda(1.0, d, 1.5)
     with pytest.raises(InvalidParameterError):
         st_lambda(1.0, 10, 2.0)
+
+
+def test_st_lambda_past_double_range():
+    # sigma**2 (and at 1e300 sigma**p) past double range raised OverflowError,
+    # so EstimatorSpec rejected a sigma whose level is finite
+    cases = ((1e200, 10, 1.5), (1e300, 10, 1.9), (1.3e154, 7, 0.5), (1e250, 10**6, 1e-3))
+    for sigma, d, p in cases:
+        s = Decimal(sigma)
+        exact = s * (2 * (Decimal(d) * s ** Decimal(p) * Decimal(1).exp()).ln()).sqrt()
+        assert st_lambda(sigma, d, p) == pytest.approx(float(exact), rel=1e-14)
+        assert EstimatorSpec("soft_threshold", LpBall(p, d, 1.0), sigma).noise_level == sigma
+    assert st_lambda(1e200, 10, 1.5) == pytest.approx(3.7258e201, rel=1e-4)
+    # in range the level is the direct formula, bit for bit
+    for sigma in np.geomspace(1e-150, 1e150, 61):
+        for d, p in ((1, 0.5), (100, 1.5), (7017, 1.3), (10**6, 1.999)):
+            arg = d * sigma**p * math.e
+            direct = math.sqrt(2.0 * sigma**2 * math.log(arg)) if arg > 1.0 else 0.0
+            assert st_lambda(float(sigma), d, p) == direct
+
+
+def test_estimate_rejects_rows_off_the_ball_dimension():
+    # soft_threshold took the level at the row length, zero and identity
+    # passed the row through; only mle, through project, raised
+    ball = LpBall(p=1.5, dim=10, radius=1.0)
+    for kind in ("soft_threshold", "zero", "identity", "mle"):
+        spec = EstimatorSpec(kind, ball, 0.1)
+        for y in (np.ones(20), np.ones((3, 9)), np.float64(1.0)):
+            with pytest.raises(DimensionMismatchError, match="length 10"):
+                estimate(spec, y)
+        assert estimate(spec, np.ones(10)).shape == (10,)
+    assert estimate(EstimatorSpec("identity"), np.ones(20)).shape == (20,)  # no ball
 
 
 def test_soft_threshold_support_shrinkage():

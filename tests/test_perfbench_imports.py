@@ -11,6 +11,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import lpseq
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,3 +42,18 @@ def test_benchmark_names_resolve(monkeypatch):
     assert unresolved <= KNOWN_STALE_TARGETS
 
     assert [name for name in lpseq.__all__ if not hasattr(lpseq, name)] == []
+
+
+def test_benchmark_cells_are_the_configs_cells(monkeypatch):
+    # the benchmark's reference pass keeps its own copy of the cell loop, so a
+    # divergence from run_experiment's cells would first show there as wrong mse
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for name in ("fig2a", "fig2b_p13"):
+        inputs = workloads.build_inputs(name, workloads.DEFAULT_SEED)
+        cells = list(inputs.config.cells())
+        assert len(cells) == len(inputs.cells) > 0
+        for bench, (cell_id, spec, theta, sigma, _) in zip(inputs.cells, cells):
+            assert (bench.cell_id, bench.spec) == (cell_id, spec)
+            assert np.float64(bench.sigma).tobytes() == np.float64(sigma).tobytes()
+            assert bench.theta.tobytes() == theta.tobytes()

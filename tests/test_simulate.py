@@ -9,6 +9,7 @@ from lpseq.errors import DimensionMismatchError, InvalidParameterError
 from lpseq.estimators import EstimatorSpec, estimate
 from lpseq.instances import spike_instance
 from lpseq.projection import LpBall, project
+from lpseq.rates import control_function
 from lpseq.rng import keyed_generator
 from lpseq.simulate import (
     BLOCK_ELEMENTS,
@@ -95,6 +96,31 @@ def test_config_json_round_trip(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     again = ExperimentConfig.from_json(path)
     assert again == cfg
+
+
+def test_config_from_lists_equals_the_one_read_from_json():
+    # a config built with lists (integer sigmas included) kept them as given,
+    # so it differed from the same config read from JSON and had another id
+    payload = {"regime": "custom", "p": 1.5, "d_grid": [10, 20], "sigma_rule": [1, 2],
+               "reps": 3, "estimators": ["mle", "soft_threshold", "zero"], "seed": 9}
+    built = ExperimentConfig(**payload)
+    read = ExperimentConfig.from_dict(json.loads(json.dumps(payload)))
+    assert built == read and built.sigma_rule == (1.0, 2.0) and built.d_grid == (10, 20)
+    assert built.fingerprint() == read.fingerprint() == "85fca1508eb9"  # the id before
+    assert json.dumps(built.to_dict(), sort_keys=True) == json.dumps(
+        {**payload, "radius": 1.0, "sigma_rule": [1.0, 2.0]}, sort_keys=True)
+
+
+def test_default_sigma_rule_is_the_regimes_own():
+    # fig2b without a sigma_rule drew at the spike rule, 0.3455 at d = 100
+    fig2b = ExperimentConfig(regime="fig2b", p=1.3, d_grid=(100,))
+    assert fig2b.sigma_rule == "flat" and fig2b.sigma_for(100) == 0.1
+    assert fig2b == ExperimentConfig.from_dict({"regime": "fig2b", "p": 1.3, "d_grid": [100],
+                                                "sigma_rule": None})
+    assert ExperimentConfig(d_grid=(100,)).sigma_rule == "spike"  # fig2a
+    assert small_config(regime="fig2b", sigma_rule="spike").sigma_rule == "spike"
+    with pytest.raises(InvalidParameterError, match="custom regime"):
+        small_config(regime="custom")
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -258,6 +284,28 @@ def test_run_experiment_resume_skips_completed(monkeypatch):
                              on_cell_done=lambda cid, row: seen.append(cid))
     assert resumed.rows == full.rows
     assert seen == []
+
+
+def test_run_experiment_runs_the_configs_cells(monkeypatch):
+    import lpseq.simulate as sim
+
+    cfg = small_config(estimators=("mle", "soft_threshold", "zero"))
+    calls = []
+
+    def record(spec, theta, sigma, reps, seed, cell_id):
+        calls.append((cell_id, spec, theta, sigma, reps, seed))
+        return RiskEstimate(1.0, 0.0, reps, theta.size, sigma, spec.ball.p, spec.kind, seed)
+
+    monkeypatch.setattr(sim, "estimate_risk", record)
+    result = run_experiment(cfg)
+    cells = list(cfg.cells())
+    assert len(calls) == len(cells) == 6
+    for (cid, spec, theta, sigma, reps, seed), (want_id, want_spec, want_theta, want_sigma,
+                                                query) in zip(calls, cells):
+        assert (cid, spec, sigma, reps, seed) == (want_id, want_spec, want_sigma, 3, 123)
+        assert theta.tobytes() == want_theta.tobytes()
+        assert query.sigma == sigma and result.control[query.d] == control_function(query)
+    assert [c[0] for c in calls] == cell_ids(cfg)
 
 
 def test_run_experiment_threads_must_be_one():
