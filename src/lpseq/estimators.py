@@ -57,8 +57,9 @@ def st_lambda(sigma: float, d: int, p: float) -> float:
 
     The level is clamped at zero once the logarithm's argument falls below
     one, which is the regime where no shrinkage is called for.  Where
-    ``sigma**2`` or ``sigma**p`` passes double range, the level is taken in
-    logs; every level the direct formula gives finite is that formula's.
+    ``sigma**2`` or ``sigma**p`` passes double range, or ``sigma**2`` is
+    subnormal and has lost bits, the level is taken in logs; every other
+    level is the direct formula's.
     """
     if not (sigma > 0):
         raise InvalidParameterError(f"soft_threshold requires sigma > 0, got {sigma}")
@@ -70,7 +71,7 @@ def st_lambda(sigma: float, d: int, p: float) -> float:
     if arg <= 1.0:
         return 0.0
     level = inf_past_range(lambda: math.sqrt(2.0 * sigma**2 * math.log(arg)))
-    if level == math.inf:  # sigma**2 or sigma**p past double range: the level in logs
+    if level == math.inf or sigma**2 < np.finfo(float).tiny:  # the level in logs
         level = sigma * math.sqrt(2.0 * (math.log(d) + p * math.log(sigma) + 1.0))
     return level
 

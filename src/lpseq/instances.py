@@ -22,8 +22,9 @@ class HardInstanceParams:
 
     ``m`` is the largest multiple of 4 not exceeding d; ``lambda_floor`` is
     the multiplier level the noise forces with constant probability, and
-    ``k = ceil(lambda_floor**(-p/(2-p)))`` clamped to [1, d//2] (``clamped``
-    records whether the clamp was active).  ``theta_star`` has unit lp norm
+    ``theta_star`` is :func:`flat_signal` at the size
+    ``lambda_floor**(-p/(2-p))``, with ``k`` nonzeros (``clamped`` records
+    whether the clamp at d//2 was active).  ``theta_star`` has unit lp norm
     by construction.
     """
 
@@ -62,46 +63,57 @@ def _flat_args(caller: str, sigma: float, p: float, d: int, least_d: int):
     return float(sigma), float(p), int(d)
 
 
+def flat_signal(size: float, p: float, d: int) -> tuple[np.ndarray, bool]:
+    """The flat vector ``k**(-1/p)`` on the first k of d coordinates, zero on
+    the rest, and whether the clamp at d//2 was active.
+
+    k is the ceiling of the real ``size`` clamped to [1, d//2].  A size within
+    1e-12 relative above an integer counts as that integer: the sizes the
+    package builds are powers that are integers in exact arithmetic at the
+    figures' noise rules (1 at the spike rule, sqrt(d) at the flat one), and
+    rounding lands on either side of them.
+    """
+    want = max(math.ceil(min(size / (1.0 + 1e-12), d)), 1)  # an inf size is clamped
+    k = min(want, d // 2)
+    theta = np.zeros(d)
+    theta[:k] = k ** (-1.0 / p)
+    return theta, k < want
+
+
 def flat_sparse_instance(sigma: float, p: float, d: int) -> HardInstanceParams:
     """Flat k-sparse boundary signal for intermediate norm indices.
 
     Requires ``p in (1, 2)`` and ``d >= 4``.  With ``delta = default_delta(q)``
     the construction matches the explicit lower-bound recipe; the clamp keeps
     ``k`` away from the trivial all-zero and full-support extremes.
+    ``(delta/4)**(1/q)`` is taken as ``0.15 * 0.125**(1/q)``, its exact value,
+    since ``delta`` underflows once q passes about 372 (p below 1.0027).
     """
     sigma, p, d = _flat_args("flat instance", sigma, p, d, 4)
     q = p / (p - 1.0)
-    delta = default_delta(q)
     m = d - d % 4
-    lam_floor = (sigma * m ** (1.0 / q) / 2.0) * (delta / 4.0) ** (1.0 / q)
-    # a power past double range is inf, far beyond the clamp
-    k_unclamped = inf_past_range(lambda: max(math.ceil(lam_floor ** (-p / (2.0 - p))), 1))
-    k = min(k_unclamped, d // 2)
-    theta = np.zeros(d)
-    theta[:k] = k ** (-1.0 / p)
+    lam_floor = (sigma * m ** (1.0 / q) / 2.0) * (0.15 * 0.125 ** (1.0 / q))
+    theta, clamped = flat_signal(inf_past_range(pow, lam_floor, -p / (2.0 - p)), p, d)
     return HardInstanceParams(
-        delta=delta,
+        delta=default_delta(q),
         m=m,
         lambda_floor=lam_floor,
-        k=k,
+        k=int(np.count_nonzero(theta)),
         theta_star=theta,
-        clamped=(k != k_unclamped),
+        clamped=clamped,
     )
 
 
 def sparsity_scaling(sigma: float, p: float, d: int) -> float:
-    """Order-level sparsity ``max((1/(sigma^q d))**((p-1)/(2-p)), 1)``.
+    """Order-level sparsity ``max((1/(sigma^q d))**((p-1)/(2-p)), 1)``, or d
+    where that passes double range.
 
     Diagnostic companion of :func:`flat_sparse_instance`: it tracks the same
     k up to an explicit constant, hitting order 1 as ``sigma`` approaches
-    ``d**(-1/q)`` and order d as it approaches ``d**(-1/p)``.
+    ``d**(-1/q)`` and order d as it approaches ``d**(-1/p)``.  It is taken as
+    ``exp(-(p log sigma + (p-1) log d)/(2-p))``, in which q drops out and no
+    power leaves double range on the way.
     """
     sigma, p, d = _flat_args("sparsity_scaling", sigma, p, d, 1)
-    q = p / (p - 1.0)
-    try:  # not errors.inf_past_range: the fallback is 0 or inf, as sigma sets
-        val = (1.0 / (sigma**q * d)) ** ((p - 1.0) / (2.0 - p))
-    except (OverflowError, ZeroDivisionError):
-        # sigma**q overflows only at a huge sigma (order 1); at a tiny one the
-        # power overflows, or sigma**q * d underflows to 0 (order d)
-        val = 0.0 if sigma > 1.0 else math.inf
-    return float(d) if val == math.inf else max(val, 1.0)  # also 1/(sigma**q * d) = inf
+    val = inf_past_range(math.exp, -(p * math.log(sigma) + (p - 1.0) * math.log(d)) / (2.0 - p))
+    return float(d) if val == math.inf else max(val, 1.0)

@@ -64,6 +64,12 @@ def _report(name, statistic, threshold, trials, seed, comparison=">=",
                        trials, seed, comparison, inconclusive)
 
 
+def _slackened(bound: float, phat: float, reps: int) -> float:
+    """``bound`` less the three-sigma binomial slack of a frequency ``phat``
+    over ``reps`` trials."""
+    return bound - 3 * math.sqrt(max(phat * (1 - phat), 1e-12) / reps)
+
+
 # --- brute-force projection oracle -------------------------------------------
 
 
@@ -282,8 +288,7 @@ def check_small_ball(D: int, r: float, reps: int, key: int) -> CheckReport:
     floor = math.sqrt(r) * D ** (1.0 / r) / math.sqrt(32.0 * math.e)
     norms = _row_stats(rng, reps, D, lambda xi: np.sum(np.abs(xi) ** r, axis=1) ** (1.0 / r))
     phat = int(np.sum(norms >= floor)) / reps
-    stderr = math.sqrt(max(phat * (1 - phat), 1e-12) / reps)
-    return _report(f"small_ball(D={D}, r={r:g})", phat, 0.5 - 3 * stderr, reps, key)
+    return _report(f"small_ball(D={D}, r={r:g})", phat, _slackened(0.5, phat, reps), reps, key)
 
 
 def _noise_term_rows(blocks: np.ndarray, q: float) -> np.ndarray:
@@ -306,10 +311,8 @@ def check_noise_term(d: int, q: float, t: float, reps: int, key: int) -> CheckRe
     values = _row_stats(rng, reps, m // 2, lambda xi: _noise_term_rows(xi, q))
     level = 0.5 * (3.0 * t / 10.0) ** q
     phat = float(np.mean(values >= level))
-    bound = (1.0 - t) ** 2 / 80.0
-    stderr = math.sqrt(max(phat * (1 - phat), 1e-12) / reps)
     return _report(f"noise_term(d={d}, q={q:g}, t={t:g})", phat,
-                   bound - 3 * stderr, reps, key)
+                   _slackened((1.0 - t) ** 2 / 80.0, phat, reps), reps, key)
 
 
 def check_mle_variance(ball: LpBall, theta_star: np.ndarray, sigma: float,

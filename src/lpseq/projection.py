@@ -250,11 +250,12 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
     bracket.  Otherwise a multiplier step that leaves the bracket is redone
     as ``lam *= exp(dl)``, and bisection takes over where both do.
 
-    Newton roots are clamped after each step into their bracket at the new
-    ``lam``.  The top is the cold start ``min(log t, (log t - log
-    lam)/(p-1))``, where one term is ``t``, or lower where a sum of d powers
-    ``psi**p`` would overflow (``psi <= 1`` at the solution); the first pass
-    is the cold start at the top of the multiplier's bracket.  The floor is
+    Each pass forms the roots' bracket at its ``lam`` and clamps the Newton
+    roots of the last pass into it.  The top is the cold start ``min(log t,
+    (log t - log lam)/(p-1))``, where one term is ``t``, or lower where a sum
+    of d powers ``psi**p`` would overflow (``psi <= 1`` at the solution); the
+    first pass starts at the cold start at the top of the multiplier's
+    bracket.  The floor is
     the top less ``log(2)*max(1, 1/(p-1))``, where the larger term is ``t/2``
     or below.  Magnitudes below ``FLUSH_TOL`` are taken as 0, which is then
     their root.
@@ -291,14 +292,15 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
         top_s = np.minimum(log_T, (math.log(np.finfo(float).max) - math.log(T.shape[1])) / p)
         pow_s = log_T / pm1
         width = LOG2 * max(1.0, 1.0 / pm1)
-        s = np.minimum(top_s, pow_s - _lam_column([math.log(v) / pm1 for v in lam]))
     kept = np.empty_like(T)
     for step_count in range(1, SEARCH_STEPS + 1):
         lam_c = _lam_column(lam)
         if exact:
             u, root = _closed_terms(lam_c, T)
             sums = _power_sums(u, 3.0).tolist()  # psi**1.5 = u**3
-        else:
+        else:  # the roots' bracket at lam: the cold start, and width below it
+            cold = np.minimum(top_s, pow_s - _lam_column([math.log(v) / pm1 for v in lam]))
+            s = cold if step_count == 1 else np.minimum(np.maximum(s, cold - width), cold)
             x = np.exp(s)
             pw = np.exp(pm1 * s)
             b = lam_c * pw
@@ -373,8 +375,6 @@ def _find_lambda_star(p: float, T: np.ndarray, tops: list, scaled: np.ndarray):
                 ratios[i] = new / lam_i
         if not exact:
             s = s - e - g * (_lam_column(ratios) - 1.0)
-            cold = np.minimum(top_s, pow_s - _lam_column([math.log(v) / pm1 for v in lam]))
-            s = np.minimum(np.maximum(s, cold - width), cold)
 
 
 def _kkt_pieces(T: np.ndarray, M: np.ndarray, lam: list, p: float, tops: list) -> list:
@@ -740,10 +740,9 @@ def project_many(ball: LpBall, Y: np.ndarray) -> list[ProjectionResult]:
     if not np.all(np.isfinite(Y)):
         raise NonFiniteInputError("input vector contains non-finite entries")
     p, r = ball.p, ball.radius
-    if p == 0:
-        return [ProjectionResult(x, 0.0, 0.0, 0) for x in project_top_s(ball.sparsity, Y)]
-    if p == math.inf:
-        return [ProjectionResult(x, 0.0, 0.0, 0) for x in project_clip(r, Y)]
+    if p in (0, math.inf):
+        points = project_top_s(ball.sparsity, Y) if p == 0 else project_clip(r, Y)
+        return [ProjectionResult(x, 0.0, 0.0, 0) for x in points]
     if Y.shape[0] == 0:
         return []
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, inf_past_range, is_integer
 from .estimators import EstimatorSpec, estimate
-from .instances import sparsity_scaling, spike_instance
+from .instances import flat_signal, sparsity_scaling, spike_instance
 from .projection import LpBall, project_many
 from .rates import RateQuery, control_function
 from .rng import check_seed, keyed_generator, trial_streams
@@ -65,6 +65,7 @@ class ExperimentConfig:
     ``fig2a`` and flat for ``fig2b``.  The ``custom`` regime requires an
     explicit list and uses the spike signal.  ``estimators`` names distinct
     kinds, at least one, since each (d, kind) pair is one cell with its own id.
+    ``d_grid`` given as None is :func:`default_d_grid`'s.
     """
 
     regime: str = "fig2a"
@@ -77,8 +78,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # sequences as tuples and sigmas as floats, as the fingerprint writes them
-        object.__setattr__(self, "d_grid", tuple(self.d_grid))
+        # sequences as tuples, integers as ints and sigmas as floats, as the
+        # fingerprint writes them; a left-out (None) grid is the default one
+        grid = default_d_grid() if self.d_grid is None else self.d_grid
+        object.__setattr__(self, "d_grid", tuple(int(d) if is_integer(d) else d for d in grid))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         rule = self.sigma_rule
         if rule is None:  # the regime's own rule
@@ -114,8 +117,6 @@ class ExperimentConfig:
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
-        if payload.get("d_grid", ()) is None:  # a null grid is the default one
-            payload = {key: value for key, value in payload.items() if key != "d_grid"}
         return cls(**payload)
 
     @classmethod
@@ -155,15 +156,11 @@ class ExperimentConfig:
         return float(self.sigma_rule[self.d_grid.index(d)])
 
     def theta_for(self, d: int) -> np.ndarray:
+        if self.regime != "fig2b":
+            return self.radius * spike_instance(d)
         # general radius via the unit-ball construction at noise sigma/r
-        if self.regime == "fig2b":
-            k = math.ceil(sparsity_scaling(self.sigma_for(d) / self.radius, self.p, d))
-            k = min(max(k, 1), d // 2)
-            unit = np.zeros(d)
-            unit[:k] = k ** (-1.0 / self.p)
-        else:
-            unit = spike_instance(d)
-        return self.radius * unit
+        size = sparsity_scaling(self.sigma_for(d) / self.radius, self.p, d)
+        return self.radius * flat_signal(size, self.p, d)[0]
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

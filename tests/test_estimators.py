@@ -63,12 +63,14 @@ def test_st_lambda_validation():
 
 def test_st_lambda_past_double_range():
     # sigma**2 (and at 1e300 sigma**p) past double range raised OverflowError,
-    # so EstimatorSpec rejected a sigma whose level is finite
-    cases = ((1e200, 10, 1.5), (1e300, 10, 1.9), (1.3e154, 7, 0.5), (1e250, 10**6, 1e-3))
+    # so EstimatorSpec rejected a sigma whose level is finite; a sigma**2 that
+    # underflowed gave 0 (1e-200) or lost bits (subnormal at 1e-160)
+    cases = ((1e200, 10, 1.5), (1e300, 10, 1.9), (1.3e154, 7, 0.5), (1e250, 10**6, 1e-3),
+             (1e-200, 10**6, 1e-3), (1e-160, 10**6, 1e-3))
     for sigma, d, p in cases:
         s = Decimal(sigma)
         exact = s * (2 * (Decimal(d) * s ** Decimal(p) * Decimal(1).exp()).ln()).sqrt()
-        assert st_lambda(sigma, d, p) == pytest.approx(float(exact), rel=1e-14)
+        assert st_lambda(sigma, d, p) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
         assert EstimatorSpec("soft_threshold", LpBall(p, d, 1.0), sigma).noise_level == sigma
     assert st_lambda(1e200, 10, 1.5) == pytest.approx(3.7258e201, rel=1e-4)
     # in range the level is the direct formula, bit for bit

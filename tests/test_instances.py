@@ -101,6 +101,17 @@ def test_instances_past_double_range():
             assert sparsity_scaling(sigma, p, 10) == expected
 
 
+def test_flat_constructions_at_p_1_001():
+    # q = 1001: delta = 0.5*0.15**q underflows to 0, which made the floor 0 and
+    # k = d//2 with the clamp on; sigma**q underflowed, so sparsity_scaling read d
+    inst = flat_sparse_instance(0.5, 1.001, 1000)
+    assert (inst.k, inst.clamped, inst.delta) == (27, False, 0.0)
+    # 40-digit value of (0.5 * 1000**(1/q) / 2) * 0.15 * 0.125**(1/q)
+    assert inst.lambda_floor == pytest.approx(0.037681317825099258, rel=1e-14)
+    # the flat rule sigma = d**(-1/2): size sqrt(d)
+    assert sparsity_scaling(0.1, 1.001, 100) == pytest.approx(10.0, rel=1e-14)
+
+
 def test_sparsity_scaling_endpoints():
     p = 1.5
     q = 3.0

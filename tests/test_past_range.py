@@ -1,21 +1,22 @@
 """A result past double range is inf: no ``OverflowError`` or ``ZeroDivisionError`` escapes.
 
 Python's float powers and ``math`` functions raise where IEEE arithmetic
-gives inf.  ``errors.inf_past_range`` is the package's one rule for that;
-``instances.sparsity_scaling`` keeps its own handler, because its fallback
-is 0 or inf as sigma sets.  The sweep reaches the small-p powers, and the
-AST check keeps the rule in those two places.
+gives inf.  ``errors.inf_past_range`` is the package's one rule for that.
+The sweep reaches the small-p powers and the p in (1, 2) constructions next
+to either end, and the AST check keeps the rule in that one place.
 """
 
 import ast
+import decimal
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lpseq.errors import inf_past_range
-from lpseq.instances import flat_sparse_instance
+from lpseq.instances import flat_sparse_instance, sparsity_scaling
 from lpseq.projection import LpBall, lp_norm, project
 from lpseq.rates import RateQuery, control_function, example_scalings
 
@@ -52,13 +53,48 @@ def test_small_p_sweep_raises_nothing():
                 for r in (1e-300, 1.0, 1e300):
                     assert not math.isnan(control_function(RateQuery(p, d, sigma, r)))
     # the p in (1, 2) constructions, next to either end
-    for eps in (1e-15, 1e-9, 1e-3):
+    for eps in (1e-15, 1e-9, 1e-6, 1e-3):
         for scenario in ("log_subopt", "poly_subopt"):
             for n in (3, 10**6, 10**400):
                 assert example_scalings(scenario, n, eps).d > 0
         for p in (1.0 + eps, 2.0 - eps):
             for sigma in (1e-300, 1e-3, 1.0, 1e300):
                 assert 1 <= flat_sparse_instance(sigma, p, 100).k <= 50
+
+
+def _flat_constructions(sigma: float, p: float, d: int):
+    """``sparsity_scaling``'s formula and ``flat_sparse_instance``'s size
+    ``lambda_floor**(-p/(2-p))``, as written, in 50-digit decimal arithmetic
+    whose exponent range no power here leaves."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 50, decimal.MAX_EMAX, decimal.MIN_EMIN
+        sigma, p, d = Decimal(sigma), Decimal(p), Decimal(d)
+        q = p / (p - 1)
+        scaling = (1 / (sigma**q * d)) ** ((p - 1) / (2 - p))
+        delta = Decimal("0.5") * Decimal("0.15") ** q
+        m = d - d % 4
+        lam_floor = sigma * m ** (1 / q) / 2 * (delta / 4) ** (1 / q)
+        return scaling, lam_floor ** (-p / (2 - p))
+
+
+def test_flat_constructions_next_to_p_1():
+    # q = p/(p-1) passes 1e3: sigma**q and delta = 0.5*0.15**q underflowed, so
+    # sparsity_scaling read d and the instance took k = d//2 with a zero floor
+    sigmas = [10.0**e for e in range(-300, 301, 25)] + [10.0**(e / 8) for e in range(-24, 9)]
+    inside = 0
+    for p in (1.0 + 1e-3, 1.0 + 1e-6):
+        for d in (4, 100, 1001):
+            for sigma in sigmas:
+                scaling, size = _flat_constructions(sigma, p, d)
+                got = sparsity_scaling(sigma, p, d)
+                if scaling > Decimal(np.finfo(float).max):
+                    assert got == d
+                else:
+                    assert got == pytest.approx(max(float(scaling), 1.0), rel=1e-12, abs=0.0)
+                k = flat_sparse_instance(sigma, p, d).k
+                assert k == min(max(math.ceil(size), 1), d // 2), (p, d, sigma)
+                inside += 1 < k < d // 2
+    assert inside >= 20
 
 
 def test_lp_norm_past_range_in_logs():
@@ -87,4 +123,4 @@ def test_one_owner_of_the_past_range_rule():
     for path in sorted(PACKAGE.glob("*.py")):
         owners += [f"{path.name}:{name}"
                    for name in _handlers(ast.parse(path.read_text(encoding="utf-8")))]
-    assert owners == ["errors.py:inf_past_range", "instances.py:sparsity_scaling"]
+    assert owners == ["errors.py:inf_past_range"]

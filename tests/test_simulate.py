@@ -111,6 +111,28 @@ def test_config_from_lists_equals_the_one_read_from_json():
         {**payload, "radius": 1.0, "sigma_rule": [1.0, 2.0]}, sort_keys=True)
 
 
+def test_numpy_integer_grid_is_the_int_grid():
+    # fingerprint() raised TypeError on numpy integers, after every cell had run
+    cfg = ExperimentConfig(d_grid=np.array([100, 200]), reps=2, estimators=("zero",))
+    same = ExperimentConfig(d_grid=(100, 200), reps=2, estimators=("zero",))
+    assert cfg == same and run_experiment(cfg).experiment_id == same.fingerprint()
+
+
+def test_fig2b_sparsity_at_integer_sizes():
+    # the size is 1 at the spike rule and sqrt(d) at the flat one, times
+    # r**(p/(2-p)) at radius r; rounding a hair above the integer took one more
+    def k(p, rule, d, radius=1.0):
+        cfg = ExperimentConfig(regime="fig2b", p=p, sigma_rule=rule, radius=radius,
+                               d_grid=(d,), estimators=("zero",))
+        return int(np.count_nonzero(cfg.theta_for(d)))
+
+    for p in (1.3, 1.4, 1.5, 1.7, 1.9):
+        assert [k(p, "spike", d) for d in default_d_grid()] == [1] * 10
+    assert [k(p, "flat", 100) for p in (1.05, 1.6, 1.7)] == [10] * 3
+    assert [k(1.5, "spike", 100, 2.0), k(1.6, "spike", 100, 2.0),
+            k(1.8, "spike", 1060, 2.0)] == [8, 16, 512]
+
+
 def test_default_sigma_rule_is_the_regimes_own():
     # fig2b without a sigma_rule drew at the spike rule, 0.3455 at d = 100
     fig2b = ExperimentConfig(regime="fig2b", p=1.3, d_grid=(100,))
